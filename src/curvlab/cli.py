@@ -4,7 +4,7 @@ corpus scans, and counterexample searches.
 Graph specs are either a path to a graph6/sparse6 or edge-list file, or a
 generator string such as "hypercube:4", "paley:13", "zxk:3" (the integer
 line times K_3).  Exit codes: 0 clean, 2 a proved statement failed on some
-graph (an implementation bug), 3 bad input.
+graph (an implementation bug), 3 bad input or a usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 from .curvature import bakry_emery_curvature, graph_curvature
 from .cuts import classify_min_cuts, edge_connectivity
-from .formats import FormatError, iter_graph6_file, parse_edge_list
+from .formats import FormatError, parse_edge_list, parse_graph6
 from .generators import INFINITE_KINDS, generate, parse_family_spec
 from .graph import Graph, GraphError, NeighborOracle
 from .matching import maximum_matching
@@ -31,18 +31,23 @@ EXIT_INPUT = 3
 
 
 def _load_graph_spec(text: str) -> Graph | NeighborOracle:
-    """A path to a graph file (first graph of it) or a generator string."""
+    """A path to a graph file or a generator string.  Of a graph6/sparse6
+    file only the first graph, its first non-blank line, is read."""
     if os.path.exists(text):
         with open(text, "r", encoding="ascii") as fh:
             content = fh.read()
-        stripped = content.lstrip()
-        first = stripped.splitlines()[0] if stripped else ""
-        if first and (first[0].isdigit()) and not first.startswith(">>"):
-            return parse_edge_list(content)
-        graphs = iter_graph6_file(content.splitlines())
-        if not graphs:
+        lineno, first = next(
+            ((i, line.strip()) for i, line in enumerate(content.splitlines(), 1) if line.strip()),
+            (0, ""),
+        )
+        if not first:
             raise FormatError(f"no graphs in {text}")
-        return graphs[0][1]
+        if first[0].isdigit():
+            return parse_edge_list(content)
+        try:
+            return parse_graph6(first)
+        except GraphError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
     return generate(parse_family_spec(text))
 
 
@@ -51,15 +56,6 @@ def _parse_vertex(text: str):
     if len(parts) == 1:
         return int(parts[0])
     return tuple(int(p) for p in parts)
-
-
-def _threads(args) -> int:
-    env = os.environ.get("CURVLAB_THREADS")
-    cap = int(env) if env else None
-    requested = getattr(args, "parallelism", 1) or 1
-    if cap is not None:
-        requested = min(requested, cap)
-    return max(1, requested)
 
 
 def _print_json(payload) -> None:
@@ -138,7 +134,7 @@ def cmd_regularity(args) -> int:
 def cmd_check(args) -> int:
     source = CorpusSource.from_string(args.source)
     ids = tuple(t.strip() for t in args.theorems.split(",")) if args.theorems else THEOREM_IDS
-    verdicts, summary = scan(source, ids, parallelism=_threads(args), seed=args.seed)
+    verdicts, summary = scan(source, ids)
     emit_report(verdicts, args.format, args.out)
     print(
         f"\nchecked {summary.checked} verdicts on {summary.total_graphs} graphs: "
@@ -227,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorems", help=f"comma list from {','.join(THEOREM_IDS)}")
     p.add_argument("--format", default="json", choices=("json", "csv", "markdown"))
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--parallelism", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("conjecture", help="tabulate (delta, lambda) over nonneg-curvature graphs")
@@ -242,7 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.fn(args)
     except (GraphError, FormatError, FileNotFoundError, ValueError) as exc:

@@ -101,10 +101,6 @@ class NeighborOracle:
         return len(self.neighbors(v))
 
 
-def oracle_of(g: Graph) -> NeighborOracle:
-    return g.as_oracle()
-
-
 @dataclass(frozen=True)
 class BallMap:
     """Vertex bookkeeping for an extracted ball.

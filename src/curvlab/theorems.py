@@ -20,18 +20,20 @@ Checker ids:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Sequence
 
-from .cuts import classify_min_cuts, edge_connectivity
-from .curvature import bakry_emery_curvature, graph_curvature
-from .enumeration import connected_graphs_upto
+from .cuts import CutCertificate, classify_min_cuts, edge_connectivity
+# the benchmark's traced run wraps bakry_emery_curvature under this module's name
+from .curvature import CurvatureReport, bakry_emery_curvature, graph_curvature  # noqa: F401
+from .enumeration import MAX_ENUMERATION_N, connected_graphs_upto
 from .formats import iter_graph6_file
 from .generators import generate, parse_family_spec
 from .graph import Graph, GraphError, is_connected, structure_queries
-from .matching import maximum_matching
+from .matching import Matching, maximum_matching
 from .regularity import (
+    RegularityClass,
     arg_curvature_formula,
     bcn_check,
     detect_regularity,
@@ -55,122 +57,114 @@ class TheoremVerdict:
         return self.applicable and self.holds is False
 
 
-def _curvature_info(g: Graph) -> tuple[float, dict]:
-    kmin, reports = graph_curvature(g)
-    return kmin, reports
+class GraphFacts:
+    """The per-graph quantities the checkers share, each computed on first
+    use and then kept, so a scan computes each at most once per graph."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    @cached_property
+    def connected(self) -> bool:
+        return self.g.n > 0 and is_connected(self.g)
+
+    @cached_property
+    def regularity(self) -> RegularityClass:
+        return detect_regularity(self.g)
+
+    @cached_property
+    def curvature(self) -> tuple[float, dict[int, CurvatureReport]]:
+        return graph_curvature(self.g)
+
+    @cached_property
+    def connectivity(self) -> tuple[int, CutCertificate | None]:
+        return edge_connectivity(self.g)
+
+    @cached_property
+    def matching(self) -> Matching:
+        return maximum_matching(self.g)
 
 
-def check_theorem(g: Graph, theorem_id: str, graph_id: str = "?") -> TheoremVerdict:
+def check_theorem(
+    g: Graph, theorem_id: str, graph_id: str = "?", facts: GraphFacts | None = None
+) -> TheoremVerdict:
     """Evaluate one checker on a finite graph.
 
-    Disconnected graphs are never applicable; evidence carries the
-    quantities the conclusion was decided on (curvature values, cut
-    certificates, matchings, witnesses) so it can be re-verified.
+    `facts` carries the per-graph quantities shared with the other checkers
+    on the same graph; without it they are computed here.  Disconnected
+    graphs are never applicable; evidence carries the quantities the
+    conclusion was decided on (curvature values, cut certificates,
+    matchings, witnesses) so it can be re-verified.
     """
     if theorem_id not in THEOREM_IDS:
         raise GraphError(f"unknown theorem id {theorem_id!r}")
-    if g.n == 0 or not is_connected(g):
-        return TheoremVerdict(theorem_id, graph_id, False, None, {"reason": "not connected"})
-    reg = detect_regularity(g)
+    facts = GraphFacts(g) if facts is None else facts
+    verdict = partial(TheoremVerdict, theorem_id, graph_id)  # (applicable, holds, evidence)
+    if not facts.connected:
+        return verdict(False, None, {"reason": "not connected"})
 
     if theorem_id == "T1.3":
-        kmin, _ = _curvature_info(g)
+        kmin, _ = facts.curvature
         if kmin < -CURVATURE_TOL:
-            return TheoremVerdict(
-                theorem_id, graph_id, False, None, {"K": kmin, "reason": "negative curvature"}
-            )
-        lam, cert = edge_connectivity(g)
+            return verdict(False, None, {"K": kmin, "reason": "negative curvature"})
+        lam, cert = facts.connectivity
         delta = min(g.degree(v) for v in range(g.n))
-        return TheoremVerdict(
-            theorem_id,
-            graph_id,
-            True,
-            lam >= delta - 1,
-            {"K": kmin, "lambda": lam, "delta": delta, "cut": cert},
-        )
-
-    if theorem_id in ("T1.1", "T1.2"):
-        if not reg.is_regular or g.n % 2 != 0:
-            return TheoremVerdict(
-                theorem_id, graph_id, False, None, {"reason": "not regular with even order"}
-            )
-        if theorem_id == "T1.1":
-            kmin, _ = _curvature_info(g)
-            if kmin < -CURVATURE_TOL:
-                return TheoremVerdict(
-                    theorem_id, graph_id, False, None, {"K": kmin, "reason": "negative curvature"}
-                )
-            evidence: dict = {"K": kmin}
-        else:
-            lam, _ = edge_connectivity(g)
-            if lam < reg.d - 1:
-                return TheoremVerdict(
-                    theorem_id,
-                    graph_id,
-                    False,
-                    None,
-                    {"lambda": lam, "d": reg.d, "reason": "not (d-1)-edge-connected"},
-                )
-            evidence = {"lambda": lam, "d": reg.d}
-        matching = maximum_matching(g)
-        evidence["matching"] = matching
-        return TheoremVerdict(theorem_id, graph_id, True, matching.is_perfect, evidence)
-
-    if theorem_id == "T1.4":
-        if not reg.is_amply_regular or reg.beta < 2:
-            return TheoremVerdict(
-                theorem_id, graph_id, False, None, {"reason": "not amply regular with beta >= 2"}
-            )
-        lam, cert = edge_connectivity(g)
-        quadrangle = g.n == 4 and reg.d == 2
-        evidence = {"lambda": lam, "d": reg.d, "cut": cert, "quadrangle": quadrangle}
-        if lam != reg.d:
-            return TheoremVerdict(theorem_id, graph_id, True, False, evidence)
-        if not quadrangle:
-            cls = classify_min_cuts(g)
-            evidence["stars_only"] = cls.stars_only
-            evidence["non_star_cut"] = cls.witness
-            return TheoremVerdict(theorem_id, graph_id, True, cls.stars_only, evidence)
-        return TheoremVerdict(theorem_id, graph_id, True, True, evidence)
-
-    if theorem_id == "C1.6":
-        if not reg.is_amply_regular or reg.beta < 2 or g.n % 2 != 0:
-            return TheoremVerdict(
-                theorem_id,
-                graph_id,
-                False,
-                None,
-                {"reason": "not amply regular with beta >= 2 and even order"},
-            )
-        matching = maximum_matching(g)
-        return TheoremVerdict(
-            theorem_id, graph_id, True, matching.is_perfect, {"matching": matching}
+        return verdict(
+            True, lam >= delta - 1, {"K": kmin, "lambda": lam, "delta": delta, "cut": cert}
         )
 
     if theorem_id == "T2.4":
-        verdict = bcn_check(g)
-        return TheoremVerdict(
-            theorem_id,
-            graph_id,
-            verdict.applicable,
-            verdict.holds,
-            {"reason": verdict.reason, "witness": verdict.witness},
+        bcn = bcn_check(g)
+        return verdict(
+            bcn.applicable, bcn.holds, {"reason": bcn.reason, "witness": bcn.witness}
         )
+
+    reg = facts.regularity
+    if theorem_id in ("T1.1", "T1.2"):
+        if not reg.is_regular or g.n % 2 != 0:
+            return verdict(False, None, {"reason": "not regular with even order"})
+        if theorem_id == "T1.1":
+            kmin, _ = facts.curvature
+            if kmin < -CURVATURE_TOL:
+                return verdict(False, None, {"K": kmin, "reason": "negative curvature"})
+            evidence: dict = {"K": kmin}
+        else:
+            lam, _ = facts.connectivity
+            if lam < reg.d - 1:
+                reason = "not (d-1)-edge-connected"
+                return verdict(False, None, {"lambda": lam, "d": reg.d, "reason": reason})
+            evidence = {"lambda": lam, "d": reg.d}
+        evidence["matching"] = facts.matching
+        return verdict(True, facts.matching.is_perfect, evidence)
+
+    if theorem_id == "T1.4":
+        if not reg.is_amply_regular or reg.beta < 2:
+            return verdict(False, None, {"reason": "not amply regular with beta >= 2"})
+        lam, cert = facts.connectivity
+        quadrangle = g.n == 4 and reg.d == 2
+        evidence = {"lambda": lam, "d": reg.d, "cut": cert, "quadrangle": quadrangle}
+        if lam != reg.d or quadrangle:
+            return verdict(True, lam == reg.d, evidence)
+        cls = classify_min_cuts(g)
+        evidence["stars_only"] = cls.stars_only
+        evidence["non_star_cut"] = cls.witness
+        return verdict(True, cls.stars_only, evidence)
+
+    if theorem_id == "C1.6":
+        if not reg.is_amply_regular or reg.beta < 2 or g.n % 2 != 0:
+            reason = "not amply regular with beta >= 2 and even order"
+            return verdict(False, None, {"reason": reason})
+        return verdict(True, facts.matching.is_perfect, {"matching": facts.matching})
 
     # T2.5: closed-form curvature against the eigensolver, every vertex
     if not reg.is_amply_regular:
-        return TheoremVerdict(theorem_id, graph_id, False, None, {"reason": "not amply regular"})
+        return verdict(False, None, {"reason": "not amply regular"})
+    _, reports = facts.curvature
     worst = 0.0
-    o = g.as_oracle()
     for x in range(g.n):
-        formula = arg_curvature_formula(
-            reg.d, reg.alpha, reg.beta, local_graph_spectrum(g, x)
-        )
-        solver = bakry_emery_curvature(o, x).K
-        worst = max(worst, abs(formula - solver))
-    return TheoremVerdict(
-        theorem_id, graph_id, True, worst <= 1e-8, {"max_abs_difference": worst}
-    )
+        formula = arg_curvature_formula(reg.d, reg.alpha, reg.beta, local_graph_spectrum(g, x))
+        worst = max(worst, abs(formula - reports[x].K))
+    return verdict(True, worst <= 1e-8, {"max_abs_difference": worst})
 
 
 @dataclass(frozen=True)
@@ -189,7 +183,12 @@ class CorpusSource:
         if text.startswith("gen:"):
             return CorpusSource("generators", specs=tuple(t for t in text[4:].split(";") if t))
         if text.startswith("exhaustive:"):
-            return CorpusSource("exhaustive", max_n=int(text.split(":", 1)[1]))
+            arg = text.split(":", 1)[1]
+            if not arg.isdecimal() or not 1 <= int(arg) <= MAX_ENUMERATION_N:
+                raise GraphError(
+                    f"corpus source {text!r}: N must be an integer in 1..{MAX_ENUMERATION_N}"
+                )
+            return CorpusSource("exhaustive", max_n=int(arg))
         return CorpusSource("file", path=text)
 
     def graphs(self) -> Iterator[tuple[str, Graph]]:
@@ -223,36 +222,24 @@ class ScanSummary:
 
 
 def scan(
-    source: CorpusSource,
-    theorem_ids: Sequence[str] = THEOREM_IDS,
-    parallelism: int = 1,
-    seed: int = 0,
+    source: CorpusSource, theorem_ids: Sequence[str] = THEOREM_IDS
 ) -> tuple[list[TheoremVerdict], ScanSummary]:
-    """Run checkers over a corpus; deterministic regardless of parallelism.
+    """Run checkers over a corpus, graph by graph in corpus order.
 
-    Graphs are dispatched to a thread pool but results are merged in corpus
-    order, so two runs with the same source produce identical output.  The
-    seed is recorded for reproducibility of any future sampled checkers;
-    the current checkers are deterministic.
+    The checkers on one graph share one `GraphFacts`, so each per-graph
+    quantity is computed at most once.
     """
-    del seed  # all current checkers are deterministic
     for tid in theorem_ids:
         if tid not in THEOREM_IDS:
             raise GraphError(f"unknown theorem id {tid!r}")
-    items = list(source.graphs())
-
-    def work(item: tuple[str, Graph]) -> list[TheoremVerdict]:
-        gid, g = item
-        return [check_theorem(g, tid, gid) for tid in theorem_ids]
-
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            chunks = list(pool.map(work, items))
-    else:
-        chunks = [work(item) for item in items]
-    verdicts = [v for chunk in chunks for v in chunk]
+    verdicts = []
+    total_graphs = 0
+    for gid, g in source.graphs():
+        total_graphs += 1
+        facts = GraphFacts(g)
+        verdicts.extend(check_theorem(g, tid, gid, facts) for tid in theorem_ids)
     summary = ScanSummary(
-        total_graphs=len(items),
+        total_graphs=total_graphs,
         checked=len(verdicts),
         applicable=sum(1 for v in verdicts if v.applicable),
         held=sum(1 for v in verdicts if v.applicable and v.holds),

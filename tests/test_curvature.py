@@ -16,7 +16,7 @@ from curvlab.curvature import (
     schur_reduce,
     violates_ph,
 )
-from curvlab.graph import ball, from_edge_list, induced_subgraph, oracle_of
+from curvlab.graph import ball, from_edge_list, induced_subgraph
 from curvlab.generators import (
     complete_graph,
     cycle_graph,
@@ -31,13 +31,13 @@ from conftest import random_graph
 
 def test_form_k2():
     g = from_edge_list(2, [(0, 1)])
-    q = curvature_form(oracle_of(g), 0)
+    q = curvature_form(g.as_oracle(), 0)
     assert q.basis == (1,) and q.n1 == 1
     assert q.matrix == pytest.approx(np.array([[1.0]]))
 
 
 def test_form_c5_second_sphere_block():
-    q = curvature_form(oracle_of(cycle_graph(5)), 0)
+    q = curvature_form(cycle_graph(5).as_oracle(), 0)
     assert q.n1 == 2 and len(q.basis) == 4
     assert q.matrix[2:, 2:] == pytest.approx(np.diag([0.25, 0.25]))
 
@@ -47,7 +47,7 @@ def test_form_matches_gamma2_and_polarization(corpus):
     names = sorted(corpus)
     for name in names[:8]:
         g = corpus[name]
-        o = oracle_of(g)
+        o = g.as_oracle()
         x = rng.randrange(g.n)
         if not g.adjacency[x]:
             continue
@@ -80,16 +80,16 @@ def test_form_matches_gamma2_and_polarization(corpus):
 def test_form_rejects_isolated_vertex():
     g = from_edge_list(3, [(0, 1)])
     with pytest.raises(FormError):
-        curvature_form(oracle_of(g), 2)
+        curvature_form(g.as_oracle(), 2)
 
 
 def test_schur_reduce_k2_unchanged():
-    q = curvature_form(oracle_of(from_edge_list(2, [(0, 1)])), 0)
+    q = curvature_form(from_edge_list(2, [(0, 1)]).as_oracle(), 0)
     assert schur_reduce(q) is q
 
 
 def test_schur_reduce_c5():
-    q = schur_reduce(curvature_form(oracle_of(cycle_graph(5)), 0))
+    q = schur_reduce(curvature_form(cycle_graph(5).as_oracle(), 0))
     assert q.matrix == pytest.approx(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
@@ -98,7 +98,7 @@ def test_schur_reduction_is_partial_minimum():
     # numerical minimizer; equality at the back-substituted point
     rng = random.Random(8)
     for name_g in [cycle_graph(5), cycle_graph(6), petersen(), hypercube(3)]:
-        o = oracle_of(name_g)
+        o = name_g.as_oracle()
         q = curvature_form(o, 0)
         red = schur_reduce(q)
         k = q.n1
@@ -165,12 +165,12 @@ def test_curvature_ground_truths():
         rep = bakry_emery_curvature(line_times_complete(k), (0, 0))
         assert rep.K == pytest.approx(0.0, abs=1e-8)
     for n in range(2, 9):
-        rep = bakry_emery_curvature(oracle_of(complete_graph(n)), 0)
+        rep = bakry_emery_curvature(complete_graph(n).as_oracle(), 0)
         assert rep.K == pytest.approx((n + 2) / 2, abs=1e-8)
     for d in range(1, 7):
         value, _ = graph_curvature(hypercube(d))
         assert value == pytest.approx(2.0, abs=1e-8)
-    assert bakry_emery_curvature(oracle_of(cycle_graph(5)), 0).K == pytest.approx(
+    assert bakry_emery_curvature(cycle_graph(5).as_oracle(), 0).K == pytest.approx(
         0.0, abs=1e-10
     )
 
@@ -199,7 +199,7 @@ def test_empty_graph_rejected():
 def test_witness_properties(corpus):
     for name in ["C4", "C5", "petersen", "Q3", "T5", "K5"]:
         g = corpus[name]
-        o = oracle_of(g)
+        o = g.as_oracle()
         for x in range(g.n):
             rep = bakry_emery_curvature(o, x)
             _, bmap = ball(o, x, 2)
@@ -212,7 +212,7 @@ def test_witness_properties(corpus):
 
 def test_duality_at_every_corpus_vertex(corpus):
     for name, g in sorted(corpus.items()):
-        o = oracle_of(g)
+        o = g.as_oracle()
         for x in range(g.n):
             rep = bakry_emery_curvature(o, x)
             holds, _ = check_cd(o, x, math.inf, rep.K - 1e-6)
@@ -223,7 +223,7 @@ def test_duality_at_every_corpus_vertex(corpus):
 
 
 def test_check_cd_far_below_curvature():
-    holds, _ = check_cd(oracle_of(petersen()), 0, math.inf, -1e6)
+    holds, _ = check_cd(petersen().as_oracle(), 0, math.inf, -1e6)
     assert holds
 
 
@@ -234,7 +234,7 @@ def test_check_cd_modes_agree():
         x = rng.randrange(g.n)
         if not g.adjacency[x]:
             continue
-        o = oracle_of(g)
+        o = g.as_oracle()
         K = rng.uniform(-4, 4)
         eig, _ = check_cd(o, x, math.inf, K, mode="eigen")
         bis, _ = check_cd(o, x, math.inf, K, mode="bisection")
@@ -243,7 +243,7 @@ def test_check_cd_modes_agree():
 
 def test_bisection_matches_eigensolver(corpus):
     for name, g in sorted(corpus.items()):
-        o = oracle_of(g)
+        o = g.as_oracle()
         for x in range(g.n):
             direct = bakry_emery_curvature(o, x).K
             bisected = bakry_emery_curvature_bisect(o, x, tol=1e-9)
@@ -257,7 +257,7 @@ def test_monotone_in_dimension():
         x = rng.randrange(g.n)
         if not g.adjacency[x]:
             continue
-        o = oracle_of(g)
+        o = g.as_oracle()
         dims = sorted(rng.uniform(0.5, 50) for _ in range(3)) + [math.inf]
         ks = [bakry_emery_curvature(o, x, N).K for N in dims]
         assert all(a <= b + 1e-9 for a, b in zip(ks, ks[1:])), (dims, ks)
@@ -266,7 +266,7 @@ def test_monotone_in_dimension():
 def test_finite_dimension_k2():
     # on K2 the reduced form is 1x1 with Gamma_2 = 1, Delta f = f(y), so
     # CD(N, K) caps K at 2 (1 - 1/N)
-    o = oracle_of(from_edge_list(2, [(0, 1)]))
+    o = from_edge_list(2, [(0, 1)]).as_oracle()
     for N in [1.0, 2.0, 4.0, 10.0]:
         rep = bakry_emery_curvature(o, 0, N)
         assert rep.K == pytest.approx(2.0 * (1.0 - 1.0 / N), abs=1e-10)
@@ -279,9 +279,9 @@ def test_locality_second_sphere_edges_irrelevant():
         x = rng.randrange(g.n)
         if not g.adjacency[x]:
             continue
-        whole = bakry_emery_curvature(oracle_of(g), x).K
-        bg, bmap = ball(oracle_of(g), x, 2)
-        local = bakry_emery_curvature(oracle_of(bg), 0).K
+        whole = bakry_emery_curvature(g.as_oracle(), x).K
+        bg, bmap = ball(g.as_oracle(), x, 2)
+        local = bakry_emery_curvature(bg.as_oracle(), 0).K
         assert whole == pytest.approx(local, abs=1e-9)
         # adding or removing sphere-2 internal edges changes nothing
         s2 = [i for i, s in enumerate(bmap.sphere) if s == 2]
@@ -289,6 +289,6 @@ def test_locality_second_sphere_edges_irrelevant():
             u, v = s2[0], s2[1]
             edges = set(bg.edges()) ^ {(min(u, v), max(u, v))}
             modified = from_edge_list(bg.n, sorted(edges))
-            assert bakry_emery_curvature(oracle_of(modified), 0).K == pytest.approx(
+            assert bakry_emery_curvature(modified.as_oracle(), 0).K == pytest.approx(
                 whole, abs=1e-9
             )

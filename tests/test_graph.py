@@ -10,7 +10,6 @@ from curvlab.graph import (
     from_edge_list,
     induced_subgraph,
     is_connected,
-    oracle_of,
     structure_queries,
 )
 from curvlab.generators import (
@@ -104,12 +103,12 @@ def test_ball_radius_one():
 
 def test_ball_petersen_covers_graph():
     p = petersen()
-    g, bmap = ball(oracle_of(p), 0, 2)
+    g, bmap = ball(p.as_oracle(), 0, 2)
     assert g.n == 10  # diameter 2
 
 
 def test_ball_complete_has_empty_second_sphere():
-    g, bmap = ball(oracle_of(complete_graph(5)), 2, 2)
+    g, bmap = ball(complete_graph(5).as_oracle(), 2, 2)
     assert g.n == 5
     assert bmap.sphere_vertices(2) == ()
 
@@ -119,7 +118,7 @@ def test_ball_matches_induced_subgraph():
     for _ in range(50):
         g = random_graph(rng, rng.randint(2, 10), 0.4)
         x = rng.randrange(g.n)
-        bg, bmap = ball(oracle_of(g), x, 2)
+        bg, bmap = ball(g.as_oracle(), x, 2)
         expected = induced_subgraph(g, list(bmap.vertices))
         assert bg == expected
 

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from curvlab import theorems
 from curvlab.formats import FormatError
 from curvlab.generators import (
     beta1_counterexample,
@@ -99,13 +102,42 @@ def test_scan_exhaustive_small_clean():
     assert summary.clean
 
 
-def test_scan_deterministic_across_parallelism():
+def test_scan_deterministic_across_runs():
     src = CorpusSource.from_string("gen:petersen;hypercube:3;cycle:4;paley:13")
-    out = []
-    for workers in (1, 4):
-        verdicts, _ = scan(src, ("T1.3", "T2.5", "T1.4"), parallelism=workers, seed=7)
-        out.append(render_json(verdicts))
+    out = [render_json(scan(src, ("T1.3", "T2.5", "T1.4"))[0]) for _ in range(2)]
     assert out[0] == out[1]
+
+
+SHARED_FACTS_SOURCES = ("exhaustive:6", "gen:petersen;hypercube:4;paley:13;cycle:4;hamming2:3")
+
+
+@pytest.mark.parametrize("text", SHARED_FACTS_SOURCES)
+def test_scan_shared_facts_match_checkers_alone(text):
+    # every checker run on its own computes its own facts; the report must
+    # not change when a scan shares one GraphFacts between the checkers
+    src = CorpusSource.from_string(text)
+    verdicts, _ = scan(src)
+    alone = [check_theorem(g, tid, gid) for gid, g in src.graphs() for tid in THEOREM_IDS]
+    assert render_json(verdicts) == render_json(alone)
+
+
+def test_scan_computes_each_fact_once_per_graph(monkeypatch):
+    names = ("graph_curvature", "edge_connectivity", "maximum_matching", "detect_regularity")
+    calls = []  # (function name, graph); holding the graphs keeps their ids distinct
+    for name in names:
+        fn = getattr(theorems, name)
+
+        def counted(g, *args, _fn=fn, _name=name, **kwargs):
+            calls.append((_name, g))
+            return _fn(g, *args, **kwargs)
+
+        monkeypatch.setattr(theorems, name, counted)
+    for text in SHARED_FACTS_SOURCES:
+        _, summary = scan(CorpusSource.from_string(text))
+        assert summary.clean
+    per_graph = Counter((name, id(g)) for name, g in calls)
+    assert {name for name, _ in per_graph} == set(names)
+    assert max(per_graph.values()) == 1
 
 
 def test_scan_file_source(tmp_path):
