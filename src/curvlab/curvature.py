@@ -6,6 +6,13 @@ gauge choice, since all operators are translation invariant).  Eliminating
 the sphere-2 block by a Schur complement realizes the infimum over those
 values, and the curvature is twice the minimal eigenvalue of the reduced
 form because Gamma(f)(x) = ||f restricted to sphere 1||^2 / 2.
+
+The form is read in closed form off the adjacency of the 2-ball.  Its
+sphere-2 block is diagonal, so the Schur complement divides by that
+diagonal and needs no factorization.  `local_ops.gamma2_at`, which
+composes the operator definitions pointwise, and the bisection route,
+which tests positive semidefiniteness by Cholesky, stay independent of
+this assembly and of the eigensolver and serve as oracles in the tests.
 """
 
 from __future__ import annotations
@@ -43,8 +50,6 @@ class QuadraticForm:
         m = self.matrix
         if m.shape != (len(self.basis), len(self.basis)):
             raise FormError("matrix dimension does not match basis")
-        if m.size and float(np.max(np.abs(m - m.T))) > 1e-12:
-            raise FormError("matrix is not symmetric within 1e-12")
 
     def evaluate(self, f) -> float:
         """f^T Q f for a dict (or vector) of values over the basis."""
@@ -64,79 +69,58 @@ class CurvatureReport:
 def curvature_form(o: NeighborOracle, x: Hashable) -> QuadraticForm:
     """Quadratic form Q with f^T Q f = Gamma_2(f)(x) for all f with f(x) = 0.
 
-    The entries satisfy the polarization identity
+    Read in closed form off the 0/1 adjacency `a` of the 2-ball (Cushing,
+    Liu and Peyerimhoff, "Bakry-Emery curvature functions on graphs"), with
+    a11 the sphere-1 block, a12 the sphere-1 by sphere-2 block and k = |S1|:
+
+        Q11 = diag(a11 1 + (3/4) a12 1 - (k-3)/4) - a11 + 1/2
+        Q12 = -a12 / 2
+        Q22 = diag(1^T a12 / 4)
+
+    This is the two-sphere identity of `local_ops.ph_sides` in matrix form:
+    Gamma_2 at x only reads edges from x, inside sphere 1 and from sphere 1
+    to sphere 2.  Every entry is a quarter-integer of small magnitude, so
+    it is exact in floating point and equals the polarization
     Q[i][j] = (Gamma_2(e_i + e_j)(x) - Gamma_2(e_i)(x) - Gamma_2(e_j)(x)) / 2
-    for indicators e_i of the basis vertices; the assembly composes the
-    operator definitions in matrix form over the ball (a Gram matrix per
-    gradient evaluation, a row vector per Laplacian evaluation) and then
-    drops the center row and column, which is exact under the f(x) = 0
-    gauge.
+    of `gamma2_at` on indicators e_i of the basis vertices.
     """
-    _, bmap = ball(o, x, 2)
-    verts = bmap.vertices
-    if len(verts) == 1:
+    bg, bmap = ball(o, x, 2)
+    k = bmap.sphere.count(1)
+    if k == 0:
         raise FormError(f"vertex {x!r} is isolated; no curvature form exists")
-    n1 = len(bmap.sphere_vertices(1))
-    idx = bmap.index
-    dim = len(verts)
-
-    def gram(y) -> np.ndarray:
-        # Gamma(f, g)(y) = (1/2) sum over w ~ y of (f(w)-f(y))(g(w)-g(y))
-        m = np.zeros((dim, dim))
-        iy = idx[y]
-        for w in o.neighbors(y):
-            iw = idx[w]
-            m[iw, iw] += 1.0
-            m[iy, iy] += 1.0
-            m[iw, iy] -= 1.0
-            m[iy, iw] -= 1.0
-        return m / 2.0
-
-    def lap_row(y) -> np.ndarray:
-        # Delta f(y) = sum over w ~ y of (f(w) - f(y))
-        row = np.zeros(dim)
-        for w in o.neighbors(y):
-            row[idx[w]] += 1.0
-            row[idx[y]] -= 1.0
-        return row
-
-    gram_x = gram(x)
-    lap_x = lap_row(x)
-    delta_gamma = np.zeros((dim, dim))
-    cross = np.zeros((dim, dim))
-    for y in o.neighbors(x):
-        delta_gamma += gram(y) - gram_x
-        e_diff = np.zeros(dim)
-        e_diff[idx[y]] = 1.0
-        e_diff[idx[x]] -= 1.0
-        cross += np.outer(e_diff, lap_row(y) - lap_x)
-    # Gamma_2(f)(x) = (1/2) Delta Gamma(f)(x) - Gamma(f, Delta f)(x)
-    q_full = 0.5 * delta_gamma - 0.25 * (cross + cross.T)
-    q = q_full[1:, 1:]
-    return QuadraticForm(verts[1:], n1, (q + q.T) / 2.0)
+    a = np.zeros((bg.n, bg.n))
+    a[
+        [v for v, nbrs in enumerate(bg.adjacency) for _ in nbrs],
+        [w for nbrs in bg.adjacency for w in nbrs],
+    ] = 1.0
+    a11 = a[1 : k + 1, 1 : k + 1]
+    a12 = a[1 : k + 1, k + 1 :]
+    q = np.empty((bg.n - 1, bg.n - 1))
+    q[:k, :k] = np.diag(a11.sum(1) + 0.75 * a12.sum(1) - (k - 3) / 4.0) - a11 + 0.5
+    q[:k, k:] = 0.0 - a12 / 2.0  # not -a12 / 2.0, which writes -0.0 for non-edges
+    q[k:, :k] = q[:k, k:].T
+    q[k:, k:] = np.diag(a12.sum(0) / 4.0)
+    return QuadraticForm(bmap.vertices[1:], k, q)
 
 
 def schur_reduce(q: QuadraticForm) -> QuadraticForm:
     """Eliminate the sphere-2 block: Q_eff = Q11 - Q12 Q22^{-1} Q21.
 
     For every sphere-1 vector f1, f1^T Q_eff f1 equals the minimum of
-    (f1,f2)^T Q (f1,f2) over sphere-2 vectors f2; the minimum exists
-    because the sphere-2 block is positive definite (diagonal with entries
-    one quarter of each sphere-2 vertex's sphere-1 degree).
+    (f1,f2)^T Q (f1,f2) over sphere-2 vectors f2.  The minimum exists
+    because the sphere-2 block is diagonal with positive entries (one
+    quarter of each sphere-2 vertex's sphere-1 degree), so Q22^{-1} is a
+    division by its diagonal; any other block is rejected.
     """
     k = q.n1
     if len(q.basis) == k:
         return q
-    q11 = q.matrix[:k, :k]
     q12 = q.matrix[:k, k:]
     q22 = q.matrix[k:, k:]
-    try:
-        np.linalg.cholesky(q22)
-    except np.linalg.LinAlgError as exc:
-        raise FormError("sphere-2 block is not positive definite") from exc
-    reduced = q11 - q12 @ np.linalg.solve(q22, q12.T)
-    reduced = (reduced + reduced.T) / 2.0
-    return QuadraticForm(q.basis[:k], k, reduced)
+    d = np.diag(q22)
+    if np.count_nonzero(q22 - np.diag(d)) or not np.all(d > 0):
+        raise FormError("sphere-2 block is not diagonal with positive entries")
+    return QuadraticForm(q.basis[:k], k, q.matrix[:k, :k] - (q12 / d) @ q12.T)
 
 
 def min_eigenpair(m: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> tuple[float, np.ndarray]:
@@ -152,16 +136,18 @@ def min_eigenpair(m: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> tuple[float, n
 
 
 def _reduced_form(o: NeighborOracle, x: Hashable, N: float):
-    """Curvature form, dimension correction, and its Schur reduction."""
+    """Curvature form, dimension correction, and its Schur reduction.
+
+    The correction (1/N)(Delta f)^2(x) with f(x) = 0 is (1/N)(sum of f on
+    sphere 1)^2, that is 1/N subtracted from every sphere-1 entry.
+    """
     q = curvature_form(o, x)
     if N != math.inf:
         if not (N > 0):
             raise FormError(f"dimension parameter must be positive, got {N}")
         mat = q.matrix.copy()
-        ones = np.zeros(len(q.basis))
-        ones[: q.n1] = 1.0
-        mat -= np.outer(ones, ones) / N
-        q = QuadraticForm(q.basis, q.n1, (mat + mat.T) / 2.0)
+        mat[: q.n1, : q.n1] -= 1.0 / N
+        q = QuadraticForm(q.basis, q.n1, mat)
     return q, schur_reduce(q)
 
 
@@ -187,9 +173,7 @@ def bakry_emery_curvature(
     witness.update(zip(reduced.basis, (float(t) for t in vec)))
     k = q.n1
     if len(q.basis) > k:
-        q22 = q.matrix[k:, k:]
-        q21 = q.matrix[k:, :k]
-        f2 = -np.linalg.solve(q22, q21 @ vec)
+        f2 = -(q.matrix[k:, :k] @ vec) / np.diag(q.matrix[k:, k:])
         witness.update(zip(q.basis[k:], (float(t) for t in f2)))
     return CurvatureReport(x, 2.0 * lam, N, witness, eig_tol)
 
@@ -249,16 +233,19 @@ def check_cd(
         raise ValueError(f"unknown check_cd mode {mode!r}")
     if not o.neighbors(x):
         return True, None
+    report = None
     if mode == "bisection":
         _, reduced = _reduced_form(o, x, N)
         dim = reduced.matrix.shape[0]
         holds = _is_psd(reduced.matrix - (K / 2.0 - tol / 2.0) * np.eye(dim))
     else:
-        holds = K <= bakry_emery_curvature(o, x, N).K + tol
+        report = bakry_emery_curvature(o, x, N)
+        holds = K <= report.K + tol
     if holds:
         return True, None
     # the curvature witness violates the inequality at this K
-    report = bakry_emery_curvature(o, x, N)
+    if report is None:
+        report = bakry_emery_curvature(o, x, N)
     return False, report.witness
 
 

@@ -21,14 +21,8 @@ from .graph import Graph, GraphError, from_edge_list, is_connected
 MAX_ENUMERATION_N = 9
 
 
-def refinement_invariant(g: Graph) -> tuple:
-    """Canonical color-refinement signature, equal for isomorphic graphs.
-
-    Vertices start with their degree as color; each round recolors by the
-    sorted multiset of neighbor colors, with color ids re-indexed by sorted
-    signature so the result is labeling-independent.  The invariant is the
-    stable color histogram together with the sorted edge color pairs.
-    """
+def _refine(g: Graph) -> tuple[list[int], tuple]:
+    """Stable color-refinement colors of g and the invariant built from them."""
     colors = [g.degree(v) for v in range(g.n)]
     for _ in range(g.n):
         sigs = [
@@ -44,31 +38,32 @@ def refinement_invariant(g: Graph) -> tuple:
     edge_colors = tuple(
         sorted((min(colors[u], colors[v]), max(colors[u], colors[v])) for u, v in g.edges())
     )
-    return (g.n, g.m, hist, edge_colors)
+    return colors, (g.n, g.m, hist, edge_colors)
 
 
-def _stable_colors(g: Graph) -> list[int]:
-    colors = [g.degree(v) for v in range(g.n)]
-    for _ in range(g.n):
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in g.adjacency[v])))
-            for v in range(g.n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
+def refinement_invariant(g: Graph) -> tuple:
+    """Canonical color-refinement signature, equal for isomorphic graphs.
+
+    Vertices start with their degree as color; each round recolors by the
+    sorted multiset of neighbor colors, with color ids re-indexed by sorted
+    signature so the result is labeling-independent.  The invariant is the
+    stable color histogram together with the sorted edge color pairs.
+    """
+    return _refine(g)[1]
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism by backtracking over color-compatible assignments."""
     if g.n != h.n or g.m != h.m:
         return False
-    if refinement_invariant(g) != refinement_invariant(h):
-        return False
-    cg, ch = _stable_colors(g), _stable_colors(h)
+    cg, key_g = _refine(g)
+    ch, key_h = _refine(h)
+    return key_g == key_h and _match(g, cg, h, ch)
+
+
+def _match(g: Graph, cg: list[int], h: Graph, ch: list[int]) -> bool:
+    """Search for an isomorphism g -> h mapping each vertex to one of the
+    same stable color; the graphs must share their refinement invariant."""
     # assign rare-colored, high-degree vertices first
     color_count = {c: cg.count(c) for c in set(cg)}
     order = sorted(range(g.n), key=lambda v: (color_count[cg[v]], -g.degree(v), v))
@@ -131,14 +126,16 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
         )
     if n == 1:
         return (from_edge_list(1, []),)
-    buckets: dict[tuple, list[Graph]] = {}
+    # each candidate is refined once; a bucket keeps its representatives'
+    # colors for the backtracking match against later candidates
+    buckets: dict[tuple, list[tuple[Graph, list[int]]]] = {}
     for g in all_graphs(n - 1):
         for cand in _extensions(g):
-            key = refinement_invariant(cand)
+            colors, key = _refine(cand)
             bucket = buckets.setdefault(key, [])
-            if not any(is_isomorphic(cand, rep) for rep in bucket):
-                bucket.append(cand)
-    reps = [g for bucket in buckets.values() for g in bucket]
+            if not any(_match(cand, colors, rep, rep_colors) for rep, rep_colors in bucket):
+                bucket.append((cand, colors))
+    reps = [g for bucket in buckets.values() for g, _ in bucket]
     reps.sort(key=lambda g: (g.m, g.adjacency))
     return tuple(reps)
 

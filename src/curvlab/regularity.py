@@ -185,8 +185,9 @@ class BcnVerdict:
     witness: tuple[int, int, int, int] | None = None
 
 
-def bcn_check(g: Graph) -> BcnVerdict:
-    reg = detect_regularity(g)
+def bcn_check(g: Graph, reg: RegularityClass | None = None) -> BcnVerdict:
+    """Theorem 2.4 on g; `reg` is g's regularity class when already known."""
+    reg = detect_regularity(g) if reg is None else reg
     if not reg.is_amply_regular or reg.beta != 2:
         return BcnVerdict(False, None, f"not amply regular with beta=2 ({reg.kind})")
     bound = reg.alpha * (reg.alpha + 3) / 2.0

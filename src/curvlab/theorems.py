@@ -114,7 +114,7 @@ def check_theorem(
         )
 
     if theorem_id == "T2.4":
-        bcn = bcn_check(g)
+        bcn = bcn_check(g, facts.regularity)
         return verdict(
             bcn.applicable, bcn.holds, {"reason": bcn.reason, "witness": bcn.witness}
         )

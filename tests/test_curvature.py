@@ -7,6 +7,7 @@ import scipy.optimize
 
 from curvlab.curvature import (
     FormError,
+    QuadraticForm,
     bakry_emery_curvature,
     bakry_emery_curvature_bisect,
     check_cd,
@@ -16,6 +17,7 @@ from curvlab.curvature import (
     schur_reduce,
     violates_ph,
 )
+from curvlab.enumeration import connected_graphs_upto
 from curvlab.graph import ball, from_edge_list, induced_subgraph
 from curvlab.generators import (
     complete_graph,
@@ -42,37 +44,48 @@ def test_form_c5_second_sphere_block():
     assert q.matrix[2:, 2:] == pytest.approx(np.diag([0.25, 0.25]))
 
 
+def _polarized_gamma2(o, x, basis, vertices):
+    """Q[i][j] = (Gamma_2(e_i + e_j) - Gamma_2(e_i) - Gamma_2(e_j)) / 2 at x,
+    evaluated by the direct composition in `gamma2_at`."""
+    zero = dict.fromkeys(vertices, 0.0)
+
+    def g2(*support):
+        f = dict(zero)
+        for v in support:
+            f[v] += 1.0
+        return gamma2_at(o, f, f, x)
+
+    diag = [g2(v) for v in basis]
+    return np.array(
+        [
+            [0.5 * (g2(u, v) - diag[i] - diag[j]) for j, v in enumerate(basis)]
+            for i, u in enumerate(basis)
+        ]
+    )
+
+
 def test_form_matches_gamma2_and_polarization(corpus):
+    # every entry, every vertex, every connected graph with n <= 6, one
+    # vertex of each corpus graph (balls of up to 25 vertices) and one infinite
+    # oracle; the entries are quarter-integers, so equality is exact
     rng = random.Random(42)
-    names = sorted(corpus)
-    for name in names[:8]:
-        g = corpus[name]
-        o = g.as_oracle()
+    graphs = [g for _, g in connected_graphs_upto(6) if g.n > 1]
+    cases = [(g.as_oracle(), x) for g in graphs for x in range(g.n)]
+    for _, g in sorted(corpus.items()):
         x = rng.randrange(g.n)
-        if not g.adjacency[x]:
-            continue
+        if g.adjacency[x]:
+            cases.append((g.as_oracle(), x))
+    cases.append((line_times_complete(3), (0, 0)))
+    for o, x in cases:
         q = curvature_form(o, x)
         _, bmap = ball(o, x, 2)
-        zero = {v: 0.0 for v in bmap.vertices}
-        # polarization identity entrywise on a few random entries
-        for _ in range(5):
-            i, j = rng.randrange(len(q.basis)), rng.randrange(len(q.basis))
-            ei, ej = dict(zero), dict(zero)
-            ei[q.basis[i]] = 1.0
-            ej[q.basis[j]] = 1.0
-            eij = dict(zero)
-            eij[q.basis[i]] += 1.0
-            eij[q.basis[j]] += 1.0
-            polarized = 0.5 * (
-                gamma2_at(o, eij, eij, x)
-                - gamma2_at(o, ei, ei, x)
-                - gamma2_at(o, ej, ej, x)
-            )
-            assert q.matrix[i, j] == pytest.approx(polarized, abs=1e-9)
-        # quadratic contract on 200 random functions
-        for _ in range(200):
+        assert q.basis == bmap.vertices[1:]
+        polarized = _polarized_gamma2(o, x, q.basis, bmap.vertices)
+        assert np.array_equal(q.matrix, polarized), (x, q.matrix, polarized)
+        # quadratic contract on random functions
+        for _ in range(3):
             f = {v: rng.uniform(-2, 2) for v in q.basis}
-            f[bmap.vertices[0]] = 0.0
+            f[x] = 0.0
             expected = gamma2_at(o, f, f, x)
             assert abs(q.evaluate(f) - expected) <= 1e-9 * (1 + abs(expected))
 
@@ -126,11 +139,16 @@ def test_schur_reduction_is_partial_minimum():
 
 
 def test_schur_rejects_bad_block():
-    from curvlab.curvature import QuadraticForm
-
     bad = QuadraticForm(("a", "b"), 1, np.array([[1.0, 0.0], [0.0, -0.5]]))
     with pytest.raises(FormError):
         schur_reduce(bad)
+
+
+def test_schur_rejects_non_diagonal_sphere2_block():
+    # positive definite, but not the diagonal block a curvature form has
+    m = np.array([[1.0, -0.5, 0.0], [-0.5, 1.0, 0.25], [0.0, 0.25, 1.0]])
+    with pytest.raises(FormError, match="not diagonal"):
+        schur_reduce(QuadraticForm(("a", "b", "c"), 1, m))
 
 
 def test_min_eigenpair_examples():

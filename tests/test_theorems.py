@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from curvlab import theorems
+from curvlab import regularity, theorems
 from curvlab.formats import FormatError
 from curvlab.generators import (
     beta1_counterexample,
@@ -124,14 +124,15 @@ def test_scan_shared_facts_match_checkers_alone(text):
 def test_scan_computes_each_fact_once_per_graph(monkeypatch):
     names = ("graph_curvature", "edge_connectivity", "maximum_matching", "detect_regularity")
     calls = []  # (function name, graph); holding the graphs keeps their ids distinct
-    for name in names:
-        fn = getattr(theorems, name)
+    # bcn_check resolves detect_regularity in its own module
+    for module, name in [(theorems, name) for name in names] + [(regularity, names[-1])]:
+        fn = getattr(module, name)
 
         def counted(g, *args, _fn=fn, _name=name, **kwargs):
             calls.append((_name, g))
             return _fn(g, *args, **kwargs)
 
-        monkeypatch.setattr(theorems, name, counted)
+        monkeypatch.setattr(module, name, counted)
     for text in SHARED_FACTS_SOURCES:
         _, summary = scan(CorpusSource.from_string(text))
         assert summary.clean
