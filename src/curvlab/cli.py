@@ -51,11 +51,24 @@ def _load_graph_spec(text: str) -> Graph | NeighborOracle:
     return generate(parse_family_spec(text))
 
 
-def _parse_vertex(text: str):
-    parts = text.split(",")
-    if len(parts) == 1:
-        return int(parts[0])
-    return tuple(int(p) for p in parts)
+def _parse_vertex(text: str | None, g: Graph | NeighborOracle, spec: str):
+    """A vertex of g given as text: an integer in 0..n-1 for a finite graph,
+    an integer for `line` and a pair i,c with 0 <= c < k for `zxk:k`.  An
+    infinite family's vertex defaults to 0 or (0, 0)."""
+    if isinstance(g, Graph):
+        arity, bound, form = 1, g.n, f"an integer in 0..{g.n - 1}"
+    elif parse_family_spec(spec).kind == "integer_line":
+        arity, bound, form = 1, None, "an integer"
+    else:
+        k = parse_family_spec(spec).args[0]
+        arity, bound, form = 2, k, f"a pair i,c of integers with 0 <= c < {k}"
+    try:
+        parts = (0,) * arity if text is None else tuple(int(p) for p in text.split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) != arity or (bound is not None and not 0 <= parts[-1] < bound):
+        raise GraphError(f"vertex {text!r} is not a vertex of {spec}: expected {form}")
+    return parts[0] if arity == 1 else parts
 
 
 def _print_json(payload) -> None:
@@ -65,27 +78,18 @@ def _print_json(payload) -> None:
 def cmd_curvature(args) -> int:
     g = _load_graph_spec(args.graph)
     dim = math.inf if args.dimension in (None, "inf") else float(args.dimension)
-    if isinstance(g, NeighborOracle):
-        if args.vertex is None:
-            spec = parse_family_spec(args.graph)
-            vertex = 0 if spec.kind == "integer_line" else (0, 0)
-        else:
-            vertex = _parse_vertex(args.vertex)
-        rep = bakry_emery_curvature(g, vertex, dim)
-        _print_json({"vertex": str(rep.vertex), "K": rep.K, "dimension": dim})
+    if isinstance(g, Graph) and args.vertex is None:
+        kmin, reports = graph_curvature(g, dim)
+        _print_json(
+            {
+                "K": kmin,
+                "dimension": dim,
+                "per_vertex": {str(v): r.K for v, r in sorted(reports.items())},
+            }
+        )
         return EXIT_OK
-    if args.vertex is not None:
-        rep = bakry_emery_curvature(g.as_oracle(), _parse_vertex(args.vertex), dim)
-        _print_json({"vertex": str(rep.vertex), "K": rep.K, "dimension": dim})
-        return EXIT_OK
-    kmin, reports = graph_curvature(g, dim)
-    _print_json(
-        {
-            "K": kmin,
-            "dimension": dim,
-            "per_vertex": {str(v): r.K for v, r in sorted(reports.items())},
-        }
-    )
+    rep = bakry_emery_curvature(g, _parse_vertex(args.vertex, g, args.graph), dim)
+    _print_json({"vertex": str(rep.vertex), "K": rep.K, "dimension": dim})
     return EXIT_OK
 
 
@@ -201,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curvature", help="vertex or whole-graph curvature")
     p.add_argument("graph")
-    p.add_argument("--vertex", help="vertex id (int, or comma tuple for products)")
+    p.add_argument("--vertex", help="vertex id: 0..n-1, an integer for line, i,c for zxk:k")
     p.add_argument("--dimension", help="dimension parameter N (default inf)")
     p.set_defaults(fn=cmd_curvature)
 

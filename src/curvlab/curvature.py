@@ -63,10 +63,9 @@ class CurvatureReport:
     K: float
     dimension: float
     witness: dict | None
-    eigen_tolerance: float
 
 
-def curvature_form(o: NeighborOracle, x: Hashable) -> QuadraticForm:
+def curvature_form(o: Graph | NeighborOracle, x: Hashable) -> QuadraticForm:
     """Quadratic form Q with f^T Q f = Gamma_2(f)(x) for all f with f(x) = 0.
 
     Read in closed form off the 0/1 adjacency `a` of the 2-ball (Cushing,
@@ -123,19 +122,19 @@ def schur_reduce(q: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(q.basis[:k], k, q.matrix[:k, :k] - (q12 / d) @ q12.T)
 
 
-def min_eigenpair(m: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> tuple[float, np.ndarray]:
+def min_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a unit eigenvector of a symmetric matrix."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise FormError(f"expected a square matrix, got shape {m.shape}")
     scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if float(np.max(np.abs(m - m.T))) > tol * (1.0 + scale):
+    if float(np.max(np.abs(m - m.T))) > DEFAULT_EIG_TOL * (1.0 + scale):
         raise FormError("matrix is not symmetric within tolerance")
     vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
     return float(vals[0]), vecs[:, 0]
 
 
-def _reduced_form(o: NeighborOracle, x: Hashable, N: float):
+def _reduced_form(o: Graph | NeighborOracle, x: Hashable, N: float):
     """Curvature form, dimension correction, and its Schur reduction.
 
     The correction (1/N)(Delta f)^2(x) with f(x) = 0 is (1/N)(sum of f on
@@ -152,10 +151,7 @@ def _reduced_form(o: NeighborOracle, x: Hashable, N: float):
 
 
 def bakry_emery_curvature(
-    o: NeighborOracle,
-    x: Hashable,
-    N: float = math.inf,
-    eig_tol: float = DEFAULT_EIG_TOL,
+    o: Graph | NeighborOracle, x: Hashable, N: float = math.inf
 ) -> CurvatureReport:
     """Largest K with Gamma_2(f)(x) >= (1/N)(Delta f)^2(x) + K Gamma(f)(x) for all f.
 
@@ -166,16 +162,16 @@ def bakry_emery_curvature(
     Isolated vertices return +inf (supremum over an empty constraint set).
     """
     if not o.neighbors(x):
-        return CurvatureReport(x, math.inf, N, None, eig_tol)
+        return CurvatureReport(x, math.inf, N, None)
     q, reduced = _reduced_form(o, x, N)
-    lam, vec = min_eigenpair(reduced.matrix, eig_tol)
+    lam, vec = min_eigenpair(reduced.matrix)
     witness = {x: 0.0}
     witness.update(zip(reduced.basis, (float(t) for t in vec)))
     k = q.n1
     if len(q.basis) > k:
         f2 = -(q.matrix[k:, :k] @ vec) / np.diag(q.matrix[k:, k:])
         witness.update(zip(q.basis[k:], (float(t) for t in f2)))
-    return CurvatureReport(x, 2.0 * lam, N, witness, eig_tol)
+    return CurvatureReport(x, 2.0 * lam, N, witness)
 
 
 def _is_psd(m: np.ndarray, shift: float = 1e-12) -> bool:
@@ -189,7 +185,7 @@ def _is_psd(m: np.ndarray, shift: float = 1e-12) -> bool:
 
 
 def bakry_emery_curvature_bisect(
-    o: NeighborOracle,
+    o: Graph | NeighborOracle,
     x: Hashable,
     N: float = math.inf,
     tol: float = 1e-9,
@@ -215,7 +211,7 @@ def bakry_emery_curvature_bisect(
 
 
 def check_cd(
-    o: NeighborOracle,
+    o: Graph | NeighborOracle,
     x: Hashable,
     N: float,
     K: float,
@@ -249,18 +245,15 @@ def check_cd(
     return False, report.witness
 
 
-def violates_ph(o: NeighborOracle, f: dict, x: Hashable, K: float) -> bool:
+def violates_ph(o: Graph | NeighborOracle, f: dict, x: Hashable, K: float) -> bool:
     """True when f strictly violates the pointwise CD(inf, K) inequality at x."""
     lhs, rhs = ph_sides(o, f, x, K)
     return lhs < rhs
 
 
-def graph_curvature(
-    g: Graph, N: float = math.inf, eig_tol: float = DEFAULT_EIG_TOL
-) -> tuple[float, dict[int, CurvatureReport]]:
+def graph_curvature(g: Graph, N: float = math.inf) -> tuple[float, dict[int, CurvatureReport]]:
     """Infimum of the vertex curvatures of a finite graph, plus per-vertex reports."""
     if g.n == 0:
         raise GraphError("curvature of the empty graph is undefined")
-    o = g.as_oracle()
-    reports = {v: bakry_emery_curvature(o, v, N, eig_tol) for v in range(g.n)}
+    reports = {v: bakry_emery_curvature(g, v, N) for v in range(g.n)}
     return min(r.K for r in reports.values()), reports

@@ -244,13 +244,14 @@ class CutClassification:
     witness: CutCertificate | None
 
 
-def classify_min_cuts(g: Graph) -> CutClassification:
+def classify_min_cuts(g: Graph, connectivity: tuple | None = None) -> CutClassification:
     """Decide whether every minimum cut isolates a single vertex.
 
     For n <= 3 every bipartition has a singleton side, so the answer is
     trivially yes.  Otherwise star cuts are optimal iff the connectivity
     equals the minimum degree and no both-sides->=2 partition matches it;
     the witness is a non-star minimum cut whenever one exists.
+    `connectivity` is g's `edge_connectivity` result when already known.
     """
     if g.n < 2:
         raise GraphError("cut classification needs at least two vertices")
@@ -258,7 +259,7 @@ def classify_min_cuts(g: Graph) -> CutClassification:
         raise GraphError("cut classification requires a connected graph")
     if g.n <= 3:
         return CutClassification(True, None)
-    lam, cert = edge_connectivity(g)
+    lam, cert = edge_connectivity(g) if connectivity is None else connectivity
     delta = min(g.degree(v) for v in range(g.n))
     if lam < delta:
         # certificate cannot be a star: a singleton side would cost >= delta

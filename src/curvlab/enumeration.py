@@ -106,12 +106,13 @@ def _match(g: Graph, cg: list[int], h: Graph, ch: list[int]) -> bool:
 
 
 def _extensions(g: Graph) -> list[Graph]:
-    """All graphs obtained by adding one vertex with any neighborhood."""
+    """All graphs obtained by adding one vertex with any neighborhood; the
+    new vertex g.n exceeds every old one, so appending it keeps rows sorted."""
     out = []
-    base_edges = g.edges()
     for mask in range(1 << g.n):
-        new_edges = [(v, g.n) for v in range(g.n) if (mask >> v) & 1]
-        out.append(from_edge_list(g.n + 1, base_edges + new_edges))
+        picked = [(mask >> v) & 1 for v in range(g.n)]
+        rows = tuple(row + (g.n,) if p else row for row, p in zip(g.adjacency, picked))
+        out.append(Graph(g.n + 1, rows + (tuple(v for v in range(g.n) if picked[v]),)))
     return out
 
 

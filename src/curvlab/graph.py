@@ -1,15 +1,16 @@
 """Immutable simple graphs, lazy neighbor oracles, and 2-ball extraction.
 
 Finite graphs use canonical integer vertex indices 0..n-1 with sorted
-adjacency tuples.  Infinite (but locally finite) graphs are exposed only
-through :class:`NeighborOracle`; whole-graph operations reject oracles.
+adjacency tuples and are their own neighbor oracles.  Infinite (but locally
+finite) graphs are exposed only through :class:`NeighborOracle`, which
+local operations take alike; whole-graph operations reject oracles.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
 
@@ -46,12 +47,6 @@ class Graph:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def as_oracle(self) -> "NeighborOracle":
-        return NeighborOracle(lambda v: self.adjacency[v])
-
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge list, deduplicating and symmetrizing.
@@ -87,8 +82,8 @@ class NeighborOracle:
     """Lazy adjacency interface for (possibly infinite) locally finite graphs.
 
     Vertex identifiers are opaque hashable, comparable values.  The wrapped
-    function must return a finite iterable of neighbors and be symmetric;
-    symmetry is not enforced here but is checked by tests on sampled balls.
+    function must return a finite iterable of distinct neighbors and be
+    symmetric; symmetry is not enforced here but is checked by tests.
     """
 
     def __init__(self, neighbor_fn: Callable[[Hashable], Iterable[Hashable]]):
@@ -112,13 +107,12 @@ class BallMap:
 
     vertices: tuple
     sphere: tuple[int, ...]
-    index: dict = field(hash=False, compare=False, default_factory=dict)
 
     def sphere_vertices(self, k: int) -> tuple:
         return tuple(v for v, s in zip(self.vertices, self.sphere) if s == k)
 
 
-def ball(o: NeighborOracle, x: Hashable, r: int) -> tuple[Graph, BallMap]:
+def ball(o: Graph | NeighborOracle, x: Hashable, r: int) -> tuple[Graph, BallMap]:
     """Induced subgraph on the radius-r ball around x, r in {1, 2}.
 
     The center maps to index 0, sphere-1 vertices next (sorted), sphere-2
@@ -134,14 +128,16 @@ def ball(o: NeighborOracle, x: Hashable, r: int) -> tuple[Graph, BallMap]:
         spheres.append(n2)
     ordered = [v for sph in spheres for v in sph]
     index = {v: i for i, v in enumerate(ordered)}
-    edges = []
-    for v in ordered:
+    adjacency: list[list[int]] = [[] for _ in ordered]
+    for i, v in enumerate(ordered):
         for w in o.neighbors(v):
-            if w in index and index[v] < index[w]:
-                edges.append((index[v], index[w]))
+            j = index.get(w)
+            if j is not None and i < j:
+                adjacency[i].append(j)
+                adjacency[j].append(i)
     sphere_tags = tuple(s for s, sph in enumerate(spheres) for _ in sph)
-    bmap = BallMap(tuple(ordered), sphere_tags, index)
-    return from_edge_list(len(ordered), edges), bmap
+    bg = Graph(len(ordered), tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
+    return bg, BallMap(tuple(ordered), sphere_tags)
 
 
 def distance_matrix(g: Graph) -> list[list[float]]:

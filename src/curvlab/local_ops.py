@@ -10,24 +10,28 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-from .graph import NeighborOracle, ball
+from .graph import Graph, NeighborOracle, ball
 
 VertexFunction = Mapping[Hashable, float]
 
 
-def laplacian_at(o: NeighborOracle, f: VertexFunction, x: Hashable) -> float:
+def laplacian_at(o: Graph | NeighborOracle, f: VertexFunction, x: Hashable) -> float:
     """Sum of f(y) - f(x) over neighbors y of x."""
     fx = f[x]
     return sum(f[y] - fx for y in o.neighbors(x))
 
 
-def gamma_at(o: NeighborOracle, f: VertexFunction, g: VertexFunction, x: Hashable) -> float:
+def gamma_at(
+    o: Graph | NeighborOracle, f: VertexFunction, g: VertexFunction, x: Hashable
+) -> float:
     """Carre du champ: (1/2) sum over y ~ x of (f(y)-f(x)) (g(y)-g(x))."""
     fx, gx = f[x], g[x]
     return 0.5 * sum((f[y] - fx) * (g[y] - gx) for y in o.neighbors(x))
 
 
-def gamma2_at(o: NeighborOracle, f: VertexFunction, g: VertexFunction, x: Hashable) -> float:
+def gamma2_at(
+    o: Graph | NeighborOracle, f: VertexFunction, g: VertexFunction, x: Hashable
+) -> float:
     """Iterated form (1/2)(Delta Gamma(f,g) - Gamma(Delta f, g) - Gamma(f, Delta g)) at x.
 
     Evaluated by composing the definitions directly; needs f and g on the
@@ -43,7 +47,7 @@ def gamma2_at(o: NeighborOracle, f: VertexFunction, g: VertexFunction, x: Hashab
 
 
 def ph_sides(
-    o: NeighborOracle, f: VertexFunction, x: Hashable, K: float
+    o: Graph | NeighborOracle, f: VertexFunction, x: Hashable, K: float
 ) -> tuple[float, float]:
     """Both sides of the pointwise two-sphere inequality equivalent to CD(inf, K).
 

@@ -236,7 +236,7 @@ def lemma1_gap(g: Graph, p: PartitionSpec) -> float:
     sphere 2 always have a sphere-1 neighbor, but 0/0 is read as 0
     defensively for malformed partitions fed from outside.
     """
-    _, bmap = ball(g.as_oracle(), p.x, 2)
+    _, bmap = ball(g, p.x, 2)
     n1 = set(bmap.sphere_vertices(1))
     n2 = set(bmap.sphere_vertices(2))
     if not p.X <= n1:
@@ -280,7 +280,7 @@ def corollary2_gap(g: Graph, x: int, X: frozenset, A: frozenset, K: float) -> fl
     reg = detect_regularity(g)
     if not reg.is_edge_regular:
         raise GraphError(f"requires an edge-regular graph, detected {reg.kind}")
-    _, bmap = ball(g.as_oracle(), x, 2)
+    _, bmap = ball(g, x, 2)
     n1 = set(bmap.sphere_vertices(1))
     n2 = set(bmap.sphere_vertices(2))
     if not (set(X) <= n1 and set(A) <= n2):

@@ -145,7 +145,7 @@ def check_theorem(
         evidence = {"lambda": lam, "d": reg.d, "cut": cert, "quadrangle": quadrangle}
         if lam != reg.d or quadrangle:
             return verdict(True, lam == reg.d, evidence)
-        cls = classify_min_cuts(g)
+        cls = classify_min_cuts(g, facts.connectivity)
         evidence["stars_only"] = cls.stars_only
         evidence["non_star_cut"] = cls.witness
         return verdict(True, cls.stars_only, evidence)
@@ -274,8 +274,8 @@ class ConjectureReport:
 
 
 def conjecture_scan(max_n: int) -> ConjectureReport:
-    if max_n > 9:
-        raise GraphError(f"conjecture scan capped at 9 vertices, got {max_n}")
+    if not 1 <= max_n <= MAX_ENUMERATION_N:
+        raise GraphError(f"conjecture scan needs max_n in 1..{MAX_ENUMERATION_N}, got {max_n}")
     rows = []
     table: dict[tuple[int, int], int] = {}
     for gid, g in connected_graphs_upto(max_n):

@@ -57,10 +57,9 @@ def exhaustive_sweep():
     (graph_id, graph, K_BE or None when some vertex is below -TOL)."""
     out = []
     for gid, g in connected_graphs_upto(8):
-        o = g.as_oracle()
         kmin: float | None = math.inf
         for v in range(g.n):
-            k = bakry_emery_curvature(o, v).K
+            k = bakry_emery_curvature(g, v).K
             kmin = min(kmin, k)
             if kmin < -TOL:
                 kmin = None
@@ -98,12 +97,11 @@ def test_criterion_02_closed_form_cross_check():
     for name, g in sorted(amply_corpus().items()):
         reg = detect_regularity(g)
         assert reg.is_amply_regular, name
-        o = g.as_oracle()
         for x in range(g.n):
             formula = arg_curvature_formula(
                 reg.d, reg.alpha, reg.beta, local_graph_spectrum(g, x)
             )
-            diff = abs(formula - bakry_emery_curvature(o, x).K)
+            diff = abs(formula - bakry_emery_curvature(g, x).K)
             if diff > worst:
                 worst, where = diff, f"{name}:{x}"
     ok = worst <= 1e-8
@@ -120,18 +118,17 @@ def test_criterion_03_two_sphere_identity():
             graphs.append(g)
     worst = 0.0
     for g in graphs:
-        o = g.as_oracle()
         for _ in range(20):
             f = {v: rng.uniform(-2.0, 2.0) for v in range(g.n)}
             for x in range(g.n):
-                lhs, _ = ph_sides(o, f, x, 0.0)
+                lhs, _ = ph_sides(g, f, x, 0.0)
                 d = g.degree(x)
                 predicted = (
                     lhs
-                    + ((3.0 - d) / 2.0) * gamma_at(o, f, f, x)
-                    + 0.5 * laplacian_at(o, f, x) ** 2
+                    + ((3.0 - d) / 2.0) * gamma_at(g, f, f, x)
+                    + 0.5 * laplacian_at(g, f, x) ** 2
                 )
-                actual = gamma2_at(o, f, f, x)
+                actual = gamma2_at(g, f, f, x)
                 rel = abs(actual - predicted) / (1.0 + abs(actual))
                 worst = max(worst, rel)
     ok = worst <= 1e-9
@@ -142,14 +139,13 @@ def test_criterion_03_two_sphere_identity():
 def test_criterion_04_duality_and_witness():
     checked = 0
     for name, g in sorted(mixed_corpus().items()):
-        o = g.as_oracle()
         for x in range(g.n):
-            rep = bakry_emery_curvature(o, x)
-            holds_below, _ = check_cd(o, x, math.inf, rep.K - 1e-6)
+            rep = bakry_emery_curvature(g, x)
+            holds_below, _ = check_cd(g, x, math.inf, rep.K - 1e-6)
             assert holds_below, (name, x)
-            holds_above, witness = check_cd(o, x, math.inf, rep.K + 1e-6)
+            holds_above, witness = check_cd(g, x, math.inf, rep.K + 1e-6)
             assert not holds_above, (name, x)
-            assert violates_ph(o, witness, x, rep.K + 1e-6), (name, x)
+            assert violates_ph(g, witness, x, rep.K + 1e-6), (name, x)
             checked += 1
     report(4, True, f"CD holds at K-1e-6 and witness violates at K+1e-6 on {checked} vertices")
 
@@ -252,7 +248,7 @@ def test_criterion_08_partition_inequality_sampling():
             if not g.adjacency[x]:
                 continue
             K = reports[x].K
-            _, bmap = ball(g.as_oracle(), x, 2)
+            _, bmap = ball(g, x, 2)
             n1 = bmap.sphere_vertices(1)
             n2 = bmap.sphere_vertices(2)
             for _ in range(1000):

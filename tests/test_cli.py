@@ -23,9 +23,11 @@ def test_curvature_generator(capsys):
 
 
 def test_curvature_single_vertex(capsys):
-    code, out, _ = run_cli(capsys, "curvature", "petersen", "--vertex", "0")
-    payload = json.loads(out)
-    assert payload["K"] == pytest.approx(-1.0)
+    for vertex in ("0", "9"):
+        code, out, _ = run_cli(capsys, "curvature", "petersen", "--vertex", vertex)
+        payload = json.loads(out)
+        assert code == EXIT_OK and payload["vertex"] == vertex
+        assert payload["K"] == pytest.approx(-1.0)
 
 
 def test_curvature_infinite_family(capsys):
@@ -34,6 +36,35 @@ def test_curvature_infinite_family(capsys):
     assert payload["K"] == pytest.approx(0.0, abs=1e-8)
     code, out, _ = run_cli(capsys, "curvature", "line", "--vertex", "5")
     assert json.loads(out)["K"] == pytest.approx(0.0, abs=1e-8)
+    # a value with a leading minus sign must be attached to the option
+    for argv, vertex in [
+        (("zxk:3", "--vertex=-4,2"), "(-4, 2)"),
+        (("line", "--vertex", "-7"), "-7"),
+    ]:
+        code, out, _ = run_cli(capsys, "curvature", *argv)
+        payload = json.loads(out)
+        assert code == EXIT_OK and payload["vertex"] == vertex
+        assert payload["K"] == pytest.approx(0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "spec, vertex, form",
+    [
+        ("petersen", "-1", "an integer in 0..9"),
+        ("petersen", "10", "an integer in 0..9"),
+        ("petersen", "0,0", "an integer in 0..9"),
+        ("petersen", "x", "an integer in 0..9"),
+        ("cycle:5", "-1", "an integer in 0..4"),
+        ("zxk:3", "5", "a pair i,c of integers with 0 <= c < 3"),
+        ("zxk:3", "0,3", "a pair i,c of integers with 0 <= c < 3"),
+        ("zxk:3", "0,-1", "a pair i,c of integers with 0 <= c < 3"),
+        ("line", "0,0", "an integer"),
+    ],
+)
+def test_curvature_rejects_bad_vertex(capsys, spec, vertex, form):
+    code, out, err = run_cli(capsys, "curvature", spec, "--vertex", vertex)
+    assert code == EXIT_INPUT and out == ""
+    assert f"vertex '{vertex}' is not a vertex of {spec}: expected {form}" in err
 
 
 def test_curvature_finite_dimension(capsys):
@@ -128,6 +159,13 @@ def test_conjecture_command(capsys):
     payload = json.loads(out)
     assert payload["boundary_cases"] == []
     assert payload["table"]["delta=2,lambda=2"] >= 1
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3", "10"])
+def test_conjecture_rejects_bad_max_n(capsys, max_n):
+    code, out, err = run_cli(capsys, "conjecture", "--max-n", max_n)
+    assert code == EXIT_INPUT and out == ""
+    assert f"max_n in 1..9, got {max_n}" in err
 
 
 def test_beta1_command(capsys):

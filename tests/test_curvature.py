@@ -33,13 +33,13 @@ from conftest import random_graph
 
 def test_form_k2():
     g = from_edge_list(2, [(0, 1)])
-    q = curvature_form(g.as_oracle(), 0)
+    q = curvature_form(g, 0)
     assert q.basis == (1,) and q.n1 == 1
     assert q.matrix == pytest.approx(np.array([[1.0]]))
 
 
 def test_form_c5_second_sphere_block():
-    q = curvature_form(cycle_graph(5).as_oracle(), 0)
+    q = curvature_form(cycle_graph(5), 0)
     assert q.n1 == 2 and len(q.basis) == 4
     assert q.matrix[2:, 2:] == pytest.approx(np.diag([0.25, 0.25]))
 
@@ -70,11 +70,11 @@ def test_form_matches_gamma2_and_polarization(corpus):
     # oracle; the entries are quarter-integers, so equality is exact
     rng = random.Random(42)
     graphs = [g for _, g in connected_graphs_upto(6) if g.n > 1]
-    cases = [(g.as_oracle(), x) for g in graphs for x in range(g.n)]
+    cases = [(g, x) for g in graphs for x in range(g.n)]
     for _, g in sorted(corpus.items()):
         x = rng.randrange(g.n)
         if g.adjacency[x]:
-            cases.append((g.as_oracle(), x))
+            cases.append((g, x))
     cases.append((line_times_complete(3), (0, 0)))
     for o, x in cases:
         q = curvature_form(o, x)
@@ -93,16 +93,16 @@ def test_form_matches_gamma2_and_polarization(corpus):
 def test_form_rejects_isolated_vertex():
     g = from_edge_list(3, [(0, 1)])
     with pytest.raises(FormError):
-        curvature_form(g.as_oracle(), 2)
+        curvature_form(g, 2)
 
 
 def test_schur_reduce_k2_unchanged():
-    q = curvature_form(from_edge_list(2, [(0, 1)]).as_oracle(), 0)
+    q = curvature_form(from_edge_list(2, [(0, 1)]), 0)
     assert schur_reduce(q) is q
 
 
 def test_schur_reduce_c5():
-    q = schur_reduce(curvature_form(cycle_graph(5).as_oracle(), 0))
+    q = schur_reduce(curvature_form(cycle_graph(5), 0))
     assert q.matrix == pytest.approx(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
@@ -111,8 +111,7 @@ def test_schur_reduction_is_partial_minimum():
     # numerical minimizer; equality at the back-substituted point
     rng = random.Random(8)
     for name_g in [cycle_graph(5), cycle_graph(6), petersen(), hypercube(3)]:
-        o = name_g.as_oracle()
-        q = curvature_form(o, 0)
+        q = curvature_form(name_g, 0)
         red = schur_reduce(q)
         k = q.n1
         n2 = len(q.basis) - k
@@ -183,12 +182,12 @@ def test_curvature_ground_truths():
         rep = bakry_emery_curvature(line_times_complete(k), (0, 0))
         assert rep.K == pytest.approx(0.0, abs=1e-8)
     for n in range(2, 9):
-        rep = bakry_emery_curvature(complete_graph(n).as_oracle(), 0)
+        rep = bakry_emery_curvature(complete_graph(n), 0)
         assert rep.K == pytest.approx((n + 2) / 2, abs=1e-8)
     for d in range(1, 7):
         value, _ = graph_curvature(hypercube(d))
         assert value == pytest.approx(2.0, abs=1e-8)
-    assert bakry_emery_curvature(cycle_graph(5).as_oracle(), 0).K == pytest.approx(
+    assert bakry_emery_curvature(cycle_graph(5), 0).K == pytest.approx(
         0.0, abs=1e-10
     )
 
@@ -217,31 +216,29 @@ def test_empty_graph_rejected():
 def test_witness_properties(corpus):
     for name in ["C4", "C5", "petersen", "Q3", "T5", "K5"]:
         g = corpus[name]
-        o = g.as_oracle()
         for x in range(g.n):
-            rep = bakry_emery_curvature(o, x)
-            _, bmap = ball(o, x, 2)
+            rep = bakry_emery_curvature(g, x)
+            _, bmap = ball(g, x, 2)
             assert set(rep.witness) == set(bmap.vertices)
             assert any(abs(t) > 1e-9 for t in rep.witness.values())
             # witness attains the curvature: Gamma_2 = K Gamma exactly
-            lhs, rhs = ph_sides(o, rep.witness, x, rep.K)
+            lhs, rhs = ph_sides(g, rep.witness, x, rep.K)
             assert lhs - rhs == pytest.approx(0.0, abs=1e-9)
 
 
 def test_duality_at_every_corpus_vertex(corpus):
     for name, g in sorted(corpus.items()):
-        o = g.as_oracle()
         for x in range(g.n):
-            rep = bakry_emery_curvature(o, x)
-            holds, _ = check_cd(o, x, math.inf, rep.K - 1e-6)
+            rep = bakry_emery_curvature(g, x)
+            holds, _ = check_cd(g, x, math.inf, rep.K - 1e-6)
             assert holds, (name, x)
-            holds, witness = check_cd(o, x, math.inf, rep.K + 1e-6)
+            holds, witness = check_cd(g, x, math.inf, rep.K + 1e-6)
             assert not holds, (name, x)
-            assert violates_ph(o, witness, x, rep.K + 1e-6), (name, x)
+            assert violates_ph(g, witness, x, rep.K + 1e-6), (name, x)
 
 
 def test_check_cd_far_below_curvature():
-    holds, _ = check_cd(petersen().as_oracle(), 0, math.inf, -1e6)
+    holds, _ = check_cd(petersen(), 0, math.inf, -1e6)
     assert holds
 
 
@@ -252,19 +249,17 @@ def test_check_cd_modes_agree():
         x = rng.randrange(g.n)
         if not g.adjacency[x]:
             continue
-        o = g.as_oracle()
         K = rng.uniform(-4, 4)
-        eig, _ = check_cd(o, x, math.inf, K, mode="eigen")
-        bis, _ = check_cd(o, x, math.inf, K, mode="bisection")
+        eig, _ = check_cd(g, x, math.inf, K, mode="eigen")
+        bis, _ = check_cd(g, x, math.inf, K, mode="bisection")
         assert eig == bis, (g.adjacency, x, K)
 
 
 def test_bisection_matches_eigensolver(corpus):
     for name, g in sorted(corpus.items()):
-        o = g.as_oracle()
         for x in range(g.n):
-            direct = bakry_emery_curvature(o, x).K
-            bisected = bakry_emery_curvature_bisect(o, x, tol=1e-9)
+            direct = bakry_emery_curvature(g, x).K
+            bisected = bakry_emery_curvature_bisect(g, x, tol=1e-9)
             assert abs(direct - bisected) <= 1e-7, (name, x)
 
 
@@ -275,18 +270,17 @@ def test_monotone_in_dimension():
         x = rng.randrange(g.n)
         if not g.adjacency[x]:
             continue
-        o = g.as_oracle()
         dims = sorted(rng.uniform(0.5, 50) for _ in range(3)) + [math.inf]
-        ks = [bakry_emery_curvature(o, x, N).K for N in dims]
+        ks = [bakry_emery_curvature(g, x, N).K for N in dims]
         assert all(a <= b + 1e-9 for a, b in zip(ks, ks[1:])), (dims, ks)
 
 
 def test_finite_dimension_k2():
     # on K2 the reduced form is 1x1 with Gamma_2 = 1, Delta f = f(y), so
     # CD(N, K) caps K at 2 (1 - 1/N)
-    o = from_edge_list(2, [(0, 1)]).as_oracle()
+    g = from_edge_list(2, [(0, 1)])
     for N in [1.0, 2.0, 4.0, 10.0]:
-        rep = bakry_emery_curvature(o, 0, N)
+        rep = bakry_emery_curvature(g, 0, N)
         assert rep.K == pytest.approx(2.0 * (1.0 - 1.0 / N), abs=1e-10)
 
 
@@ -297,9 +291,9 @@ def test_locality_second_sphere_edges_irrelevant():
         x = rng.randrange(g.n)
         if not g.adjacency[x]:
             continue
-        whole = bakry_emery_curvature(g.as_oracle(), x).K
-        bg, bmap = ball(g.as_oracle(), x, 2)
-        local = bakry_emery_curvature(bg.as_oracle(), 0).K
+        whole = bakry_emery_curvature(g, x).K
+        bg, bmap = ball(g, x, 2)
+        local = bakry_emery_curvature(bg, 0).K
         assert whole == pytest.approx(local, abs=1e-9)
         # adding or removing sphere-2 internal edges changes nothing
         s2 = [i for i, s in enumerate(bmap.sphere) if s == 2]
@@ -307,6 +301,6 @@ def test_locality_second_sphere_edges_irrelevant():
             u, v = s2[0], s2[1]
             edges = set(bg.edges()) ^ {(min(u, v), max(u, v))}
             modified = from_edge_list(bg.n, sorted(edges))
-            assert bakry_emery_curvature(modified.as_oracle(), 0).K == pytest.approx(
+            assert bakry_emery_curvature(modified, 0).K == pytest.approx(
                 whole, abs=1e-9
             )

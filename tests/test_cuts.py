@@ -175,6 +175,15 @@ def test_classify_agrees_with_enumeration():
             assert 2 <= len(cls.witness.side_L) <= g.n - 2
 
 
+def test_classify_reuses_given_connectivity():
+    # passing the edge_connectivity result skips that call, with equal answers
+    for _, g in connected_graphs_upto(6):
+        if g.n < 2:
+            continue
+        known = edge_connectivity(g)
+        assert classify_min_cuts(g, known) == classify_min_cuts(g)
+
+
 def test_classify_beta1_splice_has_non_star_cut():
     cls = classify_min_cuts(beta1_counterexample())
     assert not cls.stars_only

@@ -1,6 +1,7 @@
 import pytest
 
 from curvlab.enumeration import (
+    _extensions,
     all_graphs,
     connected_graphs,
     connected_graphs_upto,
@@ -19,6 +20,16 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 def test_counts_match_published_sequences(n):
     assert len(all_graphs(n)) == ALL_COUNTS[n]
     assert len(connected_graphs(n)) == CONNECTED_COUNTS[n]
+
+
+def test_extensions_match_edge_list_construction():
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            expected = [
+                from_edge_list(n + 1, g.edges() + [(v, n) for v in range(n) if (mask >> v) & 1])
+                for mask in range(1 << n)
+            ]
+            assert _extensions(g) == expected
 
 
 def test_representatives_are_pairwise_non_isomorphic():

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from curvlab.enumeration import connected_graphs_upto
 from curvlab.graph import (
     GraphError,
     ball,
@@ -17,6 +18,7 @@ from curvlab.generators import (
     complete_graph,
     cycle_graph,
     integer_line,
+    line_times_complete,
     path_graph,
     petersen,
 )
@@ -103,12 +105,12 @@ def test_ball_radius_one():
 
 def test_ball_petersen_covers_graph():
     p = petersen()
-    g, bmap = ball(p.as_oracle(), 0, 2)
+    g, bmap = ball(p, 0, 2)
     assert g.n == 10  # diameter 2
 
 
 def test_ball_complete_has_empty_second_sphere():
-    g, bmap = ball(complete_graph(5).as_oracle(), 2, 2)
+    g, bmap = ball(complete_graph(5), 2, 2)
     assert g.n == 5
     assert bmap.sphere_vertices(2) == ()
 
@@ -118,9 +120,30 @@ def test_ball_matches_induced_subgraph():
     for _ in range(50):
         g = random_graph(rng, rng.randint(2, 10), 0.4)
         x = rng.randrange(g.n)
-        bg, bmap = ball(g.as_oracle(), x, 2)
+        bg, bmap = ball(g, x, 2)
         expected = induced_subgraph(g, list(bmap.vertices))
         assert bg == expected
+    # every vertex and both radii of the connected graphs with n <= 6
+    for _, g in connected_graphs_upto(6):
+        for x in range(g.n):
+            for r in (1, 2):
+                bg, bmap = ball(g, x, r)
+                assert bg == induced_subgraph(g, list(bmap.vertices)), (g.adjacency, x, r)
+
+
+def test_ball_reads_oracle_adjacency():
+    # on infinite oracles: edge (i, j) exactly when vertices[j] neighbors vertices[i]
+    for o, x in [(integer_line(), -3)] + [
+        (line_times_complete(k), (2, k - 1)) for k in range(1, 5)
+    ]:
+        for r in (1, 2):
+            bg, bmap = ball(o, x, r)
+            vs = bmap.vertices
+            expected = {
+                (i, j) for i, v in enumerate(vs) for j, w in enumerate(vs) if w in o.neighbors(v)
+            }
+            assert {(i, j) for i in range(bg.n) for j in bg.adjacency[i]} == expected
+            assert all(list(row) == sorted(row) for row in bg.adjacency)
 
 
 def test_ball_rejects_other_radii():

@@ -103,12 +103,11 @@ def test_formula_matches_eigensolver_everywhere(amply):
     for name, g in sorted(amply.items()):
         reg = detect_regularity(g)
         assert reg.is_amply_regular, name
-        o = g.as_oracle()
         for x in range(g.n):
             formula = arg_curvature_formula(
                 reg.d, reg.alpha, reg.beta, local_graph_spectrum(g, x)
             )
-            assert abs(formula - bakry_emery_curvature(o, x).K) <= 1e-8, (name, x)
+            assert abs(formula - bakry_emery_curvature(g, x).K) <= 1e-8, (name, x)
 
 
 def test_contains_diamond_examples():
@@ -179,7 +178,7 @@ def test_induced_diamond_semantics():
 
 def test_lemma1_gap_c4_hand_value():
     g = cycle_graph(4)
-    _, bmap = ball(g.as_oracle(), 0, 2)
+    _, bmap = ball(g, 0, 2)
     p = PartitionSpec(
         0,
         frozenset(bmap.sphere_vertices(1)),
@@ -201,7 +200,7 @@ def test_lemma1_empty_x_matches_direct_recount():
     # recount every term independently
     g = petersen()
     x = 0
-    _, bmap = ball(g.as_oracle(), x, 2)
+    _, bmap = ball(g, x, 2)
     n1 = set(bmap.sphere_vertices(1))
     n2 = set(bmap.sphere_vertices(2))
     A = frozenset(sorted(n2)[:3])
@@ -232,7 +231,7 @@ def test_lemma1_nonnegative_at_curvature(corpus):
             if not g.adjacency[x]:
                 continue
             K = reports[x].K
-            _, bmap = ball(g.as_oracle(), x, 2)
+            _, bmap = ball(g, x, 2)
             n1 = bmap.sphere_vertices(1)
             n2 = bmap.sphere_vertices(2)
             for _ in range(60):
@@ -247,7 +246,7 @@ def test_lemma1_nonnegative_at_curvature(corpus):
 
 def test_corollary2_gap_examples():
     g = cycle_graph(4)
-    _, bmap = ball(g.as_oracle(), 0, 2)
+    _, bmap = ball(g, 0, 2)
     n1 = bmap.sphere_vertices(1)
     n2 = bmap.sphere_vertices(2)
     # X empty: LHS counts only e(Xb, A) >= 0 and RHS vanishes
@@ -269,7 +268,7 @@ def test_corollary2_nonnegative_at_curvature_petersen():
     K = graph_curvature(g)[0]
     assert K == pytest.approx(-1.0, abs=1e-8)
     rng = random.Random(77)
-    _, bmap = ball(g.as_oracle(), 0, 2)
+    _, bmap = ball(g, 0, 2)
     n1 = bmap.sphere_vertices(1)
     n2 = bmap.sphere_vertices(2)
     for _ in range(1000):

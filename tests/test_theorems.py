@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from curvlab import regularity, theorems
+from curvlab import cuts, regularity, theorems
 from curvlab.formats import FormatError
 from curvlab.generators import (
     beta1_counterexample,
@@ -124,8 +124,10 @@ def test_scan_shared_facts_match_checkers_alone(text):
 def test_scan_computes_each_fact_once_per_graph(monkeypatch):
     names = ("graph_curvature", "edge_connectivity", "maximum_matching", "detect_regularity")
     calls = []  # (function name, graph); holding the graphs keeps their ids distinct
-    # bcn_check resolves detect_regularity in its own module
-    for module, name in [(theorems, name) for name in names] + [(regularity, names[-1])]:
+    # bcn_check and classify_min_cuts resolve detect_regularity and
+    # edge_connectivity in their own modules
+    own = [(regularity, "detect_regularity"), (cuts, "edge_connectivity")]
+    for module, name in [(theorems, name) for name in names] + own:
         fn = getattr(module, name)
 
         def counted(g, *args, _fn=fn, _name=name, **kwargs):
@@ -183,8 +185,9 @@ def test_conjecture_scan_trivial():
 
 
 def test_conjecture_scan_cap():
-    with pytest.raises(GraphError):
-        conjecture_scan(10)
+    for max_n in (10, 0, -3):
+        with pytest.raises(GraphError, match=r"1\.\.9"):
+            conjecture_scan(max_n)
 
 
 def test_beta1_search_finds_splice():
