@@ -15,6 +15,7 @@ import sys
 from curvlab.curvature import graph_curvature
 from curvlab.generators import generate
 from curvlab.regularity import detect_regularity
+from curvlab.theorems import CURVATURE_TOL
 
 CORPUS = [
     "cycle:4",
@@ -50,7 +51,8 @@ def main() -> int:
         if not reg.is_amply_regular:
             continue
         value, _ = graph_curvature(g)
-        sign = "+" if value > 1e-9 else ("0" if value > -1e-9 else "-")
+        # the checkers' sign rule: nonnegative means K >= -CURVATURE_TOL
+        sign = "+" if value > CURVATURE_TOL else ("0" if value >= -CURVATURE_TOL else "-")
         rows.append(
             {
                 "graph": spec,

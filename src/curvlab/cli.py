@@ -79,13 +79,9 @@ def cmd_curvature(args) -> int:
     g = _load_graph_spec(args.graph)
     dim = math.inf if args.dimension in (None, "inf") else float(args.dimension)
     if isinstance(g, Graph) and args.vertex is None:
-        kmin, reports = graph_curvature(g, dim)
+        kmin, ks = graph_curvature(g, dim)
         _print_json(
-            {
-                "K": kmin,
-                "dimension": dim,
-                "per_vertex": {str(v): r.K for v, r in sorted(reports.items())},
-            }
+            {"K": kmin, "dimension": dim, "per_vertex": {str(v): K for v, K in enumerate(ks)}}
         )
         return EXIT_OK
     rep = bakry_emery_curvature(g, _parse_vertex(args.vertex, g, args.graph), dim)
@@ -238,10 +234,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_vertex_values(argv: list[str]) -> list[str]:
+    """Join `--vertex -4,2` into `--vertex=-4,2`: argparse reads a separate
+    value that starts with a minus sign and is not a plain number as an
+    option and rejects the pair."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--vertex" and tok.startswith("-") and tok[1:2].isdigit():
+            out[-1] = f"--vertex={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_vertex_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:

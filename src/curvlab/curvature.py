@@ -13,6 +13,11 @@ diagonal and needs no factorization.  `local_ops.gamma2_at`, which
 composes the operator definitions pointwise, and the bisection route,
 which tests positive semidefiniteness by Cholesky, stay independent of
 this assembly and of the eigensolver and serve as oracles in the tests.
+
+`bakry_emery_curvature` is the per-vertex path and takes any neighbour
+oracle.  `graph_curvature` is the whole-graph kernel of a finite graph: it
+applies the same expressions to every vertex at once and is checked bit
+for bit against the per-vertex path.
 """
 
 from __future__ import annotations
@@ -251,9 +256,83 @@ def violates_ph(o: Graph | NeighborOracle, f: dict, x: Hashable, K: float) -> bo
     return lhs < rhs
 
 
-def graph_curvature(g: Graph, N: float = math.inf) -> tuple[float, dict[int, CurvatureReport]]:
-    """Infimum of the vertex curvatures of a finite graph, plus per-vertex reports."""
+# Centres are stacked in batches whose arrays hold at most this many entries
+# (512 KiB of floats), so the kernel's temporaries stay bounded on any graph.
+_BATCH_ENTRIES = 1 << 16
+
+
+def graph_curvature(g: Graph, N: float = math.inf) -> tuple[float, tuple[float, ...]]:
+    """Infimum of the vertex curvatures of a finite graph, and the curvature
+    of every vertex in vertex order (math.inf at an isolated vertex).
+
+    A whole-graph kernel: every centre's reduced form is read off one 0/1
+    adjacency array with the expressions of `curvature_form`,
+    `_reduced_form` and `schur_reduce`, in the same order and with the same
+    shapes, and the forms of one sphere-1 size k are solved by one stacked
+    `eigh` (one per batch of centres).  K is therefore bit for bit the K of
+    `bakry_emery_curvature`, which stays the per-vertex path for oracles
+    and witnesses and is the kernel's cross-check in the tests.
+    """
     if g.n == 0:
         raise GraphError("curvature of the empty graph is undefined")
-    reports = {v: bakry_emery_curvature(g, v, N) for v in range(g.n)}
-    return min(r.K for r in reports.values()), reports
+    if N != math.inf and not (N > 0):
+        raise FormError(f"dimension parameter must be positive, got {N}")
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    adj[
+        [v for v, nbrs in enumerate(g.adjacency) for _ in nbrs],
+        [w for nbrs in g.adjacency for w in nbrs],
+    ] = True
+    deg = adj.sum(1)
+    ks = np.full(g.n, math.inf)
+    for k in sorted(set(deg.tolist()) - {0}):
+        centres = np.flatnonzero(deg == k)
+        step = max(1, _BATCH_ENTRIES // (k * g.n))
+        for start in range(0, len(centres), step):
+            xs = centres[start : start + step]
+            ks[xs] = 2.0 * _stacked_min_eigenvalues(_stacked_reduced_forms(adj, deg, xs, N))
+    return min(ks.tolist()), tuple(ks.tolist())
+
+
+def _stacked_reduced_forms(
+    adj: np.ndarray, deg: np.ndarray, xs: np.ndarray, N: float
+) -> np.ndarray:
+    """Reduced forms of the centres xs, all of one degree k, as an (m, k, k)
+    stack: `curvature_form`, the 1/N correction and `schur_reduce` per centre.
+
+    Every entry of the sphere-1 block is a small quarter-integer, exact in
+    floating point, so building it elementwise gives the bits of
+    `diag(a11 1 + (3/4) a12 1 - (k-3)/4) - a11 + 1/2`.
+    """
+    m = len(xs)
+    n1 = np.nonzero(adj[xs])[1].reshape(m, -1)  # sorted sphere 1 of each centre
+    k = n1.shape[1]
+    s2 = adj[n1].any(1) & ~adj[xs]  # sphere 2: reached from sphere 1, not adjacent
+    s2[np.arange(m), xs] = False  # and not the centre
+    a11 = adj[n1[:, :, None], n1[:, None, :]]
+    in_s1 = a11.sum(2)
+    in_s2 = deg[n1] - 1 - in_s1  # a sphere-1 vertex's neighbours: x, sphere 1, sphere 2
+    q11 = np.where(a11, -0.5, 0.5)
+    q11[:, np.arange(k), np.arange(k)] = in_s1 + 0.75 * in_s2 - (k - 3) / 4.0 + 0.5
+    if N != math.inf:
+        q11 -= 1.0 / N
+    # schur_reduce makes one (k, n2) @ (n2, k) product per centre; stacking
+    # only centres with the same sphere-2 size n2 keeps each product's shape
+    n2 = s2.sum(1)
+    for size in sorted(set(n2.tolist()) - {0}):
+        sel = np.flatnonzero(n2 == size)
+        idx2 = np.nonzero(s2[sel])[1].reshape(len(sel), size)  # sorted sphere 2
+        a12 = adj[n1[sel][:, :, None], idx2[:, None, :]]
+        q12 = 0.0 - a12 / 2.0
+        d = a12.sum(1) / 4.0
+        q11[sel] = q11[sel] - (q12 / d[:, None, :]) @ q12.transpose(0, 2, 1)
+    return q11
+
+
+def _stacked_min_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix of a stack, after the symmetry
+    check and symmetrisation of `min_eigenpair`."""
+    flipped = stack.transpose(0, 2, 1)
+    scale = np.abs(stack).max((1, 2))
+    if np.any(np.abs(stack - flipped).max((1, 2)) > DEFAULT_EIG_TOL * (1.0 + scale)):
+        raise FormError("matrix is not symmetric within tolerance")
+    return np.linalg.eigh((stack + flipped) / 2.0)[0][:, 0]

@@ -243,11 +243,11 @@ def test_criterion_08_partition_inequality_sampling():
     corpus = mixed_corpus()
     for name, g in sorted(corpus.items()):
         reg = detect_regularity(g)
-        _, reports = graph_curvature(g)
+        _, ks = graph_curvature(g)
         for x in range(g.n):
             if not g.adjacency[x]:
                 continue
-            K = reports[x].K
+            K = ks[x]
             _, bmap = ball(g, x, 2)
             n1 = bmap.sphere_vertices(1)
             n2 = bmap.sphere_vertices(2)

@@ -36,9 +36,10 @@ def test_curvature_infinite_family(capsys):
     assert payload["K"] == pytest.approx(0.0, abs=1e-8)
     code, out, _ = run_cli(capsys, "curvature", "line", "--vertex", "5")
     assert json.loads(out)["K"] == pytest.approx(0.0, abs=1e-8)
-    # a value with a leading minus sign must be attached to the option
+    # a value with a leading minus sign, attached to the option or not
     for argv, vertex in [
         (("zxk:3", "--vertex=-4,2"), "(-4, 2)"),
+        (("zxk:3", "--vertex", "-4,2"), "(-4, 2)"),
         (("line", "--vertex", "-7"), "-7"),
     ]:
         code, out, _ = run_cli(capsys, "curvature", *argv)
@@ -70,6 +71,9 @@ def test_curvature_rejects_bad_vertex(capsys, spec, vertex, form):
 def test_curvature_finite_dimension(capsys):
     code, out, _ = run_cli(capsys, "curvature", "complete:2", "--dimension", "2")
     assert json.loads(out)["K"] == pytest.approx(1.0)
+    code, out, err = run_cli(capsys, "curvature", "petersen", "--dimension", "0")
+    assert code == EXIT_INPUT and out == ""
+    assert "dimension parameter must be positive" in err
 
 
 def test_connectivity_with_classification(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from curvlab import curvature
 from curvlab.curvature import (
     FormError,
     QuadraticForm,
@@ -193,19 +194,45 @@ def test_curvature_ground_truths():
 
 
 def test_graph_curvature_c4_and_petersen():
-    value, reports = graph_curvature(cycle_graph(4))
+    value, ks = graph_curvature(cycle_graph(4))
     assert value == pytest.approx(2.0, abs=1e-10)
-    assert all(r.K == pytest.approx(2.0, abs=1e-10) for r in reports.values())
-    value, reports = graph_curvature(petersen())
-    ks = [r.K for r in reports.values()]
+    assert all(K == pytest.approx(2.0, abs=1e-10) for K in ks)
+    value, ks = graph_curvature(petersen())
     assert max(ks) - min(ks) < 1e-10  # vertex-transitive
     assert value == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_isolated_vertex_sentinel():
     g = from_edge_list(1, [])
-    value, reports = graph_curvature(g)
-    assert value == math.inf and reports[0].witness is None
+    value, ks = graph_curvature(g)
+    assert value == math.inf and ks == (math.inf,)
+
+
+KERNEL_GRAPHS = [g for _, g in connected_graphs_upto(6)] + [
+    from_edge_list(1, []),
+    from_edge_list(4, [(0, 1), (1, 2)]),  # vertex 3 is isolated
+    hypercube(7),  # 128 centres of degree 7: two batches
+]
+
+
+@pytest.mark.parametrize("batch", [curvature._BATCH_ENTRIES, 1])
+def test_graph_curvature_bitwise_equals_per_vertex_path(corpus, monkeypatch, batch):
+    # the whole-graph kernel must give the per-vertex path's K bit for bit,
+    # also when every centre is a batch of its own
+    monkeypatch.setattr(curvature, "_BATCH_ENTRIES", batch)
+    for g in KERNEL_GRAPHS + [g for _, g in sorted(corpus.items())]:
+        for N in (math.inf, 3.0):
+            kmin, ks = graph_curvature(g, N)
+            ref = tuple(bakry_emery_curvature(g, x, N).K for x in range(g.n))
+            assert ks == ref, (g.adjacency, N)
+            assert np.array(ks).tobytes() == np.array(ref).tobytes()  # signed zeros too
+            assert kmin == min(ref)
+
+
+@pytest.mark.parametrize("N", [0.0, -1.0, math.nan])
+def test_graph_curvature_rejects_nonpositive_dimension(N):
+    with pytest.raises(FormError):
+        graph_curvature(petersen(), N)
 
 
 def test_empty_graph_rejected():

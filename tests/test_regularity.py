@@ -226,11 +226,11 @@ def test_lemma1_nonnegative_at_curvature(corpus):
     rng = random.Random(9001)
     for name in ["C4", "C5", "petersen", "Q3", "T5", "K33", "bull", "rand2"]:
         g = corpus[name]
-        _, reports = graph_curvature(g)
+        _, ks = graph_curvature(g)
         for x in range(g.n):
             if not g.adjacency[x]:
                 continue
-            K = reports[x].K
+            K = ks[x]
             _, bmap = ball(g, x, 2)
             n1 = bmap.sphere_vertices(1)
             n2 = bmap.sphere_vertices(2)

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from curvlab import cuts, regularity, theorems
+from curvlab import curvature, cuts, graph, regularity, theorems
 from curvlab.formats import FormatError
 from curvlab.generators import (
     beta1_counterexample,
@@ -141,6 +141,30 @@ def test_scan_computes_each_fact_once_per_graph(monkeypatch):
     per_graph = Counter((name, id(g)) for name, g in calls)
     assert {name for name, _ in per_graph} == set(names)
     assert max(per_graph.values()) == 1
+
+
+def test_scan_uses_only_the_whole_graph_curvature_kernel(monkeypatch):
+    # the per-vertex path (2-ball, form, Schur, one eigh per vertex) serves
+    # oracles and witnesses; a scan reads K off the whole-graph kernel
+    calls = []
+    per_vertex = [
+        (curvature, "bakry_emery_curvature"),
+        (theorems, "bakry_emery_curvature"),
+        (curvature, "curvature_form"),
+        (curvature, "ball"),
+        (graph, "ball"),
+    ]
+    for module, name in per_vertex:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    _, summary = scan(CorpusSource.from_string("exhaustive:5"))
+    assert summary.clean and summary.total_graphs == 1 + 1 + 2 + 6 + 21
+    assert calls == []
 
 
 def test_scan_file_source(tmp_path):
