@@ -33,11 +33,9 @@ from .graph import (
 from .local_ops import gamma2_at, gamma_at, laplacian_at, ph_sides
 from .matching import Matching, matching_bruteforce, maximum_matching, tutte_violation
 from .regularity import (
-    PartitionSpec,
     RegularityClass,
     arg_curvature_formula,
     bcn_check,
-    contains_diamond,
     corollary2_gap,
     detect_regularity,
     lemma1_gap,

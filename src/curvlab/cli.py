@@ -255,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.fn(args)
-    except (GraphError, FormatError, FileNotFoundError, ValueError) as exc:
+    except (GraphError, FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -56,11 +56,6 @@ class QuadraticForm:
         if m.shape != (len(self.basis), len(self.basis)):
             raise FormError("matrix dimension does not match basis")
 
-    def evaluate(self, f) -> float:
-        """f^T Q f for a dict (or vector) of values over the basis."""
-        vec = np.array([f[v] for v in self.basis]) if isinstance(f, dict) else np.asarray(f)
-        return float(vec @ self.matrix @ vec)
-
 
 @dataclass(frozen=True)
 class CurvatureReport:

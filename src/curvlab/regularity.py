@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, ball, induced_subgraph
+from .graph import BallMap, Graph, GraphError, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -137,19 +137,6 @@ def arg_curvature_formula(
     return 2.0 + alpha / 2.0 + min(0.0, inner)
 
 
-def contains_diamond(g: Graph) -> tuple[int, int, int, int] | None:
-    """A K4-minus-an-edge subgraph witness (c, d, a, b), or None.
-
-    Present exactly when some edge (c, d) has two common neighbors a, b;
-    subgraph (not induced) containment, so K4 counts.
-    """
-    for c, dd in g.edges():
-        common = sorted(set(g.adjacency[c]) & set(g.adjacency[dd]))
-        if len(common) >= 2:
-            return (c, dd, common[0], common[1])
-    return None
-
-
 def contains_induced_diamond(g: Graph) -> tuple[int, int, int, int] | None:
     """An induced K4-minus-an-edge witness (c, d, a, b), or None.
 
@@ -204,24 +191,32 @@ def bcn_check(g: Graph, reg: RegularityClass | None = None) -> BcnVerdict:
     )
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """A two-sphere partition at x: X inside sphere 1 (complement implicit),
-    A inside sphere 2, plus the scale epsilon and curvature level K."""
-
-    x: int
-    X: frozenset
-    A: frozenset
-    epsilon: float
-    K: float
-
-
 def _edge_count(g: Graph, left: Iterable[int], right: set[int]) -> int:
     return sum(1 for u in left for v in g.adjacency[u] if v in right)
 
 
-def lemma1_gap(g: Graph, p: PartitionSpec) -> float:
-    """Slack of the partition inequality at a vertex satisfying CD(inf, K).
+def _sphere_split(
+    g: Graph, bmap: BallMap, X: frozenset, A: frozenset
+) -> tuple[set, set, set, set, set, set, int]:
+    """Sphere sets N1, N2 of the 2-ball `bmap`, the split X, Xb of N1 and
+    A, Ab of N2, and the crossing count e(X,Xb) + e(X,Ab) + e(Xb,A)."""
+    n1 = set(bmap.sphere_vertices(1))
+    n2 = set(bmap.sphere_vertices(2))
+    if not (X <= n1 and A <= n2):
+        raise GraphError("X, A must sit inside spheres 1 and 2 of the ball's center")
+    X = set(X)
+    Xb = n1 - X
+    A = set(A)
+    Ab = n2 - A
+    crossing = _edge_count(g, X, Xb) + _edge_count(g, X, Ab) + _edge_count(g, Xb, A)
+    return n1, n2, X, Xb, A, Ab, crossing
+
+
+def lemma1_gap(
+    g: Graph, bmap: BallMap, X: frozenset, A: frozenset, epsilon: float, K: float
+) -> float:
+    """Slack of the partition inequality at the center x of the 2-ball
+    `bmap` of g, for x satisfying CD(inf, K).
 
     Returns LHS - RHS of
 
@@ -232,22 +227,13 @@ def lemma1_gap(g: Graph, p: PartitionSpec) -> float:
            + (1/4)(eps^2 e(X,N2) + e(Xb,N2))
            - (1/2)(eps |X| + |Xb|)^2
 
-    where Xb, Ab are the complements within the spheres.  Vertices of
-    sphere 2 always have a sphere-1 neighbor, but 0/0 is read as 0
-    defensively for malformed partitions fed from outside.
+    where X lies in sphere 1, A in sphere 2, and Xb, Ab are their
+    complements within the spheres.  Vertices of sphere 2 always have a
+    sphere-1 neighbor, but 0/0 is read as 0 defensively for malformed
+    partitions fed from outside.
     """
-    _, bmap = ball(g, p.x, 2)
-    n1 = set(bmap.sphere_vertices(1))
-    n2 = set(bmap.sphere_vertices(2))
-    if not p.X <= n1:
-        raise GraphError("X must be a subset of the neighbors of x")
-    if not p.A <= n2:
-        raise GraphError("A must be a subset of the second sphere of x")
-    X = set(p.X)
-    Xb = n1 - X
-    A = set(p.A)
-    Ab = n2 - A
-    eps, K = p.epsilon, p.K
+    n1, n2, X, Xb, A, Ab, crossing = _sphere_split(g, bmap, X, A)
+    eps = epsilon
     d = len(n1)
 
     def ratio_sum(zs: set[int], side: set[int]) -> float:
@@ -259,54 +245,34 @@ def lemma1_gap(g: Graph, p: PartitionSpec) -> float:
                 total += ds * ds / dn1
         return total
 
-    e_x_xb = _edge_count(g, X, Xb)
-    lhs = (1 - eps) ** 2 * (
-        e_x_xb
-        + _edge_count(g, X, Ab)
-        + _edge_count(g, Xb, A)
-        - ratio_sum(A, Xb)
-        - ratio_sum(Ab, X)
-    )
+    lhs = (1 - eps) ** 2 * (crossing - ratio_sum(A, Xb) - ratio_sum(Ab, X))
     rhs = 0.25 * (2 * K + d - 3) * (eps**2 * len(X) + len(Xb))
     rhs += 0.25 * (eps**2 * _edge_count(g, X, n2) + _edge_count(g, Xb, n2))
     rhs -= 0.5 * (eps * len(X) + len(Xb)) ** 2
     return lhs - rhs
 
 
-def corollary2_gap(g: Graph, x: int, X: frozenset, A: frozenset, K: float) -> float:
-    """Slack of the edge-regular partition bound
+def corollary2_gap(
+    g: Graph, bmap: BallMap, reg: RegularityClass, X: frozenset, A: frozenset, K: float
+) -> float:
+    """Slack of the edge-regular partition bound at the center of the
+    2-ball `bmap` of g, where `reg` is g's regularity class:
     e(X,Xb) + e(X,Ab) + e(Xb,A) >= (2K + 2d - alpha - 4) |X||Xb| / (4d).
     """
-    reg = detect_regularity(g)
     if not reg.is_edge_regular:
         raise GraphError(f"requires an edge-regular graph, detected {reg.kind}")
-    _, bmap = ball(g, x, 2)
-    n1 = set(bmap.sphere_vertices(1))
-    n2 = set(bmap.sphere_vertices(2))
-    if not (set(X) <= n1 and set(A) <= n2):
-        raise GraphError("X, A must sit inside spheres 1 and 2 of x")
-    Xb = n1 - set(X)
-    Ab = n2 - set(A)
-    lhs = (
-        _edge_count(g, X, Xb)
-        + _edge_count(g, X, Ab)
-        + _edge_count(g, Xb, A)
-    )
+    _, _, X, Xb, _, _, crossing = _sphere_split(g, bmap, X, A)
     rhs = (2 * K + 2 * reg.d - reg.alpha - 4) * len(X) * len(Xb) / (4.0 * reg.d)
-    return lhs - rhs
+    return crossing - rhs
 
 
 def diamond_bruteforce(g: Graph) -> bool:
-    """4-subset scan for a K4-minus-an-edge subgraph (oracle for
-    contains_diamond); capped at 12 vertices."""
+    """4-subset scan for an induced K4-minus-an-edge, four vertices whose six
+    pairs hold exactly five edges (oracle for contains_induced_diamond);
+    capped at 12 vertices."""
     if g.n > 12:
         raise GraphError(f"diamond scan capped at 12 vertices, got {g.n}")
-    for quad in combinations(range(g.n), 4):
-        for c, dd in combinations(quad, 2):
-            rest = [v for v in quad if v not in (c, dd)]
-            if (
-                g.has_edge(c, dd)
-                and all(g.has_edge(c, w) and g.has_edge(dd, w) for w in rest)
-            ):
-                return True
-    return False
+    return any(
+        sum(g.has_edge(u, v) for u, v in combinations(quad, 2)) == 5
+        for quad in combinations(range(g.n), 4)
+    )

@@ -30,9 +30,8 @@ from curvlab.graph import ball, from_edge_list, is_connected
 from curvlab.local_ops import gamma_at, gamma2_at, laplacian_at, ph_sides
 from curvlab.matching import matching_bruteforce, maximum_matching, tutte_violation
 from curvlab.regularity import (
-    PartitionSpec,
     arg_curvature_formula,
-    contains_diamond,
+    contains_induced_diamond,
     corollary2_gap,
     detect_regularity,
     diamond_bruteforce,
@@ -255,10 +254,10 @@ def test_criterion_08_partition_inequality_sampling():
                 X = frozenset(v for v in n1 if rng.random() < 0.5)
                 A = frozenset(v for v in n2 if rng.random() < 0.5)
                 eps = rng.uniform(-3.0, 3.0)
-                gap = lemma1_gap(g, PartitionSpec(x, X, A, eps, K))
+                gap = lemma1_gap(g, bmap, X, A, eps, K)
                 worst_lemma = min(worst_lemma, gap)
                 if reg.is_edge_regular:
-                    worst_cor = min(worst_cor, corollary2_gap(g, x, X, A, K))
+                    worst_cor = min(worst_cor, corollary2_gap(g, bmap, reg, X, A, K))
     ok = worst_lemma >= -1e-9 and worst_cor >= -1e-9
     report(
         8,
@@ -274,8 +273,14 @@ def test_criterion_09_oracle_equivalences():
     mismatches = []
 
     cut_checked = 0
+    diamond_checked = 0
     for gid, g, _ in exhaustive_sweep():
-        if g.n < 2 or g.n > 7:
+        if g.n > 7:
+            continue
+        diamond_checked += 1
+        if (contains_induced_diamond(g) is not None) != diamond_bruteforce(g):
+            mismatches.append(("diamond", gid))
+        if g.n < 2:
             continue
         cut_checked += 1
         if edge_connectivity(g)[0] != min_cut_bruteforce(g)[0]:
@@ -304,11 +309,10 @@ def test_criterion_09_oracle_equivalences():
         if (tutte_violation(g) is None) != maximum_matching(g).is_perfect:
             mismatches.append(("tutte", g.adjacency))
 
-    diamond_checked = 0
     for _ in range(250):
         g = random_graph(rng, rng.randint(4, 12), rng.choice([0.25, 0.5, 0.7]))
         diamond_checked += 1
-        if (contains_diamond(g) is not None) != diamond_bruteforce(g):
+        if (contains_induced_diamond(g) is not None) != diamond_bruteforce(g):
             mismatches.append(("diamond", g.adjacency))
 
     ok = not mismatches

@@ -192,9 +192,12 @@ def test_bad_input_exit_code(capsys, tmp_path):
     assert code == EXIT_INPUT  # infinite family has no finite matching
 
 
-def test_missing_file_is_input_error(capsys):
+def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "connectivity", "no_such_file.g6")
     assert code == EXIT_INPUT
+    for argv in (("matching", str(tmp_path)), ("check", "--source", str(tmp_path))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT and err.startswith("error:"), argv
 
 
 def test_matching_reads_only_first_graph_of_file(capsys, tmp_path):

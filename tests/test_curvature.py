@@ -88,7 +88,8 @@ def test_form_matches_gamma2_and_polarization(corpus):
             f = {v: rng.uniform(-2, 2) for v in q.basis}
             f[x] = 0.0
             expected = gamma2_at(o, f, f, x)
-            assert abs(q.evaluate(f) - expected) <= 1e-9 * (1 + abs(expected))
+            vec = np.array([f[v] for v in q.basis])
+            assert abs(vec @ q.matrix @ vec - expected) <= 1e-9 * (1 + abs(expected))
 
 
 def test_form_rejects_isolated_vertex():

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import chain, combinations
 
 import pytest
 
@@ -17,17 +18,16 @@ from curvlab.generators import (
 )
 from curvlab.graph import GraphError, ball, from_edge_list
 from curvlab.regularity import (
-    PartitionSpec,
     arg_curvature_formula,
     bcn_check,
-    contains_diamond,
+    contains_induced_diamond,
     corollary2_gap,
     detect_regularity,
     diamond_bruteforce,
     lemma1_gap,
     local_graph_spectrum,
 )
-from conftest import random_graph
+from conftest import mixed_corpus, random_graph
 
 
 def test_detect_examples():
@@ -111,9 +111,11 @@ def test_formula_matches_eigensolver_everywhere(amply):
 
 
 def test_contains_diamond_examples():
-    assert contains_diamond(complete_graph(4)) == (0, 1, 2, 3)
-    assert contains_diamond(cycle_graph(5)) is None
-    assert contains_diamond(cycle_graph(4)) is None
+    assert contains_induced_diamond(complete_graph(4)) is None
+    assert contains_induced_diamond(cycle_graph(5)) is None
+    assert contains_induced_diamond(cycle_graph(4)) is None
+    k4_minus_edge = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert contains_induced_diamond(k4_minus_edge) == (0, 1, 2, 3)
 
 
 def test_diamond_witness_is_a_diamond():
@@ -121,12 +123,12 @@ def test_diamond_witness_is_a_diamond():
     hits = 0
     while hits < 40:
         g = random_graph(rng, rng.randint(4, 10), 0.5)
-        witness = contains_diamond(g)
+        witness = contains_induced_diamond(g)
         if witness is None:
             continue
         hits += 1
         c, d, a, b = witness
-        assert g.has_edge(c, d)
+        assert g.has_edge(c, d) and not g.has_edge(a, b)
         for w in (a, b):
             assert g.has_edge(c, w) and g.has_edge(d, w)
 
@@ -135,7 +137,7 @@ def test_diamond_vs_bruteforce():
     rng = random.Random(62)
     for _ in range(300):
         g = random_graph(rng, rng.randint(4, 12), rng.choice([0.25, 0.45, 0.65]))
-        assert (contains_diamond(g) is not None) == diamond_bruteforce(g)
+        assert (contains_induced_diamond(g) is not None) == diamond_bruteforce(g)
 
 
 def test_bcn_examples():
@@ -161,14 +163,12 @@ def test_bcn_applicable_on_large_rook_graph():
     g = hamming2(5)
     verdict = bcn_check(g)
     assert verdict.applicable and verdict.holds, verdict
-    assert contains_diamond(g) is not None  # subgraph semantics differ
+    # row 0 spans the clique {0, ..., 4}, so K4 and its diamonds sit in g
+    assert all(g.has_edge(u, v) for u, v in combinations(range(5), 2))
 
 
 def test_induced_diamond_semantics():
-    from curvlab.regularity import contains_induced_diamond
-
     assert contains_induced_diamond(complete_graph(4)) is None
-    assert contains_diamond(complete_graph(4)) is not None
     diamond = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     witness = contains_induced_diamond(diamond)
     assert witness is not None
@@ -179,20 +179,18 @@ def test_induced_diamond_semantics():
 def test_lemma1_gap_c4_hand_value():
     g = cycle_graph(4)
     _, bmap = ball(g, 0, 2)
-    p = PartitionSpec(
-        0,
-        frozenset(bmap.sphere_vertices(1)),
-        frozenset(bmap.sphere_vertices(2)),
-        1.0,
-        2.0,
-    )
-    assert lemma1_gap(g, p) == pytest.approx(0.0, abs=1e-12)
+    X = frozenset(bmap.sphere_vertices(1))
+    A = frozenset(bmap.sphere_vertices(2))
+    assert lemma1_gap(g, bmap, X, A, 1.0, 2.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lemma1_gap_rejects_bad_partition():
     g = cycle_graph(4)
+    _, bmap = ball(g, 0, 2)
     with pytest.raises(GraphError):
-        lemma1_gap(g, PartitionSpec(0, frozenset({2}), frozenset(), 0.0, 0.0))
+        lemma1_gap(g, bmap, frozenset({2}), frozenset(), 0.0, 0.0)
+    with pytest.raises(GraphError):
+        lemma1_gap(g, bmap, frozenset(), frozenset({1}), 0.0, 0.0)
 
 
 def test_lemma1_empty_x_matches_direct_recount():
@@ -206,7 +204,7 @@ def test_lemma1_empty_x_matches_direct_recount():
     A = frozenset(sorted(n2)[:3])
     eps = 1.7
     K = -1.0
-    gap = lemma1_gap(g, PartitionSpec(x, frozenset(), A, eps, K))
+    gap = lemma1_gap(g, bmap, frozenset(), A, eps, K)
     e_xb_a = sum(1 for u in n1 for v in g.adjacency[u] if v in A)
     e_xb_n2 = sum(1 for u in n1 for v in g.adjacency[u] if v in n2)
     ratio = 0.0
@@ -238,7 +236,7 @@ def test_lemma1_nonnegative_at_curvature(corpus):
                 X = frozenset(v for v in n1 if rng.random() < 0.5)
                 A = frozenset(v for v in n2 if rng.random() < 0.5)
                 eps = rng.uniform(-3, 3)
-                assert lemma1_gap(g, PartitionSpec(x, X, A, eps, K)) >= -1e-9, (
+                assert lemma1_gap(g, bmap, X, A, eps, K) >= -1e-9, (
                     name,
                     x,
                 )
@@ -246,27 +244,31 @@ def test_lemma1_nonnegative_at_curvature(corpus):
 
 def test_corollary2_gap_examples():
     g = cycle_graph(4)
+    reg = detect_regularity(g)
     _, bmap = ball(g, 0, 2)
     n1 = bmap.sphere_vertices(1)
     n2 = bmap.sphere_vertices(2)
     # X empty: LHS counts only e(Xb, A) >= 0 and RHS vanishes
-    gap = corollary2_gap(g, 0, frozenset(), frozenset(n2), 2.0)
+    gap = corollary2_gap(g, bmap, reg, frozenset(), frozenset(n2), 2.0)
     assert gap >= 0.0
     # |X| = 1, A = N2, K = 2: e(X,Xb)=0, e(X,Ab)=0, e(Xb,A)=1, so
     # LHS = 1 and RHS = (4 + 4 - 0 - 4)/(4*2) = 1/2
-    gap = corollary2_gap(g, 0, frozenset({n1[0]}), frozenset(n2), 2.0)
+    gap = corollary2_gap(g, bmap, reg, frozenset({n1[0]}), frozenset(n2), 2.0)
     assert gap == pytest.approx(0.5)
 
 
 def test_corollary2_rejects_irregular():
+    g = path_graph(4)
+    _, bmap = ball(g, 1, 2)
     with pytest.raises(GraphError):
-        corollary2_gap(path_graph(4), 1, frozenset(), frozenset(), 0.0)
+        corollary2_gap(g, bmap, detect_regularity(g), frozenset(), frozenset(), 0.0)
 
 
 def test_corollary2_nonnegative_at_curvature_petersen():
     g = petersen()
     K = graph_curvature(g)[0]
     assert K == pytest.approx(-1.0, abs=1e-8)
+    reg = detect_regularity(g)
     rng = random.Random(77)
     _, bmap = ball(g, 0, 2)
     n1 = bmap.sphere_vertices(1)
@@ -274,4 +276,46 @@ def test_corollary2_nonnegative_at_curvature_petersen():
     for _ in range(1000):
         X = frozenset(v for v in n1 if rng.random() < 0.5)
         A = frozenset(v for v in n2 if rng.random() < 0.5)
-        assert corollary2_gap(g, 0, X, A, K) >= -1e-9
+        assert corollary2_gap(g, bmap, reg, X, A, K) >= -1e-9
+
+
+def _subsets(vertices):
+    return [
+        frozenset(c)
+        for c in chain.from_iterable(
+            combinations(vertices, r) for r in range(len(vertices) + 1)
+        )
+    ]
+
+
+def test_partition_gaps_exhaustive_on_small_spheres():
+    # Every split (X, A) at every vertex whose two spheres hold at most 10
+    # vertices.  lemma1_gap is a quadratic in eps, read off at -1, 0 and 1,
+    # so its exact minimum over the sampled range [-3, 3] is checked rather
+    # than a sample of eps; corollary2_gap does not depend on eps.
+    vertices = splits = 0
+    for name, g in sorted(mixed_corpus().items()):
+        reg = detect_regularity(g)
+        _, ks = graph_curvature(g)
+        for x in range(g.n):
+            _, bmap = ball(g, x, 2)
+            n1 = bmap.sphere_vertices(1)
+            n2 = bmap.sphere_vertices(2)
+            if len(n1) + len(n2) > 10:
+                continue
+            vertices += 1
+            K = ks[x]
+            for X in _subsets(n1):
+                for A in _subsets(n2):
+                    splits += 1
+                    lo, mid, hi = (lemma1_gap(g, bmap, X, A, e, K) for e in (-1.0, 0.0, 1.0))
+                    a, b = (hi + lo) / 2 - mid, (hi - lo) / 2
+                    candidates = [-3.0, 3.0]
+                    if a > 0 and -3.0 < -b / (2 * a) < 3.0:
+                        candidates.append(-b / (2 * a))
+                    gap = min((a * e + b) * e + mid for e in candidates)
+                    assert gap >= -1e-9, (name, x, sorted(X), sorted(A), gap)
+                    if reg.is_edge_regular:
+                        gap = corollary2_gap(g, bmap, reg, X, A, K)
+                        assert gap >= -1e-9, (name, x, sorted(X), sorted(A), gap)
+    assert (vertices, splits) == (151, 35600)
