@@ -84,8 +84,8 @@ def cmd_curvature(args) -> int:
             {"K": kmin, "dimension": dim, "per_vertex": {str(v): K for v, K in enumerate(ks)}}
         )
         return EXIT_OK
-    rep = bakry_emery_curvature(g, _parse_vertex(args.vertex, g, args.graph), dim)
-    _print_json({"vertex": str(rep.vertex), "K": rep.K, "dimension": dim})
+    x = _parse_vertex(args.vertex, g, args.graph)
+    _print_json({"vertex": str(x), "K": bakry_emery_curvature(g, x, dim).K, "dimension": dim})
     return EXIT_OK
 
 

@@ -22,7 +22,13 @@ MAX_ENUMERATION_N = 9
 
 
 def _refine(g: Graph) -> tuple[list[int], tuple]:
-    """Stable color-refinement colors of g and the invariant built from them."""
+    """Stable color-refinement colors of g and the invariant built from them.
+
+    Vertices start with their degree as color; each round recolors by the
+    sorted multiset of neighbor colors, with color ids re-indexed by sorted
+    signature, so the invariant (the stable color histogram and the sorted
+    edge color pairs) is equal for isomorphic graphs.
+    """
     colors = [g.degree(v) for v in range(g.n)]
     for _ in range(g.n):
         sigs = [
@@ -39,17 +45,6 @@ def _refine(g: Graph) -> tuple[list[int], tuple]:
         sorted((min(colors[u], colors[v]), max(colors[u], colors[v])) for u, v in g.edges())
     )
     return colors, (g.n, g.m, hist, edge_colors)
-
-
-def refinement_invariant(g: Graph) -> tuple:
-    """Canonical color-refinement signature, equal for isomorphic graphs.
-
-    Vertices start with their degree as color; each round recolors by the
-    sorted multiset of neighbor colors, with color ids re-indexed by sorted
-    signature so the result is labeling-independent.  The invariant is the
-    stable color histogram together with the sorted edge color pairs.
-    """
-    return _refine(g)[1]
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -202,6 +202,8 @@ def _sphere_split(
     A, Ab of N2, and the crossing count e(X,Xb) + e(X,Ab) + e(Xb,A)."""
     n1 = set(bmap.sphere_vertices(1))
     n2 = set(bmap.sphere_vertices(2))
+    if not n1:
+        raise GraphError(f"center {bmap.vertices[0]} is isolated; sphere 1 is empty")
     if not (X <= n1 and A <= n2):
         raise GraphError("X, A must sit inside spheres 1 and 2 of the ball's center")
     X = set(X)

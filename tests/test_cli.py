@@ -68,12 +68,20 @@ def test_curvature_rejects_bad_vertex(capsys, spec, vertex, form):
     assert f"vertex '{vertex}' is not a vertex of {spec}: expected {form}" in err
 
 
-def test_curvature_finite_dimension(capsys):
+def test_curvature_finite_dimension(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "curvature", "complete:2", "--dimension", "2")
     assert json.loads(out)["K"] == pytest.approx(1.0)
     code, out, err = run_cli(capsys, "curvature", "petersen", "--dimension", "0")
     assert code == EXIT_INPUT and out == ""
     assert "dimension parameter must be positive" in err
+    # a bad dimension is rejected at an isolated vertex too, with or without --vertex
+    path = tmp_path / "isolated.txt"
+    path.write_text("3 1\n0 1\n", encoding="ascii")
+    for dim in ("0", "nan"):
+        for vertex in ((), ("--vertex", "2")):
+            code, out, err = run_cli(capsys, "curvature", str(path), *vertex, "--dimension", dim)
+            assert code == EXIT_INPUT and out == "", (dim, vertex, out)
+            assert "dimension parameter must be positive" in err
 
 
 def test_connectivity_with_classification(capsys):

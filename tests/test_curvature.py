@@ -230,6 +230,46 @@ def test_graph_curvature_bitwise_equals_per_vertex_path(corpus, monkeypatch, bat
             assert kmin == min(ref)
 
 
+def _ball_kernel_form(o, x, N):
+    """The kernel's reduced form at x, run on the 2-ball with x as its only centre."""
+    adj = curvature._adjacency(ball(o, x, 2)[0])
+    return curvature._stacked_reduced_forms(adj, adj.sum(1), [0], N)[0]
+
+
+def _graph_kernel_forms(g, N):
+    """The kernel's reduced forms of all non-isolated vertices of g, stacked
+    by degree over the whole graph as `graph_curvature` stacks them."""
+    adj = curvature._adjacency(g)
+    deg = adj.sum(1)
+    forms = {}
+    for k in set(deg.tolist()) - {0}:
+        xs = np.flatnonzero(deg == k)
+        forms.update(zip(xs.tolist(), curvature._stacked_reduced_forms(adj, deg, xs, N)))
+    return forms
+
+
+def test_kernel_reduced_forms_bitwise_equal_reference_route(corpus):
+    # the kernel's reduced form, over the whole graph and on the 2-ball that
+    # bakry_emery_curvature uses, is byte for byte the reference route's:
+    # curvature_form, 1/N subtracted from sphere 1, then schur_reduce
+    graphs = [g for _, g in connected_graphs_upto(6) if g.n > 1] + [hypercube(7)]
+    graphs += [g for _, g in sorted(corpus.items())]
+    pairs = 0
+    for N in (math.inf, 3.0):
+        for g in graphs:
+            whole = _graph_kernel_forms(g, N)
+            for x in whole:
+                ref = curvature._reference_reduced_form(g, x, N).matrix
+                for form in (whole[x], _ball_kernel_form(g, x, N)):
+                    assert form.shape == ref.shape, (g.adjacency, x, N)
+                    assert form.tobytes() == ref.tobytes(), (g.adjacency, x, N)
+                pairs += 1
+        o = line_times_complete(3)
+        ref = curvature._reference_reduced_form(o, (0, 0), N).matrix
+        assert _ball_kernel_form(o, (0, 0), N).tobytes() == ref.tobytes()
+    assert pairs == 2 * 1274  # every vertex of every graph, at both N
+
+
 @pytest.mark.parametrize("N", [0.0, -1.0, math.nan])
 def test_graph_curvature_rejects_nonpositive_dimension(N):
     with pytest.raises(FormError):
@@ -271,6 +311,8 @@ def test_check_cd_far_below_curvature():
 
 
 def test_check_cd_modes_agree():
+    # the eigen decision of check_cd agrees with a Cholesky test of the
+    # reference route's Q_eff - (K/2 - tol/2) I, which uses no eigensolver
     rng = random.Random(9)
     for _ in range(25):
         g = random_graph(rng, rng.randint(2, 8), 0.5)
@@ -278,8 +320,9 @@ def test_check_cd_modes_agree():
         if not g.adjacency[x]:
             continue
         K = rng.uniform(-4, 4)
-        eig, _ = check_cd(g, x, math.inf, K, mode="eigen")
-        bis, _ = check_cd(g, x, math.inf, K, mode="bisection")
+        eig, _ = check_cd(g, x, math.inf, K)
+        m = curvature._reference_reduced_form(g, x, math.inf).matrix
+        bis = curvature._is_psd(m - (K / 2.0 - 1e-9 / 2.0) * np.eye(len(m)))
         assert eig == bis, (g.adjacency, x, K)
 
 

@@ -193,6 +193,21 @@ def test_lemma1_gap_rejects_bad_partition():
         lemma1_gap(g, bmap, frozenset(), frozenset({1}), 0.0, 0.0)
 
 
+def test_partition_gaps_reject_isolated_center():
+    # an isolated centre has K = inf and empty spheres, where the gaps'
+    # (2K + ...) * 0 terms would read NaN; both gaps reject it instead
+    g = from_edge_list(3, [(0, 1)])
+    K = graph_curvature(g)[1][2]
+    assert K == math.inf
+    _, bmap = ball(g, 2, 2)
+    with pytest.raises(GraphError, match="isolated"):
+        lemma1_gap(g, bmap, frozenset(), frozenset(), 0.5, K)
+    # the class of a triangle gets past corollary2_gap's edge-regularity check
+    triangle = detect_regularity(complete_graph(3))
+    with pytest.raises(GraphError, match="isolated"):
+        corollary2_gap(g, bmap, triangle, frozenset(), frozenset(), K)
+
+
 def test_lemma1_empty_x_matches_direct_recount():
     # with X empty the inequality reduces to terms in Xb = N1 only;
     # recount every term independently
