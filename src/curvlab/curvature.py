@@ -11,11 +11,12 @@ The form is read in closed form off the adjacency of the 2-ball.  Its
 sphere-2 block is diagonal, so the Schur complement divides by that
 diagonal and needs no factorization.  The arithmetic has two routes:
 
-- The production kernel (`_stacked_reduced_forms`, `_stacked_min_eigenpairs`)
-  reads the reduced forms of a stack of centres off one 0/1 adjacency
-  array and solves them with one stacked `eigh`.  `graph_curvature` runs it
-  on a whole finite graph; `bakry_emery_curvature` runs it on the 2-ball of
-  one vertex of any neighbour oracle and adds the witness.
+- The production kernel turns the 0/1 sphere blocks of a stack of centres
+  into reduced forms (`_stacked_sphere1_forms`, then `_stacked_schur`) and
+  solves them with one stacked `eigh` (`_stacked_min_eigenpairs`).
+  `graph_curvature` reads the blocks off a whole graph's adjacency
+  (`_graph_reduced_forms`); `bakry_emery_curvature` slices them out of the
+  2-ball of one vertex of any neighbour oracle and adds the witness.
 - The reference route builds one vertex's form as a matrix
   (`curvature_form`), subtracts the 1/N correction and eliminates sphere 2
   (`schur_reduce`); `bakry_emery_curvature_bisect` then bisects on K with a
@@ -81,12 +82,9 @@ def _check_dimension(N: float) -> None:
 
 def _adjacency(g: Graph) -> np.ndarray:
     """The n x n 0/1 adjacency of a finite graph as a bool array."""
-    adj = np.zeros((g.n, g.n), dtype=bool)
-    adj[
-        [v for v, nbrs in enumerate(g.adjacency) for _ in nbrs],
-        [w for nbrs in g.adjacency for w in nbrs],
-    ] = True
-    return adj
+    adj = np.zeros(g.n * g.n, dtype=bool)
+    adj[[v * g.n + w for v, nbrs in enumerate(g.adjacency) for w in nbrs]] = True
+    return adj.reshape(g.n, g.n)
 
 
 # --- production kernel -----------------------------------------------------
@@ -96,11 +94,11 @@ def graph_curvature(g: Graph, N: float = math.inf) -> tuple[float, tuple[float, 
     """Infimum of the vertex curvatures of a finite graph, and the curvature
     of every vertex in vertex order (math.inf at an isolated vertex).
 
-    The production kernel on the whole graph: every centre's reduced form
-    is read off one 0/1 adjacency array, and the forms of one sphere-1 size
+    The production kernel on the whole graph: every centre's sphere blocks
+    are read off one 0/1 adjacency array, and the forms of one sphere-1 size
     k are solved by one stacked `eigh` (one per batch of centres).
-    `bakry_emery_curvature` runs the same kernel on one 2-ball, and the
-    tests hold the two bit for bit equal; the reference route
+    `bakry_emery_curvature` feeds the same kernel the blocks of one 2-ball,
+    and the tests hold the two bit for bit equal; the reference route
     (`curvature_form`, `schur_reduce`, Cholesky bisection) is the kernel's
     independent check.
     """
@@ -115,7 +113,7 @@ def graph_curvature(g: Graph, N: float = math.inf) -> tuple[float, tuple[float, 
         step = max(1, _BATCH_ENTRIES // (k * g.n))
         for start in range(0, len(centres), step):
             xs = centres[start : start + step]
-            ks[xs] = 2.0 * _stacked_min_eigenpairs(_stacked_reduced_forms(adj, deg, xs, N))[0]
+            ks[xs] = 2.0 * _stacked_min_eigenpairs(_graph_reduced_forms(adj, deg, xs, N))[0]
     return min(ks.tolist()), tuple(ks.tolist())
 
 
@@ -126,8 +124,8 @@ def bakry_emery_curvature(
 
     With f(x) = 0 the constraint becomes positive semidefiniteness of the
     reduced form minus (K/2) I, so K is twice its minimal eigenvalue: the
-    kernel of `graph_curvature` run on the 2-ball of x with x as its only
-    centre, so any neighbour oracle will do.  The witness is the minimal
+    kernel of `graph_curvature` fed the sphere blocks of the 2-ball of x, so
+    any neighbour oracle will do.  The witness is the minimal
     eigenvector on sphere 1, extended to sphere 2 by the Schur
     back-substitution f2 = -Q22^{-1} Q21 f1 = 2 (a12^T f1) / (1^T a12); it
     attains near-equality.  Isolated vertices return +inf (supremum over an
@@ -135,12 +133,13 @@ def bakry_emery_curvature(
     """
     _check_dimension(N)
     bg, bmap = ball(o, x, 2)
-    if bg.n == 1:
+    k = len(bg.adjacency[0])
+    if k == 0:
         return CurvatureReport(math.inf, None)
     adj = _adjacency(bg)
-    lam, vec = min_eigenpair(_stacked_reduced_forms(adj, adj.sum(1), [0], N)[0])
-    k = len(vec)
-    a12 = adj[1 : k + 1, k + 1 :]  # the ball lists the centre, sphere 1, then sphere 2
+    a11, a12 = adj[1 : k + 1, 1 : k + 1], adj[1 : k + 1, k + 1 :]  # centre, sphere 1, sphere 2
+    q11 = _stacked_sphere1_forms(a11[None], a12.sum(1)[None], N)
+    lam, vec = min_eigenpair(_stacked_schur(q11, a12[None])[0])
     f2 = 2.0 * (vec @ a12) / a12.sum(0)
     witness = dict(zip(bmap.vertices, [0.0] + vec.tolist() + f2.tolist()))
     return CurvatureReport(2.0 * lam, witness)
@@ -166,46 +165,51 @@ def violates_ph(o: Graph | NeighborOracle, f: dict, x: Hashable, K: float) -> bo
     return lhs < rhs
 
 
-def _stacked_reduced_forms(adj: np.ndarray, deg: np.ndarray, xs, N: float) -> np.ndarray:
-    """Reduced forms of the centres xs, all of one degree k, as an (m, k, k)
-    stack: the closed form of `curvature_form`, the 1/N correction and the
-    elimination of `schur_reduce` per centre, byte for byte.
-
-    Every entry of the sphere-1 block is a small quarter-integer, exact in
-    floating point, so building it elementwise gives the bits of
-    `diag(a11 1 + (3/4) a12 1 - (k-3)/4) - a11 + 1/2`.
-    """
+def _graph_reduced_forms(adj: np.ndarray, deg: np.ndarray, xs: np.ndarray, N: float) -> np.ndarray:
+    """Reduced forms of the centres xs of a graph, all of one degree k, as an
+    (m, k, k) stack, with each centre's spheres read off the adjacency."""
     m = len(xs)
-    n1 = np.nonzero(adj[xs])[1].reshape(m, -1)  # sorted sphere 1 of each centre
-    k = n1.shape[1]
-    s2 = adj[n1].any(1) & ~adj[xs]  # sphere 2: reached from sphere 1, not adjacent
+    rows = adj[xs]
+    n1 = np.nonzero(rows)[1].reshape(m, -1)  # sorted sphere 1 of each centre
+    s2 = np.logical_or.reduce(adj[n1], 1) > rows  # sphere 2: reached from sphere 1, not adjacent
     s2[np.arange(m), xs] = False  # and not the centre
     a11 = adj[n1[:, :, None], n1[:, None, :]]
-    in_s1 = a11.sum(2)
-    in_s2 = deg[n1] - 1 - in_s1  # a sphere-1 vertex's neighbours: x, sphere 1, sphere 2
+    q11 = _stacked_sphere1_forms(a11, deg[n1] - 1 - a11.sum(2), N)
+    n2 = np.add.reduce(s2, 1)
+    for size in set(n2.tolist()) - {0}:
+        sel = np.flatnonzero(n2 == size)
+        idx2 = np.nonzero(s2[sel])[1].reshape(len(sel), 1, size)  # sorted sphere 2
+        q11[sel] = _stacked_schur(q11[sel], adj[n1[sel][:, :, None], idx2])
+    return q11
+
+
+def _stacked_sphere1_forms(a11: np.ndarray, in2: np.ndarray, N: float) -> np.ndarray:
+    """Sphere-1 blocks of a stack of forms, 1/N subtracted, from a11 (m, k, k),
+    the 0/1 adjacency on sphere 1, and in2 (m, k), the sphere-2 degrees of
+    sphere 1.  Each entry of `curvature_form`'s Q11 is a small quarter-integer,
+    exact in floating point, so building it elementwise gives the same bits."""
+    m, k = in2.shape
     q11 = np.where(a11, -0.5, 0.5)
-    q11[:, np.arange(k), np.arange(k)] = in_s1 + 0.75 * in_s2 - (k - 3) / 4.0 + 0.5
+    q11.reshape(m, -1)[:, :: k + 1] = a11.sum(2) + 0.75 * in2 + (5 - k) / 4.0
     if N != math.inf:
         q11 -= 1.0 / N
-    # schur_reduce makes one (k, n2) @ (n2, k) product per centre; stacking
-    # only centres with the same sphere-2 size n2 keeps each product's shape
-    n2 = s2.sum(1)
-    for size in sorted(set(n2.tolist()) - {0}):
-        sel = np.flatnonzero(n2 == size)
-        idx2 = np.nonzero(s2[sel])[1].reshape(len(sel), size)  # sorted sphere 2
-        a12 = adj[n1[sel][:, :, None], idx2[:, None, :]]
-        q12 = 0.0 - a12 / 2.0
-        d = a12.sum(1) / 4.0
-        q11[sel] = q11[sel] - (q12 / d[:, None, :]) @ q12.transpose(0, 2, 1)
     return q11
+
+
+def _stacked_schur(q11: np.ndarray, a12: np.ndarray) -> np.ndarray:
+    """`schur_reduce` on a stack of sphere-1 blocks, byte for byte, with a12
+    (m, k, n2) the 0/1 adjacency from sphere 1 to sphere 2; the centres of a
+    stack share n2 so each keeps the (k, n2) @ (n2, k) product's shape."""
+    q12 = 0.0 - a12 / 2.0  # with no sphere 2 the product below is a zero matrix
+    return q11 - (q12 / (a12.sum(1) / 4.0)[:, None, :]) @ q12.transpose(0, 2, 1)
 
 
 def _stacked_min_eigenpairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalue and a unit eigenvector of each matrix of a stack,
     which must be symmetric within tolerance and is symmetrised first."""
     flipped = stack.transpose(0, 2, 1)
-    scale = np.abs(stack).max((1, 2))
-    if np.any(np.abs(stack - flipped).max((1, 2)) > DEFAULT_EIG_TOL * (1.0 + scale)):
+    scale = np.maximum.reduce(np.abs(stack), (1, 2))
+    if (np.maximum.reduce(np.abs(stack - flipped), (1, 2)) > DEFAULT_EIG_TOL * (1.0 + scale)).any():
         raise FormError("matrix is not symmetric within tolerance")
     vals, vecs = np.linalg.eigh((stack + flipped) / 2.0)
     return vals[:, 0], vecs[:, :, 0]

@@ -218,8 +218,8 @@ KERNEL_GRAPHS = [g for _, g in connected_graphs_upto(6)] + [
 
 @pytest.mark.parametrize("batch", [curvature._BATCH_ENTRIES, 1])
 def test_graph_curvature_bitwise_equals_per_vertex_path(corpus, monkeypatch, batch):
-    # the whole-graph kernel must give the per-vertex path's K bit for bit,
-    # also when every centre is a batch of its own
+    # the kernel on the whole graph gives the kernel on each 2-ball's K bit
+    # for bit, also when every centre is a batch of its own
     monkeypatch.setattr(curvature, "_BATCH_ENTRIES", batch)
     for g in KERNEL_GRAPHS + [g for _, g in sorted(corpus.items())]:
         for N in (math.inf, 3.0):
@@ -231,9 +231,14 @@ def test_graph_curvature_bitwise_equals_per_vertex_path(corpus, monkeypatch, bat
 
 
 def _ball_kernel_form(o, x, N):
-    """The kernel's reduced form at x, run on the 2-ball with x as its only centre."""
-    adj = curvature._adjacency(ball(o, x, 2)[0])
-    return curvature._stacked_reduced_forms(adj, adj.sum(1), [0], N)[0]
+    """The kernel's reduced form at x, read off the blocks of its 2-ball as
+    `bakry_emery_curvature` reads them."""
+    bg, _ = ball(o, x, 2)
+    adj = curvature._adjacency(bg)
+    k = len(bg.adjacency[0])
+    a11, a12 = adj[1 : k + 1, 1 : k + 1], adj[1 : k + 1, k + 1 :]
+    q11 = curvature._stacked_sphere1_forms(a11[None], a12.sum(1)[None], N)
+    return curvature._stacked_schur(q11, a12[None])[0]
 
 
 def _graph_kernel_forms(g, N):
@@ -244,7 +249,7 @@ def _graph_kernel_forms(g, N):
     forms = {}
     for k in set(deg.tolist()) - {0}:
         xs = np.flatnonzero(deg == k)
-        forms.update(zip(xs.tolist(), curvature._stacked_reduced_forms(adj, deg, xs, N)))
+        forms.update(zip(xs.tolist(), curvature._graph_reduced_forms(adj, deg, xs, N)))
     return forms
 
 

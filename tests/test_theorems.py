@@ -144,9 +144,10 @@ def test_scan_computes_each_fact_once_per_graph(monkeypatch):
 
 
 def test_scan_uses_only_the_whole_graph_curvature_kernel(monkeypatch):
-    # bakry_emery_curvature (the kernel on one 2-ball, plus the witness) and
-    # the reference route's curvature_form serve oracles and witnesses; a
-    # scan runs the kernel once on the whole graph and extracts no 2-ball
+    # bakry_emery_curvature (the kernel on one 2-ball, plus the witness)
+    # serves --vertex queries, oracles and witnesses, and curvature_form is
+    # only the reference of the tests and the bisection; a scan runs the
+    # kernel once on the whole graph and extracts no 2-ball
     calls = []
     per_vertex = [
         (curvature, "bakry_emery_curvature"),
