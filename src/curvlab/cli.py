@@ -18,7 +18,7 @@ import sys
 from .curvature import bakry_emery_curvature, graph_curvature
 from .cuts import classify_min_cuts, edge_connectivity
 from .formats import FormatError, parse_edge_list, parse_graph6
-from .generators import INFINITE_KINDS, generate, parse_family_spec
+from .generators import generate, parse_family_spec
 from .graph import Graph, GraphError, NeighborOracle
 from .matching import maximum_matching
 from .regularity import detect_regularity
@@ -99,7 +99,7 @@ def cmd_connectivity(args) -> int:
         else {"side_L": sorted(cert.side_L), "edges": list(cert.cut_edges)},
     }
     if args.classify_cuts:
-        cls = classify_min_cuts(g)
+        cls = classify_min_cuts(g, (lam, cert))
         payload["stars_only"] = cls.stars_only
         payload["non_star_cut"] = (
             None if cls.witness is None else {"side_L": sorted(cls.witness.side_L)}

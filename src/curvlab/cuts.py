@@ -3,12 +3,15 @@
 The global minimum cut uses Stoer-Wagner with unit weights and lowest-index
 tie-breaking, so certificates are reproducible.  Restricted edge
 connectivity (both cut sides of size at least two) runs unit-capacity
-max-flows between contracted vertex pairs; the pair enumeration is reduced
-to a provably sufficient family, see `restricted_edge_connectivity`.
+max-flows between vertex sets on the graph itself, capped at the best cut
+so far; the pair enumeration is reduced to a provably sufficient family,
+see `restricted_edge_connectivity`.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -60,34 +63,33 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate | None]:
     weight = {v: dict.fromkeys(g.adjacency[v], 1) for v in range(g.n)}
     best_value, best_side = None, None
     while len(members) > 1:
-        # maximum adjacency ordering from the smallest active vertex
-        active = sorted(members)
-        start = active[0]
-        in_a = {start}
-        w = dict.fromkeys(active, 0)
-        for u, c in weight[start].items():
-            w[u] = c
-        order = [start]
-        while len(in_a) < len(active):
-            nxt = max((v for v in active if v not in in_a), key=lambda v: (w[v], -v))
-            order.append(nxt)
-            in_a.add(nxt)
+        # maximum adjacency ordering from the smallest active vertex: w holds
+        # the weights into A of the vertices outside it, and the heap of
+        # (-w, v) pops the largest weight, then the lowest index; an entry
+        # whose weight has grown since, or whose vertex joined A, is stale
+        t = min(members)
+        w = {v: 0 for v in members if v != t}
+        w.update(weight[t])
+        heap = [(-c, v) for v, c in w.items()]
+        heapq.heapify(heap)
+        while w:
+            negw, nxt = heapq.heappop(heap)
+            if w.get(nxt) != -negw:
+                continue
+            cut_of_phase = w.pop(nxt)
+            s, t = t, nxt
             for u, c in weight[nxt].items():
-                if u not in in_a:
+                if u in w:
                     w[u] += c
-        s, t = order[-2], order[-1]
-        cut_of_phase = w[t]
+                    heapq.heappush(heap, (-w[u], u))
         if best_value is None or cut_of_phase < best_value:
             best_value, best_side = cut_of_phase, set(members[t])
         # merge t into s
         members[s].extend(members.pop(t))
-        wt = weight.pop(t)
-        for u, c in wt.items():
-            if u == s:
-                continue
-            weight[u].pop(t, None)
-            weight[u][s] = weight[u].get(s, 0) + c
-            weight[s][u] = weight[u][s]
+        for u, c in weight.pop(t).items():
+            if u != s:
+                weight[u].pop(t)
+                weight[u][s] = weight[s][u] = weight[u].get(s, 0) + c
         weight[s].pop(t, None)
     return best_value, _certificate(g, best_side)
 
@@ -116,64 +118,63 @@ def min_cut_bruteforce(g: Graph) -> tuple[int, list[CutCertificate]]:
     return best, [_certificate(g, set(side)) for side in cuts]
 
 
-def _max_flow(g: Graph, source: set[int], sink: set[int]):
-    """Unit-capacity max-flow between contracted vertex sets (Edmonds-Karp).
+def _max_flow(g: Graph, source: set[int], sink: set[int], limit: float = math.inf):
+    """Unit-capacity max-flow between disjoint vertex sets (Edmonds-Karp).
 
-    Returns (flow_value, side) where `side` is the source side of a
-    minimum cut, expanded back to original vertices.
+    Each BFS on g's adjacency starts at every source vertex and stops at the
+    first sink vertex; `used[u]` holds the heads of u's arcs with flow.
+    Returns the flow and the residual graph's reachable set, the unique
+    minimal source side of a minimum cut, or (limit, None) at `limit`.
     """
-    s, t = g.n, g.n + 1
-    cap: list[dict[int, int]] = [dict() for _ in range(g.n + 2)]
-
-    def add(u, v, c):
-        cap[u][v] = cap[u].get(v, 0) + c
-        cap[v].setdefault(u, 0)
-
-    contract = {v: s for v in source} | {v: t for v in sink}
-    for u, v in g.edges():
-        cu, cv = contract.get(u, u), contract.get(v, v)
-        if cu == cv:
-            continue
-        add(cu, cv, 1)
-        add(cv, cu, 1)
+    used: dict[int, set[int]] = {}
     flow = 0
-    while True:
-        parent = {s: None}
-        q = deque([s])
-        while q and t not in parent:
+    while flow < limit:
+        parent = dict.fromkeys(source)
+        q = deque(source)
+        hit = None
+        while q and hit is None:
             u = q.popleft()
-            for v, c in cap[u].items():
-                if c > 0 and v not in parent:
+            full = used.get(u, ())
+            for v in g.adjacency[u]:
+                if v not in parent and v not in full:
                     parent[v] = u
+                    if v in sink:
+                        hit = v
+                        break
                     q.append(v)
-        if t not in parent:
-            side = {v for v in range(g.n) if contract.get(v, v) in parent}
-            return flow, side
-        v = t
+        if hit is None:
+            return flow, set(parent)
+        v = hit
         while parent[v] is not None:
             u = parent[v]
-            cap[u][v] -= 1
-            cap[v][u] += 1
+            if u in used.get(v, ()):
+                used[v].remove(u)
+            else:
+                used.setdefault(u, set()).add(v)
             v = u
         flow += 1
+    return limit, None
 
 
-def restricted_edge_connectivity(g: Graph) -> tuple[float, CutCertificate | None]:
+def restricted_edge_connectivity(g: Graph, below=math.inf) -> tuple[float, CutCertificate | None]:
     """Minimum cut over bipartitions with both sides of size at least two.
 
     A minimum such cut has each side either connected (hence containing an
     edge, and an edge at any prescribed crossing vertex) or equal to a
     non-adjacent vertex pair, whose cut value is the degree sum.  It is
-    therefore enough to run contracted max-flows from a fixed anchor edge
-    to every disjoint edge, between edges at the two endpoints of the
-    anchor, and to scan non-adjacent pairs directly.
+    therefore enough to run max-flows from a fixed anchor edge to every
+    disjoint edge, between edges at the two endpoints of the anchor, and
+    to scan non-adjacent pairs directly.  Each flow stops at the best cut
+    so far, which starts at `below`: a minimum under `below` is returned
+    as it would be without the bound, and none gives (inf, None).
     """
     if g.n < 4:
         raise GraphError(f"restricted edge connectivity needs n >= 4, got {g.n}")
     if not is_connected(g):
-        return _restricted_disconnected(g)
+        lam_r, cert = _restricted_disconnected(g)
+        return (lam_r, cert) if lam_r < below else (math.inf, None)
 
-    best: float = float("inf")
+    best: float = below
     best_side: set[int] | None = None
 
     def consider(value, side):
@@ -193,17 +194,15 @@ def restricted_edge_connectivity(g: Graph) -> tuple[float, CutCertificate | None
         for f in edges:
             if a in f or b in f:
                 continue
-            flow, side = _max_flow(g, {a, b}, set(f))
-            consider(flow, side)
+            consider(*_max_flow(g, {a, b}, set(f), best))
         for fa in ((a, c) for c in g.adjacency[a] if c != b):
             for fb in ((b, c) for c in g.adjacency[b] if c != a):
                 if set(fa) & set(fb):
                     continue
-                flow, side = _max_flow(g, set(fa), set(fb))
-                consider(flow, side)
+                consider(*_max_flow(g, set(fa), set(fb), best))
 
     if best_side is None:
-        return float("inf"), None
+        return math.inf, None
     return int(best), _certificate(g, best_side)
 
 
@@ -264,7 +263,8 @@ def classify_min_cuts(g: Graph, connectivity: tuple | None = None) -> CutClassif
     if lam < delta:
         # certificate cannot be a star: a singleton side would cost >= delta
         return CutClassification(False, cert)
-    lam_r, cert_r = restricted_edge_connectivity(g)
+    # lam_r >= lam always, so only a restricted cut of value lam matters
+    lam_r, cert_r = restricted_edge_connectivity(g, below=lam + 1)
     if lam_r <= lam:
         return CutClassification(False, cert_r)
     return CutClassification(True, None)

@@ -26,7 +26,7 @@ from curvlab.generators import (
     line_times_complete,
     petersen,
 )
-from curvlab.graph import ball, from_edge_list, is_connected
+from curvlab.graph import ball, is_connected
 from curvlab.local_ops import gamma_at, gamma2_at, laplacian_at, ph_sides
 from curvlab.matching import matching_bruteforce, maximum_matching, tutte_violation
 from curvlab.regularity import (

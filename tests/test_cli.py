@@ -1,8 +1,8 @@
 import json
-import os
 
 import pytest
 
+from curvlab import cli, cuts
 from curvlab.cli import EXIT_INPUT, EXIT_OK, main
 from curvlab.formats import write_graph6
 from curvlab.generators import petersen
@@ -90,6 +90,27 @@ def test_connectivity_with_classification(capsys):
     assert payload["lambda"] == 2
     assert payload["stars_only"] is False
     assert len(payload["non_star_cut"]["side_L"]) == 2
+
+
+def test_connectivity_classification_runs_stoer_wagner_once(capsys, monkeypatch):
+    # classify_min_cuts gets the lambda the command already computed
+    calls = []
+    original = cuts.edge_connectivity
+
+    def counted(g):
+        calls.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(cli, "edge_connectivity", counted)
+    monkeypatch.setattr(cuts, "edge_connectivity", counted)
+    code, out, _ = run_cli(capsys, "connectivity", "hypercube:4", "--classify-cuts")
+    assert code == EXIT_OK and calls == [16]
+    assert json.loads(out) == {
+        "cut": {"edges": [[7, 15], [11, 15], [13, 15], [14, 15]], "side_L": [15]},
+        "lambda": 4,
+        "non_star_cut": None,
+        "stars_only": True,
+    }
 
 
 def test_matching_command(capsys):

@@ -19,7 +19,7 @@ from curvlab.curvature import (
     violates_ph,
 )
 from curvlab.enumeration import connected_graphs_upto
-from curvlab.graph import ball, from_edge_list, induced_subgraph
+from curvlab.graph import ball, from_edge_list
 from curvlab.generators import (
     complete_graph,
     cycle_graph,

@@ -4,23 +4,41 @@ import random
 import pytest
 
 from curvlab.cuts import (
+    _max_flow,
     classify_min_cuts,
     edge_connectivity,
     min_cut_bruteforce,
     restricted_edge_connectivity,
 )
-from curvlab.enumeration import connected_graphs_upto
+from curvlab.enumeration import all_graphs, connected_graphs_upto
 from curvlab.generators import (
     beta1_counterexample,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    hamming2,
     hypercube,
     path_graph,
     petersen,
+    triangular,
 )
 from curvlab.graph import GraphError, from_edge_list, is_connected
 from conftest import random_graph
+
+
+def brute_set_cut(g, source, sink):
+    """Minimum cut between two vertex sets by enumerating the other vertices'
+    sides, with the intersection of the minimum source sides (the minimal one)."""
+    rest = [v for v in range(g.n) if v not in source and v not in sink]
+    best, minimal = None, None
+    for mask in range(2 ** len(rest)):
+        side = set(source) | {v for i, v in enumerate(rest) if (mask >> i) & 1}
+        val = sum(1 for u, v in g.edges() if (u in side) != (v in side))
+        if best is None or val < best:
+            best, minimal = val, side
+        elif val == best:
+            minimal = minimal & side
+    return best, minimal
 
 
 def brute_restricted(g):
@@ -84,7 +102,7 @@ def test_min_cut_bruteforce_caps():
 
 
 def test_stoer_wagner_vs_bruteforce_exhaustive():
-    for gid, g in connected_graphs_upto(6):
+    for gid, g in connected_graphs_upto(7):
         if g.n < 2:
             continue
         lam, cert = edge_connectivity(g)
@@ -188,3 +206,90 @@ def test_classify_beta1_splice_has_non_star_cut():
     cls = classify_min_cuts(beta1_counterexample())
     assert not cls.stars_only
     assert cls.witness.value == 2
+
+
+def test_max_flow_vs_bruteforce_set_cut():
+    rng = random.Random(404)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.9]))
+        order = rng.sample(range(n), n)
+        k = rng.randint(1, min(3, n - 1))
+        source, sink = set(order[:k]), set(order[k : k + rng.randint(1, min(3, n - k))])
+        value, minimal = brute_set_cut(g, source, sink)
+        assert _max_flow(g, source, sink) == (value, minimal), (g.adjacency, source, sink)
+        assert _max_flow(g, source, sink, value + 1) == (value, minimal)
+        limit = rng.randint(0, value)
+        assert _max_flow(g, source, sink, limit) == (limit, None)
+
+
+def test_restricted_below_bound_exhaustive():
+    connected = [g for _, g in connected_graphs_upto(7) if g.n >= 4]
+    disconnected = [g for n in (4, 5, 6) for g in all_graphs(n) if not is_connected(g)]
+    for g in connected + disconnected:
+        lam_r, cert = restricted_edge_connectivity(g)
+        lam = edge_connectivity(g)[0]
+        for below in (lam, lam + 1, math.inf):
+            expected = (lam_r, cert) if lam_r < below else (math.inf, None)
+            assert restricted_edge_connectivity(g, below=below) == expected, (g.adjacency, below)
+
+
+@pytest.mark.parametrize(
+    "g, d",
+    [(hypercube(k), k) for k in range(3, 8)]
+    + [(hamming2(q), 2 * (q - 1)) for q in range(3, 7)]
+    + [(triangular(n), 2 * (n - 2)) for n in range(5, 10)],
+)
+def test_edge_connectivity_of_large_amply_regular_graphs(g, d):
+    # beyond the brute-force cap; these families are d-edge-connected
+    lam, cert = edge_connectivity(g)
+    assert lam == d and cert.verify(g)
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_restricted_edge_connectivity_of_hypercubes(k):
+    lam_r, cert = restricted_edge_connectivity(hypercube(k))
+    assert lam_r == 2 * k - 2 and cert.verify(hypercube(k))
+    assert 2 <= len(cert.side_L) <= 2**k - 2
+
+
+# Certificates depend on Stoer-Wagner's tie-breaking and on the order of
+# the restricted search, and the reports print them, so they are pinned.
+N7_SEVERAL_MIN_CUTS = {
+    "n7#14": [(0, 3), (0, 5), (1, 4), (1, 6), (2, 5), (2, 6), (4, 6)],
+    "n7#307": [(0, 3), (0, 6), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 6), (4, 5)],
+    "n7#543": [
+        (0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (1, 6),
+        (2, 4), (2, 6), (3, 5), (3, 6), (4, 6), (5, 6),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "g, side_L, cut_edges",
+    [
+        (petersen(), [9], ((4, 9), (6, 9), (7, 9))),
+        (hypercube(4), [15], ((7, 15), (11, 15), (13, 15), (14, 15))),
+        (beta1_counterexample(), list(range(10, 20)), ((0, 10), (1, 11))),
+        (from_edge_list(7, N7_SEVERAL_MIN_CUTS["n7#14"]), [1, 4, 6], ((2, 6),)),
+        (from_edge_list(7, N7_SEVERAL_MIN_CUTS["n7#307"]), [1, 2, 4, 5], ((1, 6), (2, 6))),
+        (from_edge_list(7, N7_SEVERAL_MIN_CUTS["n7#543"]), [5], ((1, 5), (3, 5), (5, 6))),
+    ],
+)
+def test_edge_connectivity_certificates_pinned(g, side_L, cut_edges):
+    lam, cert = edge_connectivity(g)
+    assert (sorted(cert.side_L), cert.cut_edges, lam) == (side_L, cut_edges, len(cut_edges))
+
+
+def test_several_min_cut_pins_are_exhaustive_graphs():
+    graphs = dict(connected_graphs_upto(7))
+    for gid, edges in N7_SEVERAL_MIN_CUTS.items():
+        assert graphs[gid].edges() == edges
+        assert len(min_cut_bruteforce(graphs[gid])[1]) >= 4
+
+
+def test_classify_witnesses_pinned():
+    witness = classify_min_cuts(beta1_counterexample()).witness
+    assert (sorted(witness.side_L), witness.cut_edges) == (list(range(10, 20)), ((0, 10), (1, 11)))
+    witness = classify_min_cuts(cycle_graph(4)).witness
+    assert (sorted(witness.side_L), witness.cut_edges) == ([0, 1], ((0, 3), (1, 2)))
