@@ -1,12 +1,16 @@
 """Exhaustive small-graph enumeration up to isomorphism.
 
 Graphs are generated level by level: every graph on k+1 vertices arises
-from some graph on k vertices by appending a vertex with an arbitrary
-neighborhood, so extending all k-vertex representatives by all 2^k
-neighborhoods and deduplicating yields all isomorphism classes.
-Deduplication buckets candidates by a color-refinement invariant and
-settles ties with a backtracking isomorphism test, which also separates
-refinement-equivalent pairs such as C3+C3 versus C6.
+from some graph on k vertices by appending a vertex of maximum degree
+(delete any vertex of maximum degree to see it).  So extending every
+k-vertex representative by each neighborhood whose new vertex has
+maximum degree, and deduplicating, yields all isomorphism classes; the
+other neighborhoods are never built.  Deduplication buckets candidates
+by a color-refinement invariant and settles ties with a backtracking
+isomorphism test, which also separates refinement-equivalent pairs such
+as C3+C3 versus C6.  The representative of a class is the first of its
+candidates, which is the same with or without the degree rule (see
+`all_graphs`).
 """
 
 from __future__ import annotations
@@ -101,11 +105,16 @@ def _match(g: Graph, cg: list[int], h: Graph, ch: list[int]) -> bool:
 
 
 def _extensions(g: Graph) -> list[Graph]:
-    """All graphs obtained by adding one vertex with any neighborhood; the
-    new vertex g.n exceeds every old one, so appending it keeps rows sorted."""
+    """The graphs obtained by adding one vertex whose degree is maximum in
+    the result, in ascending order of its neighborhood mask; the new vertex
+    g.n exceeds every old one, so appending it keeps rows sorted."""
+    degrees = [len(row) for row in g.adjacency]
     out = []
     for mask in range(1 << g.n):
+        k = mask.bit_count()
         picked = [(mask >> v) & 1 for v in range(g.n)]
+        if any(d + p > k for d, p in zip(degrees, picked)):
+            continue
         rows = tuple(row + (g.n,) if p else row for row, p in zip(g.adjacency, picked))
         out.append(Graph(g.n + 1, rows + (tuple(v for v in range(g.n) if picked[v]),)))
     return out
@@ -132,6 +141,15 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
             if not any(_match(cand, colors, rep, rep_colors) for rep, rep_colors in bucket):
                 bucket.append((cand, colors))
     reps = [g for bucket in buckets.values() for g, _ in bucket]
+    # The representative of a class is its first candidate in (parent,
+    # mask) order, and this sort fixes the parent order of level n + 1.
+    # The degree rule of `_extensions` drops no first candidate: if an old
+    # vertex u has larger degree than the new one in a candidate C built on
+    # g, then C - u has fewer edges than g, so its representative g' sorts
+    # before g, and the neighborhood of u carried over to g' builds a graph
+    # isomorphic to C from g', which comes earlier.  So a dropped candidate
+    # is never the first of its class, and each class keeps the
+    # representative that extending by every mask would give.
     reps.sort(key=lambda g: (g.m, g.adjacency))
     return tuple(reps)
 

@@ -171,6 +171,12 @@ def parse_edge_list(text: str) -> Graph:
         rest = [int(t) for t in tokens[2:]]
     except ValueError as exc:
         raise FormatError(f"non-integer token in edge list: {exc}") from exc
+    if m < 0:
+        raise FormatError(f"edge count must be non-negative, got {m}")
+    if len(rest) % 2:
+        raise FormatError(
+            f"odd number of endpoint tokens ({len(rest)}); each edge needs two"
+        )
     if len(rest) != 2 * m:
         raise FormatError(f"expected {m} edges, found {len(rest) // 2}")
     return from_edge_list(n, list(zip(rest[0::2], rest[1::2])))

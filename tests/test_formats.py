@@ -149,6 +149,20 @@ def test_edge_list_malformed():
         parse_edge_list("3 one\n0 1")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 -1", "edge count must be non-negative, got -1"),
+        ("3 1\n0 1 2", "odd number of endpoint tokens (3); each edge needs two"),
+        ("3 2\n0 1", "expected 2 edges, found 1"),
+    ],
+)
+def test_edge_list_errors_name_the_fault(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+
+
 def test_write_cap():
     with pytest.raises(FormatError):
         write_graph6(cycle_graph(10), max_vertices=5)
