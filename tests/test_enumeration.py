@@ -79,7 +79,6 @@ def test_representatives_pinned(n):
 
 
 def test_extensions_match_edge_list_construction():
-    # only the neighborhoods whose new vertex n has maximum degree are kept
     for n in range(1, 5):
         for g in all_graphs(n):
             expected = [
