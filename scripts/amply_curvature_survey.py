@@ -15,7 +15,7 @@ import sys
 from curvlab.curvature import graph_curvature
 from curvlab.generators import generate
 from curvlab.regularity import detect_regularity
-from curvlab.theorems import CURVATURE_TOL
+from curvlab.theorems import CURVATURE_TOL, nonnegatively_curved
 
 CORPUS = [
     "cycle:4",
@@ -51,8 +51,8 @@ def main() -> int:
         if not reg.is_amply_regular:
             continue
         value, _ = graph_curvature(g)
-        # the checkers' sign rule: nonnegative means K >= -CURVATURE_TOL
-        sign = "+" if value > CURVATURE_TOL else ("0" if value >= -CURVATURE_TOL else "-")
+        # "-" exactly where the checkers' sign rule says negative
+        sign = "+" if value > CURVATURE_TOL else ("0" if nonnegatively_curved(value) else "-")
         rows.append(
             {
                 "graph": spec,

@@ -28,7 +28,6 @@ from .graph import (
     NeighborOracle,
     ball,
     from_edge_list,
-    structure_queries,
 )
 from .local_ops import gamma2_at, gamma_at, laplacian_at, ph_sides
 from .matching import Matching, matching_bruteforce, maximum_matching, tutte_violation

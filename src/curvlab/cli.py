@@ -34,7 +34,8 @@ def _load_graph_spec(text: str) -> Graph | NeighborOracle:
     """A path to a graph file or a generator string.  Of a graph6/sparse6
     file only the first graph, its first non-blank line, is read."""
     if os.path.exists(text):
-        with open(text, "r", encoding="ascii") as fh:
+        # a non-ASCII byte survives decoding, so the parser can name its line
+        with open(text, "r", encoding="ascii", errors="surrogateescape") as fh:
             content = fh.read()
         lineno, first = next(
             ((i, line.strip()) for i, line in enumerate(content.splitlines(), 1) if line.strip()),
@@ -117,17 +118,7 @@ def cmd_matching(args) -> int:
 
 def cmd_regularity(args) -> int:
     g = _require_finite(_load_graph_spec(args.graph))
-    reg = detect_regularity(g)
-    _print_json(
-        {
-            "kind": reg.kind,
-            "n": reg.n,
-            "d": reg.d,
-            "alpha": reg.alpha,
-            "beta": reg.beta,
-            "diagnostic": reg.diagnostic,
-        }
-    )
+    _print_json(detect_regularity(g))
     return EXIT_OK
 
 

@@ -72,11 +72,11 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(SPARSE6_HEADER) :]
     if not line:
         raise FormatError("empty graph6 line")
+    if not line.isascii():
+        raise FormatError("non-ASCII characters in graph6 line")
     if line.startswith(":"):
         return _parse_sparse6(line)
-    data = line.encode("ascii", errors="strict") if line.isascii() else None
-    if data is None:
-        raise FormatError("non-ASCII characters in graph6 line")
+    data = line.encode("ascii")
     n, pos = _decode_size(data, 0)
     bits = _bits_of(data, pos)
     npairs = n * (n - 1) // 2

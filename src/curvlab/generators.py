@@ -12,29 +12,13 @@ from itertools import combinations
 
 from .graph import Graph, GraphError, NeighborOracle, from_edge_list
 
-INFINITE_KINDS = frozenset({"integer_line", "line_times_complete"})
-
-_FINITE_KINDS = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "complete_bipartite": 2,
-    "hypercube": 1,
-    "petersen": 0,
-    "triangular": 1,
-    "hamming2": 1,
-    "paley": 1,
-    "cartesian_product": 2,
-    "beta1_counterexample": 0,
-}
-
 
 @dataclass(frozen=True)
 class FamilySpec:
     """Tagged union of graph family names with parameters.
 
-    `kind` is one of the finite kinds above or an infinite kind;
-    `args` holds integer parameters, or nested FamilySpec for products.
+    `kind` is a key of `_FAMILIES` or "cartesian_product"; `args` holds
+    integer parameters, or the two factor FamilySpecs of a product.
     """
 
     kind: str
@@ -184,41 +168,36 @@ def _require(cond: bool, msg: str) -> None:
         raise GraphError(msg)
 
 
+# kind -> (constructor, number of integer parameters); "cartesian_product",
+# whose parameters are two factor specs, is the one kind handled apart
+_FAMILIES = {
+    "path": (path_graph, 1),
+    "cycle": (cycle_graph, 1),
+    "complete": (complete_graph, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "hypercube": (hypercube, 1),
+    "petersen": (petersen, 0),
+    "triangular": (triangular, 1),
+    "hamming2": (hamming2, 1),
+    "paley": (paley, 1),
+    "beta1_counterexample": (beta1_counterexample, 0),
+    "integer_line": (integer_line, 0),
+    "line_times_complete": (line_times_complete, 1),
+}
+
+
 def generate(spec: FamilySpec | str):
     """Materialize a family spec: Graph for finite, NeighborOracle for infinite."""
     if isinstance(spec, str):
         spec = parse_family_spec(spec)
-    kind, args = spec.kind, spec.args
-    if kind == "path":
-        return path_graph(*args)
-    if kind == "cycle":
-        return cycle_graph(*args)
-    if kind == "complete":
-        return complete_graph(*args)
-    if kind == "complete_bipartite":
-        return complete_bipartite(*args)
-    if kind == "hypercube":
-        return hypercube(*args)
-    if kind == "petersen":
-        return petersen()
-    if kind == "triangular":
-        return triangular(*args)
-    if kind == "hamming2":
-        return hamming2(*args)
-    if kind == "paley":
-        return paley(*args)
-    if kind == "cartesian_product":
-        parts = [generate(s) for s in args]
+    if spec.kind == "cartesian_product":
+        parts = [generate(s) for s in spec.args]
         if not all(isinstance(p, Graph) for p in parts):
             raise GraphError("cartesian_product supports finite factors only")
         return cartesian_product(*parts)
-    if kind == "beta1_counterexample":
-        return beta1_counterexample()
-    if kind == "integer_line":
-        return integer_line()
-    if kind == "line_times_complete":
-        return line_times_complete(*args)
-    raise GraphError(f"unknown family kind {kind!r}")
+    if spec.kind not in _FAMILIES:
+        raise GraphError(f"unknown family kind {spec.kind!r}")
+    return _FAMILIES[spec.kind][0](*spec.args)
 
 
 _ALIASES = {
@@ -246,7 +225,7 @@ def parse_family_spec(text: str) -> FamilySpec:
         )
     name, _, argtext = text.partition(":")
     name = _ALIASES.get(name, name)
-    if name not in _FINITE_KINDS and name not in INFINITE_KINDS:
+    if name not in _FAMILIES:
         raise GraphError(f"unknown graph family {name!r}")
     if not argtext:
         args: tuple = ()
@@ -255,7 +234,7 @@ def parse_family_spec(text: str) -> FamilySpec:
             args = tuple(int(t) for t in argtext.split(","))
         except ValueError as exc:
             raise GraphError(f"bad parameters in spec {text!r}") from exc
-    expected = _FINITE_KINDS.get(name, 1 if name == "line_times_complete" else 0)
+    expected = _FAMILIES[name][1]
     if len(args) != expected:
         raise GraphError(
             f"family {name!r} takes {expected} parameter(s), got {len(args)}"

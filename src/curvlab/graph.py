@@ -140,22 +140,6 @@ def ball(o: Graph | NeighborOracle, x: Hashable, r: int) -> tuple[Graph, BallMap
     return bg, BallMap(tuple(ordered), sphere_tags)
 
 
-def distance_matrix(g: Graph) -> list[list[float]]:
-    """All-pairs BFS distances; math.inf where unreachable."""
-    dist = [[math.inf] * g.n for _ in range(g.n)]
-    for s in range(g.n):
-        row = dist[s]
-        row[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in g.adjacency[u]:
-                if row[v] is math.inf or row[v] > row[u] + 1:
-                    row[v] = row[u] + 1
-                    q.append(v)
-    return dist
-
-
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
@@ -220,28 +204,3 @@ def girth(g: Graph) -> float:
         if found is not None:
             best = min(best, found + 1)
     return best
-
-
-@dataclass(frozen=True)
-class StructureSummary:
-    min_degree: int
-    max_degree: int
-    is_regular: bool
-    is_connected: bool
-    girth: float
-    distances: tuple
-
-
-def structure_queries(g: Graph) -> StructureSummary:
-    """Basic exact structure data: degrees, connectivity, girth, distances."""
-    if g.n == 0:
-        return StructureSummary(0, 0, True, True, math.inf, ())
-    degs = [g.degree(v) for v in range(g.n)]
-    return StructureSummary(
-        min_degree=min(degs),
-        max_degree=max(degs),
-        is_regular=min(degs) == max(degs),
-        is_connected=is_connected(g),
-        girth=girth(g),
-        distances=tuple(tuple(row) for row in distance_matrix(g)),
-    )

@@ -30,7 +30,7 @@ from .curvature import bakry_emery_curvature, graph_curvature  # noqa: F401
 from .enumeration import MAX_ENUMERATION_N, connected_graphs_upto
 from .formats import iter_graph6_file
 from .generators import generate, parse_family_spec
-from .graph import Graph, GraphError, is_connected, structure_queries
+from .graph import Graph, GraphError, girth, is_connected
 from .matching import Matching, maximum_matching
 from .regularity import (
     RegularityClass,
@@ -42,6 +42,11 @@ from .regularity import (
 
 CURVATURE_TOL = 1e-8
 THEOREM_IDS = ("T1.1", "T1.2", "T1.3", "T1.4", "C1.6", "T2.4", "T2.5")
+
+
+def nonnegatively_curved(kmin: float) -> bool:
+    """The sign rule of every curvature hypothesis: K >= -CURVATURE_TOL."""
+    return kmin >= -CURVATURE_TOL
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ def check_theorem(
 
     if theorem_id == "T1.3":
         kmin, _ = facts.curvature
-        if kmin < -CURVATURE_TOL:
+        if not nonnegatively_curved(kmin):
             return verdict(False, None, {"K": kmin, "reason": "negative curvature"})
         lam, cert = facts.connectivity
         delta = min(g.degree(v) for v in range(g.n))
@@ -125,7 +130,7 @@ def check_theorem(
             return verdict(False, None, {"reason": "not regular with even order"})
         if theorem_id == "T1.1":
             kmin, _ = facts.curvature
-            if kmin < -CURVATURE_TOL:
+            if not nonnegatively_curved(kmin):
                 return verdict(False, None, {"K": kmin, "reason": "negative curvature"})
             evidence: dict = {"K": kmin}
         else:
@@ -193,7 +198,8 @@ class CorpusSource:
 
     def graphs(self) -> Iterator[tuple[str, Graph]]:
         if self.kind == "file":
-            with open(self.path, "r", encoding="ascii") as fh:
+            # a non-ASCII byte survives decoding, so the parser can name its line
+            with open(self.path, "r", encoding="ascii", errors="surrogateescape") as fh:
                 for lineno, g in iter_graph6_file(fh):
                     yield f"{os.path.basename(self.path)}:{lineno}", g
         elif self.kind == "generators":
@@ -229,9 +235,11 @@ def scan(
     The checkers on one graph share one `GraphFacts`, so each per-graph
     quantity is computed at most once.
     """
-    for tid in theorem_ids:
+    for i, tid in enumerate(theorem_ids):
         if tid not in THEOREM_IDS:
             raise GraphError(f"unknown theorem id {tid!r}")
+        if tid in theorem_ids[:i]:
+            raise GraphError(f"theorem id {tid!r} is given more than once")
     verdicts = []
     total_graphs = 0
     for gid, g in source.graphs():
@@ -274,6 +282,8 @@ class ConjectureReport:
 
 
 def conjecture_scan(max_n: int) -> ConjectureReport:
+    """Tabulate the applicable T1.3 verdicts over the connected graphs with
+    2 <= n <= max_n; each row's delta, lambda and K are that verdict's."""
     if not 1 <= max_n <= MAX_ENUMERATION_N:
         raise GraphError(f"conjecture scan needs max_n in 1..{MAX_ENUMERATION_N}, got {max_n}")
     rows = []
@@ -281,14 +291,13 @@ def conjecture_scan(max_n: int) -> ConjectureReport:
     for gid, g in connected_graphs_upto(max_n):
         if g.n < 2:
             continue  # single vertex: lambda = 0 by convention, trivial
-        kmin, _ = graph_curvature(g)
-        if kmin < -CURVATURE_TOL:
+        t13 = check_theorem(g, "T1.3", gid)
+        if not t13.applicable:
             continue
-        lam, _ = edge_connectivity(g)
-        delta = min(g.degree(v) for v in range(g.n))
-        row = ConjectureRow(gid, g.n, delta, lam, kmin)
+        ev = t13.evidence
+        row = ConjectureRow(gid, g.n, ev["delta"], ev["lambda"], ev["K"])
         rows.append(row)
-        table[(delta, lam)] = table.get((delta, lam), 0) + 1
+        table[(row.delta, row.lam)] = table.get((row.delta, row.lam), 0) + 1
     boundary = [r for r in rows if r.lam == r.delta - 1]
     return ConjectureReport(max_n, rows, table, boundary)
 
@@ -324,8 +333,5 @@ def beta1_search(extra: Iterable[tuple[str, Graph]] = ()) -> list[Beta1Finding]:
             continue
         lam, _ = edge_connectivity(g)
         if lam < reg.d:
-            info = structure_queries(g)
-            findings.append(
-                Beta1Finding(gid, g.n, reg.d, reg.alpha, reg.beta, lam, info.girth)
-            )
+            findings.append(Beta1Finding(gid, g.n, reg.d, reg.alpha, reg.beta, lam, girth(g)))
     return findings

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -201,6 +202,24 @@ def test_conjecture_rejects_bad_max_n(capsys, max_n):
     assert f"max_n in 1..9, got {max_n}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("conjecture", "--max-n", "7"),
+            "418a267da531de16bb05bf4ab8dfdc5367a89a78dc63163b7395cd9df2a0fdce",
+        ),
+        (("beta1-search",), "cd1450f0b09bdea65719cd1935b9d9a8b2dd47d235e102bc9bd774e9cfb7c403"),
+    ],
+)
+def test_exploration_output_pinned(capsys, argv, digest):
+    # sha256 of the whole stdout: the n <= 7 (delta, lambda) table of the 419
+    # nonnegatively curved graphs, and the one beta = 1 finding
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_beta1_command(capsys):
     code, out, _ = run_cli(capsys, "beta1-search")
     payload = json.loads(out)
@@ -219,6 +238,31 @@ def test_bad_input_exit_code(capsys, tmp_path):
     assert code == EXIT_INPUT
     code, _, err = run_cli(capsys, "matching", "zxk:2")
     assert code == EXIT_INPUT  # infinite family has no finite matching
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (("check", "--source"), b"Bw\nC\xff~\n"),
+        (("check", "--source"), b"Bw\n:C\xff~\n"),
+        (("curvature",), b"\nC\xff~\n"),
+        (("curvature",), b"\n:C\xff~\n"),
+    ],
+    ids=["check-graph6", "check-sparse6", "curvature-graph6", "curvature-sparse6"],
+)
+def test_non_ascii_byte_names_its_line(capsys, tmp_path, command, content):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert "error: line 2: non-ASCII characters in graph6 line" in err
+
+
+def test_check_rejects_repeated_theorem(capsys):
+    argv = ("check", "--source", "exhaustive:2", "--theorems", "T1.1,T1.3,T1.1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT and out == ""
+    assert "theorem id 'T1.1' is given more than once" in err
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

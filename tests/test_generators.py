@@ -6,7 +6,7 @@ from curvlab.generators import (
     generate,
     parse_family_spec,
 )
-from curvlab.graph import Graph, GraphError, NeighborOracle, structure_queries
+from curvlab.graph import Graph, GraphError, NeighborOracle, girth, is_connected
 
 
 def test_hypercube3():
@@ -17,13 +17,14 @@ def test_hypercube3():
 
 def test_path_and_cycle():
     assert generate("path:5").m == 4
-    info = structure_queries(generate("cycle:6"))
-    assert info.girth == 6 and info.is_regular
+    g = generate("cycle:6")
+    assert girth(g) == 6 and all(g.degree(v) == 2 for v in range(g.n))
 
 
 def test_petersen_structure():
-    info = structure_queries(generate("petersen"))
-    assert info.min_degree == 3 and info.girth == 5 and info.is_connected
+    g = generate("petersen")
+    assert min(g.degree(v) for v in range(g.n)) == 3
+    assert girth(g) == 5 and is_connected(g)
 
 
 def test_complete_bipartite_labeling():
@@ -89,8 +90,7 @@ def test_beta1_counterexample_shape():
     g = beta1_counterexample()
     assert g.n == 20
     assert all(g.degree(v) == 3 for v in range(20))
-    info = structure_queries(g)
-    assert info.girth == 5 and info.is_connected
+    assert girth(g) == 5 and is_connected(g)
 
 
 def test_cartesian_product_spec():
@@ -105,7 +105,7 @@ def test_nested_product_object():
         (FamilySpec("path", (2,)), FamilySpec("path", (2,))),
     )
     g = generate(spec)
-    assert structure_queries(g).girth == 4  # P2 x P2 = C4
+    assert girth(g) == 4  # P2 x P2 = C4
 
 
 def test_spec_parsing_errors():
@@ -119,6 +119,8 @@ def test_spec_parsing_errors():
         parse_family_spec("hypercube:a")
     with pytest.raises(GraphError):
         parse_family_spec("petersen:3")  # takes no parameters
+    with pytest.raises(GraphError, match="unknown graph family 'cartesian_product'"):
+        parse_family_spec("cartesian_product:1,2")  # products are spelled product:A+B
 
 
 def test_product_of_infinite_rejected():

@@ -9,9 +9,9 @@ from curvlab.graph import (
     GraphError,
     ball,
     from_edge_list,
+    girth,
     induced_subgraph,
     is_connected,
-    structure_queries,
 )
 from curvlab.generators import (
     cartesian_product,
@@ -61,29 +61,26 @@ def test_adjacency_symmetric(n, data):
         assert list(g.adjacency[u]) == sorted(set(g.adjacency[u]))
 
 
-def test_structure_queries_c4():
-    info = structure_queries(cycle_graph(4))
-    assert info.min_degree == info.max_degree == 2
-    assert info.is_regular and info.is_connected
-    assert info.girth == 4
+def test_c4_degrees_connectivity_girth():
+    g = cycle_graph(4)
+    assert all(g.degree(v) == 2 for v in range(g.n))
+    assert is_connected(g) and girth(g) == 4
 
 
-def test_structure_queries_petersen():
-    info = structure_queries(petersen())
-    assert info.min_degree == 3 and info.girth == 5
-    assert info.distances[0][7] == 2
+def test_petersen_degrees_girth():
+    g = petersen()
+    assert all(g.degree(v) == 3 for v in range(g.n))
+    assert girth(g) == 5
 
 
-def test_structure_queries_disconnected():
+def test_disconnected_connectivity_girth():
     g = from_edge_list(4, [(0, 1), (2, 3)])
-    info = structure_queries(g)
-    assert not info.is_connected
-    assert info.distances[0][2] == math.inf
-    assert info.girth == math.inf
+    assert not is_connected(g)
+    assert girth(g) == math.inf
 
 
 def test_girth_of_forest_is_infinite():
-    assert structure_queries(path_graph(5)).girth == math.inf
+    assert girth(path_graph(5)) == math.inf
 
 
 def test_ball_integer_line():

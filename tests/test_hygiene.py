@@ -1,12 +1,18 @@
-"""Source hygiene checks that need no linter: every imported name is used."""
+"""Source hygiene checks that need no linter: every imported name is used,
+and the package imports nothing but the standard library and numpy."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = sorted((ROOT / "src" / "curvlab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "curvlab").glob("*.py"))
+CHECKED = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# networkx, scipy, sympy, hypothesis and pytest serve the tests and the
+# benchmark only
+RUNTIME_DEPENDENCIES = sys.stdlib_module_names | {"numpy"}
 # a package __init__ imports names only to re-export them
 EXEMPT = {ROOT / "src" / "curvlab" / "__init__.py"}
 
@@ -47,3 +53,37 @@ def test_no_unused_imports():
         for lineno, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def foreign_imports(source: str) -> list[tuple[int, str]]:
+    """(line, top-level module) of every absolute import outside
+    `RUNTIME_DEPENDENCIES`; relative imports stay inside the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        tops = [module.split(".")[0] for module in modules]
+        found += [(node.lineno, top) for top in tops if top not in RUNTIME_DEPENDENCIES]
+    return found
+
+
+def test_foreign_imports_are_found():
+    source = (
+        "from __future__ import annotations\nimport os, networkx as nx\n"
+        "from numpy.linalg import eigh\nfrom . import graph\n"
+        "def f():\n    from scipy import sparse\n"
+    )
+    assert foreign_imports(source) == [(2, "networkx"), (6, "scipy")]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    found = [
+        f"{path.relative_to(ROOT)}:{lineno}: {name}"
+        for path in PACKAGE
+        for lineno, name in foreign_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

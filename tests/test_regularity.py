@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from itertools import chain, combinations
 
 import pytest
@@ -16,7 +17,7 @@ from curvlab.generators import (
     petersen,
     triangular,
 )
-from curvlab.graph import GraphError, ball, from_edge_list
+from curvlab.graph import Graph, GraphError, ball, from_edge_list
 from curvlab.regularity import (
     arg_curvature_formula,
     bcn_check,
@@ -63,10 +64,30 @@ def test_detect_irregular_and_diagnostics():
     assert reg.kind == "not_regular"
 
 
+def distance_matrix(g: Graph) -> list[list[float]]:
+    """All-pairs BFS distances; math.inf where unreachable."""
+    dist = [[math.inf] * g.n for _ in range(g.n)]
+    for s in range(g.n):
+        row = dist[s]
+        row[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for v in g.adjacency[u]:
+                if row[v] is math.inf or row[v] > row[u] + 1:
+                    row[v] = row[u] + 1
+                    q.append(v)
+    return dist
+
+
+def test_distance_matrix_examples():
+    assert distance_matrix(petersen())[0][7] == 2
+    dist = distance_matrix(from_edge_list(4, [(0, 1), (2, 3)]))
+    assert dist[0][1] == 1 and dist[0][2] == math.inf
+
+
 def test_parameters_reverify_by_distance_matrix(corpus):
     # recount alpha and beta from scratch with the distance matrix
-    from curvlab.graph import distance_matrix
-
     for name, g in sorted(corpus.items()):
         reg = detect_regularity(g)
         if not reg.is_edge_regular:

@@ -195,6 +195,15 @@ def test_scan_rejects_unknown_theorem():
         scan(CorpusSource.from_string("gen:petersen"), ("T7.7",))
 
 
+def test_sign_rule_boundary():
+    tol = theorems.CURVATURE_TOL
+    assert theorems.nonnegatively_curved(0.0)
+    assert theorems.nonnegatively_curved(-tol)
+    assert not theorems.nonnegatively_curved(-2 * tol)
+    v = check_theorem(petersen(), "T1.3", "petersen")  # K = -1
+    assert not v.applicable and v.evidence["reason"] == "negative curvature"
+
+
 def test_conjecture_scan_small():
     report = conjecture_scan(4)
     assert report.boundary == []
