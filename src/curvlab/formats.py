@@ -161,16 +161,27 @@ def iter_graph6_file(lines) -> "list[tuple[int, Graph]]":
     return graphs
 
 
+def _legible(token: str) -> str:
+    """A token quoted, every non-ASCII byte shown as \\xNN.  A file read with
+    errors="surrogateescape" carries such a byte as a lone surrogate, which
+    encodes back to the byte."""
+    return repr(token.encode("utf-8", "surrogateescape"))[1:]
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain text format "n m\\nu v\\n..." (one edge per line)."""
-    tokens = text.split()
-    if len(tokens) < 2:
+    values = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        for token in line.split():
+            try:
+                values.append(int(token))
+            except ValueError as exc:
+                raise FormatError(
+                    f"line {lineno}: non-integer token {_legible(token)} in edge list"
+                ) from exc
+    if len(values) < 2:
         raise FormatError("edge-list header must be 'n m'")
-    try:
-        n, m = int(tokens[0]), int(tokens[1])
-        rest = [int(t) for t in tokens[2:]]
-    except ValueError as exc:
-        raise FormatError(f"non-integer token in edge list: {exc}") from exc
+    n, m, rest = values[0], values[1], values[2:]
     if m < 0:
         raise FormatError(f"edge count must be non-negative, got {m}")
     if len(rest) % 2:

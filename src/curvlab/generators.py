@@ -191,13 +191,22 @@ def generate(spec: FamilySpec | str):
     if isinstance(spec, str):
         spec = parse_family_spec(spec)
     if spec.kind == "cartesian_product":
+        if len(spec.args) != 2 or not all(isinstance(s, FamilySpec) for s in spec.args):
+            raise GraphError("cartesian_product takes two factor FamilySpecs")
         parts = [generate(s) for s in spec.args]
         if not all(isinstance(p, Graph) for p in parts):
             raise GraphError("cartesian_product supports finite factors only")
         return cartesian_product(*parts)
     if spec.kind not in _FAMILIES:
         raise GraphError(f"unknown family kind {spec.kind!r}")
-    return _FAMILIES[spec.kind][0](*spec.args)
+    build, arity = _FAMILIES[spec.kind]
+    _check_arity(spec.kind, arity, len(spec.args))
+    return build(*spec.args)
+
+
+def _check_arity(kind: str, expected: int, got: int) -> None:
+    if got != expected:
+        raise GraphError(f"family {kind!r} takes {expected} parameter(s), got {got}")
 
 
 _ALIASES = {
@@ -234,11 +243,7 @@ def parse_family_spec(text: str) -> FamilySpec:
             args = tuple(int(t) for t in argtext.split(","))
         except ValueError as exc:
             raise GraphError(f"bad parameters in spec {text!r}") from exc
-    expected = _FAMILIES[name][1]
-    if len(args) != expected:
-        raise GraphError(
-            f"family {name!r} takes {expected} parameter(s), got {len(args)}"
-        )
+    _check_arity(name, _FAMILIES[name][1], len(args))
     if any(a <= 0 for a in args):
         raise GraphError(f"parameters must be positive in {text!r}")
     return FamilySpec(name, args)

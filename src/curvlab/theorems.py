@@ -42,6 +42,12 @@ from .regularity import (
 
 CURVATURE_TOL = 1e-8
 THEOREM_IDS = ("T1.1", "T1.2", "T1.3", "T1.4", "C1.6", "T2.4", "T2.5")
+_CURVATURE_CHECKERS = ("T1.1", "T1.3", "T2.5")  # the checkers that read facts.curvature
+
+# A corpus scan buffers graphs up to this many vertices in all and runs the
+# curvature kernel once on the disjoint union of their connected graphs; a
+# larger graph makes a chunk of its own.
+_CHUNK_VERTICES = 256
 
 
 def nonnegatively_curved(kmin: float) -> bool:
@@ -64,7 +70,12 @@ class TheoremVerdict:
 
 class GraphFacts:
     """The per-graph quantities the checkers share, each computed on first
-    use and then kept, so a scan computes each at most once per graph."""
+    use and then kept, so a scan computes each at most once per graph.
+
+    A corpus scan fills `curvature` ahead of the checkers, one kernel call
+    per chunk of graphs (`_with_facts`); computed here, it is the same
+    `graph_curvature` call on the graph alone.
+    """
 
     def __init__(self, g: Graph):
         self.g = g
@@ -214,6 +225,53 @@ class CorpusSource:
             raise GraphError(f"unknown corpus source kind {self.kind!r}")
 
 
+def _with_facts(
+    graphs: Iterable[tuple[str, Graph]], curvature: bool
+) -> Iterator[tuple[str, Graph, GraphFacts]]:
+    """(gid, g, facts) for each graph, in the order given.
+
+    With `curvature`, graphs are buffered up to `_CHUNK_VERTICES` vertices,
+    and the curvature of a chunk's connected graphs comes from one
+    `graph_curvature` call on their disjoint union.  A 2-ball never leaves
+    its component, so each graph's slice of the union's vertex curvatures is
+    its own, bit for bit, and its minimum is taken in vertex order as
+    `graph_curvature` takes it.
+    """
+    if not curvature:
+        for gid, g in graphs:
+            yield gid, g, GraphFacts(g)
+        return
+    chunk: list[tuple[str, Graph, GraphFacts]] = []
+    size = 0
+    for gid, g in graphs:
+        if size + g.n > _CHUNK_VERTICES:
+            _fill_curvature([facts for _, _, facts in chunk])
+            yield from chunk
+            chunk, size = [], 0
+        chunk.append((gid, g, GraphFacts(g)))
+        size += g.n
+    _fill_curvature([facts for _, _, facts in chunk])
+    yield from chunk
+
+
+def _fill_curvature(chunk: list[GraphFacts]) -> None:
+    """Set `curvature` of each connected graph of a chunk from one kernel
+    call on their disjoint union, its vertices numbered graph by graph."""
+    connected = [facts for facts in chunk if facts.connected]
+    if not connected:
+        return
+    adjacency: list[tuple[int, ...]] = []
+    for facts in connected:
+        offset = len(adjacency)
+        adjacency.extend(tuple(w + offset for w in nbrs) for nbrs in facts.g.adjacency)
+    _, ks = graph_curvature(Graph(len(adjacency), tuple(adjacency)))
+    offset = 0
+    for facts in connected:
+        own = ks[offset : offset + facts.g.n]
+        facts.curvature = (min(own), own)
+        offset += facts.g.n
+
+
 @dataclass
 class ScanSummary:
     total_graphs: int
@@ -233,7 +291,8 @@ def scan(
     """Run checkers over a corpus, graph by graph in corpus order.
 
     The checkers on one graph share one `GraphFacts`, so each per-graph
-    quantity is computed at most once.
+    quantity is computed at most once, and when a selected checker reads
+    curvature it is filled for a chunk of graphs at a time (`_with_facts`).
     """
     for i, tid in enumerate(theorem_ids):
         if tid not in THEOREM_IDS:
@@ -242,9 +301,9 @@ def scan(
             raise GraphError(f"theorem id {tid!r} is given more than once")
     verdicts = []
     total_graphs = 0
-    for gid, g in source.graphs():
+    curvature = any(tid in _CURVATURE_CHECKERS for tid in theorem_ids)
+    for gid, g, facts in _with_facts(source.graphs(), curvature):
         total_graphs += 1
-        facts = GraphFacts(g)
         verdicts.extend(check_theorem(g, tid, gid, facts) for tid in theorem_ids)
     summary = ScanSummary(
         total_graphs=total_graphs,
@@ -283,15 +342,16 @@ class ConjectureReport:
 
 def conjecture_scan(max_n: int) -> ConjectureReport:
     """Tabulate the applicable T1.3 verdicts over the connected graphs with
-    2 <= n <= max_n; each row's delta, lambda and K are that verdict's."""
+    2 <= n <= max_n; each row's delta, lambda and K are that verdict's.
+    Curvature is filled a chunk of graphs at a time, as in `scan`."""
     if not 1 <= max_n <= MAX_ENUMERATION_N:
         raise GraphError(f"conjecture scan needs max_n in 1..{MAX_ENUMERATION_N}, got {max_n}")
     rows = []
     table: dict[tuple[int, int], int] = {}
-    for gid, g in connected_graphs_upto(max_n):
-        if g.n < 2:
-            continue  # single vertex: lambda = 0 by convention, trivial
-        t13 = check_theorem(g, "T1.3", gid)
+    # a single vertex has lambda = 0 by convention: trivial
+    graphs = ((gid, g) for gid, g in connected_graphs_upto(max_n) if g.n >= 2)
+    for gid, g, facts in _with_facts(graphs, curvature=True):
+        t13 = check_theorem(g, "T1.3", gid, facts)
         if not t13.applicable:
             continue
         ev = t13.evidence

@@ -220,6 +220,25 @@ def test_exploration_output_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "source, digest",
+    [
+        ("exhaustive:6", "601c40391dde7b8ff73f80dc2f44dac86a07716c014ed0592b69896307fda62d"),
+        (
+            "gen:petersen;hypercube:4;paley:13;cycle:4;hamming2:3",
+            "bd021ad429344720cd871439d18f4fa10a00900e6dbaff98c73cad17fd748044",
+        ),
+    ],
+)
+def test_check_report_pinned(capsys, tmp_path, source, digest):
+    # sha256 of the whole json report of all seven checkers, so a change to
+    # how the facts are computed cannot move a byte of it
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "check", "--source", source, "--out", str(out))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_beta1_command(capsys):
     code, out, _ = run_cli(capsys, "beta1-search")
     payload = json.loads(out)
@@ -256,6 +275,14 @@ def test_non_ascii_byte_names_its_line(capsys, tmp_path, command, content):
     code, out, err = run_cli(capsys, *command, str(path))
     assert code == EXIT_INPUT and out == ""
     assert "error: line 2: non-ASCII characters in graph6 line" in err
+
+
+def test_non_ascii_byte_in_edge_list_names_its_line(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"3 1\n0 \xff\n")
+    code, out, err = run_cli(capsys, "curvature", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert "error: line 2: non-integer token '\\xff' in edge list" in err
 
 
 def test_check_rejects_repeated_theorem(capsys):

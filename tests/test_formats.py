@@ -155,6 +155,14 @@ def test_edge_list_malformed():
         ("2 -1", "edge count must be non-negative, got -1"),
         ("3 1\n0 1 2", "odd number of endpoint tokens (3); each edge needs two"),
         ("3 2\n0 1", "expected 2 edges, found 1"),
+        ("3 one\n0 1", "line 1: non-integer token 'one' in edge list"),
+        ("3 1\n\n0 1.5", "line 3: non-integer token '1.5' in edge list"),
+        # a non-ASCII byte as a file read with errors="surrogateescape" holds it
+        (
+            b"3 1\n0 \xff\n".decode("ascii", "surrogateescape"),
+            r"line 2: non-integer token '\xff' in edge list",
+        ),
+        ("3 1\n0 \u00e9", r"line 2: non-integer token '\xc3\xa9' in edge list"),
     ],
 )
 def test_edge_list_errors_name_the_fault(text, message):

@@ -131,3 +131,26 @@ def test_product_of_infinite_rejected():
                 (FamilySpec("integer_line"), FamilySpec("complete", (3,))),
             )
         )
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (FamilySpec("path", ()), "family 'path' takes 1 parameter(s), got 0"),
+        (FamilySpec("petersen", (3,)), "family 'petersen' takes 0 parameter(s), got 1"),
+        (
+            FamilySpec("complete_bipartite", (3,)),
+            "family 'complete_bipartite' takes 2 parameter(s), got 1",
+        ),
+        (FamilySpec("cartesian_product", (1, 2)), "cartesian_product takes two factor FamilySpecs"),
+        (
+            FamilySpec("cartesian_product", (FamilySpec("path", (2,)),)),
+            "cartesian_product takes two factor FamilySpecs",
+        ),
+    ],
+)
+def test_generate_checks_a_spec_it_is_handed(spec, message):
+    # a FamilySpec built directly skips parse_family_spec; generate checks it
+    with pytest.raises(GraphError) as err:
+        generate(spec)
+    assert str(err.value) == message

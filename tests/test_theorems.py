@@ -1,9 +1,11 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from curvlab import curvature, cuts, graph, regularity, theorems
-from curvlab.formats import FormatError
+from curvlab.enumeration import connected_graphs_upto
+from curvlab.formats import FormatError, write_graph6
 from curvlab.generators import (
     beta1_counterexample,
     cycle_graph,
@@ -166,6 +168,70 @@ def test_scan_uses_only_the_whole_graph_curvature_kernel(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     _, summary = scan(CorpusSource.from_string("exhaustive:5"))
     assert summary.clean and summary.total_graphs == 1 + 1 + 2 + 6 + 21
+    assert calls == []
+
+
+def _chunked_curvature_matches_per_graph(graphs, monkeypatch):
+    """Fill curvature a chunk at a time and hold every graph's (kmin, ks)
+    byte-equal to graph_curvature on the graph alone; return the vertex
+    counts of the graphs the kernel ran on."""
+    runs = []
+
+    def counted(g, *args, **kwargs):
+        runs.append(g.n)
+        return curvature.graph_curvature(g, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "graph_curvature", counted)
+    out = list(theorems._with_facts(graphs, curvature=True))
+    assert [(gid, g) for gid, g, _ in out] == graphs  # corpus order
+    for gid, g, facts in out:
+        if not facts.connected:
+            assert "curvature" not in vars(facts), gid  # not in the union
+            continue
+        assert "curvature" in vars(facts), gid  # filled before any checker
+        kmin, ks = facts.curvature
+        ref_kmin, ref_ks = curvature.graph_curvature(g)
+        assert np.array(ks).tobytes() == np.array(ref_ks).tobytes(), gid  # signed zeros too
+        assert np.array(kmin).tobytes() == np.array(ref_kmin).tobytes(), gid
+    return runs
+
+
+def test_chunked_curvature_exhaustive7(monkeypatch):
+    graphs = list(connected_graphs_upto(7))
+    runs = _chunked_curvature_matches_per_graph(graphs, monkeypatch)
+    assert sum(runs) == sum(g.n for _, g in graphs)
+    assert max(runs) <= theorems._CHUNK_VERTICES and len(runs) < len(graphs) / 20
+
+
+def test_chunked_curvature_test_corpus(corpus, monkeypatch):
+    graphs = sorted(corpus.items())
+    runs = _chunked_curvature_matches_per_graph(graphs, monkeypatch)
+    assert max(runs) <= theorems._CHUNK_VERTICES and len(runs) < len(graphs)
+
+
+def test_chunked_curvature_file_corpus(corpus, monkeypatch, tmp_path):
+    # chunks that hold an empty graph (graph6 "?"), a disconnected graph and
+    # a graph larger than the chunk bound, which makes a chunk of its own
+    big = hypercube(9)
+    assert big.n > theorems._CHUNK_VERTICES
+    two_k2 = from_edge_list(4, [(0, 1), (2, 3)])
+    middle = [g for _, g in sorted(corpus.items())]
+    lines = ["?", write_graph6(two_k2), write_graph6(petersen())]
+    lines += [write_graph6(g) for g in middle[:8]] + [write_graph6(big), "?"]
+    lines += [write_graph6(g) for g in middle[8:]] + [write_graph6(two_k2)]
+    path = tmp_path / "mixed.g6"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    graphs = list(CorpusSource.from_string(str(path)).graphs())
+    runs = _chunked_curvature_matches_per_graph(graphs, monkeypatch)
+    assert max(runs) == big.n  # alone: a union holding it would be larger
+    assert len(runs) < sum(1 for _, g in graphs if g.n > 0 and graph.is_connected(g))
+
+
+def test_scan_without_curvature_checkers_runs_no_kernel(monkeypatch):
+    calls = []
+    monkeypatch.setattr(theorems, "graph_curvature", lambda *args: calls.append(args))
+    _, summary = scan(CorpusSource.from_string("exhaustive:5"), ("T1.2", "T1.4", "C1.6", "T2.4"))
+    assert summary.clean and summary.checked == 4 * (1 + 1 + 2 + 6 + 21)
     assert calls == []
 
 
