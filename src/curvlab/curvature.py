@@ -15,8 +15,10 @@ diagonal and needs no factorization.  The arithmetic has two routes:
   into reduced forms (`_stacked_sphere1_forms`, then `_stacked_schur`) and
   solves them with one stacked `eigh` (`_stacked_min_eigenpairs`).
   `graph_curvature` reads the blocks off a whole graph's adjacency
-  (`_graph_reduced_forms`); `bakry_emery_curvature` slices them out of the
-  2-ball of one vertex of any neighbour oracle and adds the witness.
+  (`_graph_reduced_forms`); a corpus scan hands it the disjoint union of a
+  chunk of graphs, whose vertex curvatures are each graph's own.
+  `bakry_emery_curvature` slices the blocks out of the 2-ball of one
+  vertex of any neighbour oracle and adds the witness.
 - The reference route builds one vertex's form as a matrix
   (`curvature_form`), subtracts the 1/N correction and eliminates sphere 2
   (`schur_reduce`); `bakry_emery_curvature_bisect` then bisects on K with a

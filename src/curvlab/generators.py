@@ -199,12 +199,12 @@ def generate(spec: FamilySpec | str):
         return cartesian_product(*parts)
     if spec.kind not in _FAMILIES:
         raise GraphError(f"unknown family kind {spec.kind!r}")
-    build, arity = _FAMILIES[spec.kind]
-    _check_arity(spec.kind, arity, len(spec.args))
-    return build(*spec.args)
+    _check_arity(spec.kind, len(spec.args))
+    return _FAMILIES[spec.kind][0](*spec.args)
 
 
-def _check_arity(kind: str, expected: int, got: int) -> None:
+def _check_arity(kind: str, got: int) -> None:
+    expected = _FAMILIES[kind][1]
     if got != expected:
         raise GraphError(f"family {kind!r} takes {expected} parameter(s), got {got}")
 
@@ -243,7 +243,7 @@ def parse_family_spec(text: str) -> FamilySpec:
             args = tuple(int(t) for t in argtext.split(","))
         except ValueError as exc:
             raise GraphError(f"bad parameters in spec {text!r}") from exc
-    _check_arity(name, _FAMILIES[name][1], len(args))
+    _check_arity(name, len(args))
     if any(a <= 0 for a in args):
         raise GraphError(f"parameters must be positive in {text!r}")
     return FamilySpec(name, args)

@@ -4,7 +4,10 @@ Each checker turns one proved statement into a predicate over finite
 graphs: an applicability test (the hypotheses) and a conclusion test.  A
 verdict that is applicable but does not hold indicates an implementation
 bug somewhere in the pipeline, never new mathematics, and the scanner
-reports it with full evidence.
+reports it with full evidence.  A corpus scan (`scan`, `conjecture_scan`)
+shares one `GraphFacts` between the checkers on a graph and fills the
+curvature of a chunk of graphs with one kernel call on their disjoint
+union.
 
 Checker ids:
   T1.1  regular + even order + nonnegative curvature  => perfect matching
@@ -245,19 +248,19 @@ def _with_facts(
     size = 0
     for gid, g in graphs:
         if size + g.n > _CHUNK_VERTICES:
-            _fill_curvature([facts for _, _, facts in chunk])
+            _fill_curvature(chunk)
             yield from chunk
             chunk, size = [], 0
         chunk.append((gid, g, GraphFacts(g)))
         size += g.n
-    _fill_curvature([facts for _, _, facts in chunk])
+    _fill_curvature(chunk)
     yield from chunk
 
 
-def _fill_curvature(chunk: list[GraphFacts]) -> None:
+def _fill_curvature(chunk: list[tuple[str, Graph, GraphFacts]]) -> None:
     """Set `curvature` of each connected graph of a chunk from one kernel
     call on their disjoint union, its vertices numbered graph by graph."""
-    connected = [facts for facts in chunk if facts.connected]
+    connected = [facts for _, _, facts in chunk if facts.connected]
     if not connected:
         return
     adjacency: list[tuple[int, ...]] = []

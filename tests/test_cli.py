@@ -259,30 +259,32 @@ def test_bad_input_exit_code(capsys, tmp_path):
     assert code == EXIT_INPUT  # infinite family has no finite matching
 
 
+GRAPH6_NON_ASCII = "error: line 2: non-ASCII characters in graph6 line"
+
+
 @pytest.mark.parametrize(
-    "command, content",
+    "command, content, message",
     [
-        (("check", "--source"), b"Bw\nC\xff~\n"),
-        (("check", "--source"), b"Bw\n:C\xff~\n"),
-        (("curvature",), b"\nC\xff~\n"),
-        (("curvature",), b"\n:C\xff~\n"),
+        (("check", "--source"), b"Bw\nC\xff~\n", GRAPH6_NON_ASCII),
+        (("check", "--source"), b"Bw\n:C\xff~\n", GRAPH6_NON_ASCII),
+        (("curvature",), b"\nC\xff~\n", GRAPH6_NON_ASCII),
+        (("curvature",), b"\n:C\xff~\n", GRAPH6_NON_ASCII),
+        (("curvature",), b"3 1\n0 \xff\n", "error: line 2: non-integer token '\\xff' in edge list"),
     ],
-    ids=["check-graph6", "check-sparse6", "curvature-graph6", "curvature-sparse6"],
+    ids=[
+        "check-graph6",
+        "check-sparse6",
+        "curvature-graph6",
+        "curvature-sparse6",
+        "curvature-edge-list",
+    ],
 )
-def test_non_ascii_byte_names_its_line(capsys, tmp_path, command, content):
+def test_non_ascii_byte_names_its_line(capsys, tmp_path, command, content, message):
     path = tmp_path / "bad.g6"
     path.write_bytes(content)
     code, out, err = run_cli(capsys, *command, str(path))
     assert code == EXIT_INPUT and out == ""
-    assert "error: line 2: non-ASCII characters in graph6 line" in err
-
-
-def test_non_ascii_byte_in_edge_list_names_its_line(capsys, tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_bytes(b"3 1\n0 \xff\n")
-    code, out, err = run_cli(capsys, "curvature", str(path))
-    assert code == EXIT_INPUT and out == ""
-    assert "error: line 2: non-integer token '\\xff' in edge list" in err
+    assert message in err
 
 
 def test_check_rejects_repeated_theorem(capsys):
