@@ -17,7 +17,7 @@ import sys
 
 from .curvature import bakry_emery_curvature, graph_curvature
 from .cuts import classify_min_cuts, edge_connectivity
-from .formats import FormatError, parse_edge_list, parse_graph6
+from .formats import FormatError, parse_edge_list, parse_graph6, parse_integer
 from .generators import generate, parse_family_spec
 from .graph import Graph, GraphError, NeighborOracle
 from .matching import maximum_matching
@@ -64,7 +64,7 @@ def _parse_vertex(text: str | None, g: Graph | NeighborOracle, spec: str):
         k = parse_family_spec(spec).args[0]
         arity, bound, form = 2, k, f"a pair i,c of integers with 0 <= c < {k}"
     try:
-        parts = (0,) * arity if text is None else tuple(int(p) for p in text.split(","))
+        parts = (0,) * arity if text is None else tuple(map(parse_integer, text.split(",")))
     except ValueError:
         parts = ()
     if len(parts) != arity or (bound is not None and not 0 <= parts[-1] < bound):
@@ -124,7 +124,9 @@ def cmd_regularity(args) -> int:
 
 def cmd_check(args) -> int:
     source = CorpusSource.from_string(args.source)
-    ids = tuple(t.strip() for t in args.theorems.split(",")) if args.theorems else THEOREM_IDS
+    ids = THEOREM_IDS
+    if args.theorems is not None:  # '' names one theorem id, '', which scan rejects
+        ids = tuple(t.strip() for t in args.theorems.split(","))
     verdicts, summary = scan(source, ids)
     emit_report(verdicts, args.format, args.out)
     print(
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("conjecture", help="tabulate (delta, lambda) over nonneg-curvature graphs")
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p.add_argument("--max-n", type=parse_integer, default=8, dest="max_n")
     p.set_defaults(fn=cmd_conjecture)
 
     p = sub.add_parser("beta1-search", help="beta=1 connectivity-drop witnesses")
@@ -246,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.fn(args)
-    except (GraphError, FormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -39,7 +39,6 @@ from typing import Hashable
 import numpy as np
 
 from .graph import Graph, GraphError, NeighborOracle, ball
-from .local_ops import ph_sides
 
 DEFAULT_EIG_TOL = 1e-10
 
@@ -134,7 +133,7 @@ def bakry_emery_curvature(
     empty constraint set).
     """
     _check_dimension(N)
-    bg, bmap = ball(o, x, 2)
+    bg, bmap = ball(o, x)
     k = len(bg.adjacency[0])
     if k == 0:
         return CurvatureReport(math.inf, None)
@@ -148,23 +147,17 @@ def bakry_emery_curvature(
 
 
 def check_cd(
-    o: Graph | NeighborOracle, x: Hashable, N: float, K: float, tol: float = 1e-9
+    o: Graph | NeighborOracle, x: Hashable, N: float, K: float
 ) -> tuple[bool, dict | None]:
-    """Decide CD(N, K) at x; on failure also return a violating function.
+    """Decide CD(N, K) at x, up to 1e-9; on failure also return a violating function.
 
     K is compared against the computed curvature; the witness of the
     curvature report then violates the pointwise inequality at any larger K.
     """
     report = bakry_emery_curvature(o, x, N)
-    if K <= report.K + tol:
+    if K <= report.K + 1e-9:
         return True, None
     return False, report.witness
-
-
-def violates_ph(o: Graph | NeighborOracle, f: dict, x: Hashable, K: float) -> bool:
-    """True when f strictly violates the pointwise CD(inf, K) inequality at x."""
-    lhs, rhs = ph_sides(o, f, x, K)
-    return lhs < rhs
 
 
 def _graph_reduced_forms(adj: np.ndarray, deg: np.ndarray, xs: np.ndarray, N: float) -> np.ndarray:
@@ -247,7 +240,7 @@ def curvature_form(o: Graph | NeighborOracle, x: Hashable) -> QuadraticForm:
     Q[i][j] = (Gamma_2(e_i + e_j)(x) - Gamma_2(e_i)(x) - Gamma_2(e_j)(x)) / 2
     of `gamma2_at` on indicators e_i of the basis vertices.
     """
-    bg, bmap = ball(o, x, 2)
+    bg, bmap = ball(o, x)
     k = bmap.sphere.count(1)
     if k == 0:
         raise FormError(f"vertex {x!r} is isolated; no curvature form exists")
@@ -296,11 +289,10 @@ def _reference_reduced_form(o: Graph | NeighborOracle, x: Hashable, N: float) ->
     return schur_reduce(q)
 
 
-def _is_psd(m: np.ndarray, shift: float = 1e-12) -> bool:
-    """Positive semidefiniteness via Cholesky of m + shift*I (no eigensolver)."""
-    dim = m.shape[0]
+def _is_psd(m: np.ndarray) -> bool:
+    """Positive semidefiniteness via Cholesky of m + 1e-12 I (no eigensolver)."""
     try:
-        np.linalg.cholesky(m + shift * np.eye(dim))
+        np.linalg.cholesky(m + 1e-12 * np.eye(m.shape[0]))
         return True
     except np.linalg.LinAlgError:
         return False

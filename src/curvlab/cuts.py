@@ -157,7 +157,8 @@ def _max_flow(g: Graph, source: set[int], sink: set[int], limit: float = math.in
 
 
 def restricted_edge_connectivity(g: Graph, below=math.inf) -> tuple[float, CutCertificate | None]:
-    """Minimum cut over bipartitions with both sides of size at least two.
+    """Minimum cut of a connected graph over bipartitions with both sides of
+    size at least two; a disconnected graph raises GraphError.
 
     A minimum such cut has each side either connected (hence containing an
     edge, and an edge at any prescribed crossing vertex) or equal to a
@@ -171,8 +172,7 @@ def restricted_edge_connectivity(g: Graph, below=math.inf) -> tuple[float, CutCe
     if g.n < 4:
         raise GraphError(f"restricted edge connectivity needs n >= 4, got {g.n}")
     if not is_connected(g):
-        lam_r, cert = _restricted_disconnected(g)
-        return (lam_r, cert) if lam_r < below else (math.inf, None)
+        raise GraphError("restricted edge connectivity requires a connected graph")
 
     best: float = below
     best_side: set[int] | None = None
@@ -188,53 +188,21 @@ def restricted_edge_connectivity(g: Graph, below=math.inf) -> tuple[float, CutCe
             if w not in g.adjacency[u]:
                 consider(g.degree(u) + g.degree(w), {u, w})
 
-    edges = g.edges()
-    if edges:
-        a, b = edges[0]
-        for f in edges:
-            if a in f or b in f:
+    edges = g.edges()  # not empty: g is connected with n >= 4
+    a, b = edges[0]
+    for f in edges:
+        if a in f or b in f:
+            continue
+        consider(*_max_flow(g, {a, b}, set(f), best))
+    for fa in ((a, c) for c in g.adjacency[a] if c != b):
+        for fb in ((b, c) for c in g.adjacency[b] if c != a):
+            if set(fa) & set(fb):
                 continue
-            consider(*_max_flow(g, {a, b}, set(f), best))
-        for fa in ((a, c) for c in g.adjacency[a] if c != b):
-            for fb in ((b, c) for c in g.adjacency[b] if c != a):
-                if set(fa) & set(fb):
-                    continue
-                consider(*_max_flow(g, set(fa), set(fb), best))
+            consider(*_max_flow(g, set(fa), set(fb), best))
 
     if best_side is None:
         return math.inf, None
     return int(best), _certificate(g, best_side)
-
-
-def _restricted_disconnected(g: Graph) -> tuple[float, CutCertificate | None]:
-    """Restricted cut of a disconnected graph with n >= 4.
-
-    Whole components usually split into two groups of size >= 2 for a cut
-    of 0; the only exception is one isolated vertex plus one component on
-    n-1 vertices, where the optimum is that component's own minimum cut
-    (taken with the larger side on the singleton's side of the partition).
-    """
-    comps = connected_components(g)
-    for c in comps:
-        if 2 <= len(c) <= g.n - 2:
-            return 0, _certificate(g, set(c))
-    if all(len(c) == 1 for c in comps):
-        return 0, _certificate(g, set(comps[0] + comps[1]))
-    # exactly one isolated vertex plus one component on n-1 vertices
-    iso = comps[0] if len(comps[0]) == 1 else comps[1]
-    big = comps[1] if len(comps[0]) == 1 else comps[0]
-    sub = Graph(
-        len(big),
-        tuple(
-            tuple(big.index(w) for w in g.adjacency[v] if w in big) for v in big
-        ),
-    )
-    lam, cert = edge_connectivity(sub)
-    side = set(cert.side_L)
-    if len(big) - len(side) < 2:
-        side = set(range(len(big))) - side
-    original = {big[i] for i in side} | set(iso)
-    return lam, _certificate(g, original)
 
 
 @dataclass(frozen=True)

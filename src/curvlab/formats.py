@@ -7,15 +7,26 @@ edge stream.  Optional ">>graph6<<" / ">>sparse6<<" headers are ignored.
 
 from __future__ import annotations
 
+import re
+
 from .graph import Graph, GraphError, from_edge_list
 
 GRAPH6_HEADER = ">>graph6<<"
 SPARSE6_HEADER = ">>sparse6<<"
 _FORMAT_LIMIT = 68_719_476_735  # 2^36 - 1
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class FormatError(GraphError):
     """Malformed graph6/sparse6/edge-list input."""
+
+
+def parse_integer(token: str) -> int:
+    """An integer read from input, written `-?[0-9]+` in ASCII; int() alone
+    would also read '+1', '1_0', ' 3' and non-ASCII digits."""
+    if not _INTEGER.fullmatch(token):
+        raise FormatError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def _decode_size(data: bytes, pos: int) -> tuple[int, int]:
@@ -123,10 +134,8 @@ def _parse_sparse6(line: str) -> Graph:
     return from_edge_list(n, sorted(edges))
 
 
-def write_graph6(g: Graph, max_vertices: int = _FORMAT_LIMIT) -> str:
+def write_graph6(g: Graph) -> str:
     """Canonical graph6 encoding; round-trips through parse_graph6."""
-    if g.n > max_vertices:
-        raise FormatError(f"graph has {g.n} vertices, cap is {max_vertices}")
     out = bytearray(_encode_size(g.n))
     acc = 0
     nbits = 0
@@ -174,7 +183,7 @@ def parse_edge_list(text: str) -> Graph:
     for lineno, line in enumerate(text.split("\n"), start=1):
         for token in line.split():
             try:
-                values.append(int(token))
+                values.append(parse_integer(token))
             except ValueError as exc:
                 raise FormatError(
                     f"line {lineno}: non-integer token {_legible(token)} in edge list"

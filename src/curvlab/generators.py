@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .formats import parse_integer
 from .graph import Graph, GraphError, NeighborOracle, from_edge_list
 
 
@@ -23,11 +24,6 @@ class FamilySpec:
 
     kind: str
     args: tuple = ()
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.kind
-        return f"{self.kind}:{','.join(str(a) for a in self.args)}"
 
 
 def _is_prime(q: int) -> bool:
@@ -240,7 +236,7 @@ def parse_family_spec(text: str) -> FamilySpec:
         args: tuple = ()
     else:
         try:
-            args = tuple(int(t) for t in argtext.split(","))
+            args = tuple(map(parse_integer, argtext.split(",")))
         except ValueError as exc:
             raise GraphError(f"bad parameters in spec {text!r}") from exc
     _check_arity(name, len(args))

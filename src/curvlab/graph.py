@@ -112,20 +112,15 @@ class BallMap:
         return tuple(v for v, s in zip(self.vertices, self.sphere) if s == k)
 
 
-def ball(o: Graph | NeighborOracle, x: Hashable, r: int) -> tuple[Graph, BallMap]:
-    """Induced subgraph on the radius-r ball around x, r in {1, 2}.
+def ball(o: Graph | NeighborOracle, x: Hashable) -> tuple[Graph, BallMap]:
+    """Induced subgraph on the radius-2 ball around x.
 
     The center maps to index 0, sphere-1 vertices next (sorted), sphere-2
     last (sorted); this ordering is the basis contract for curvature forms.
     """
-    if r not in (1, 2):
-        raise GraphError(f"ball radius must be 1 or 2, got {r}")
     n1 = sorted(set(o.neighbors(x)) - {x})
-    spheres = [[x], n1]
-    if r == 2:
-        seen = set(n1) | {x}
-        n2 = sorted({z for y in n1 for z in o.neighbors(y)} - seen)
-        spheres.append(n2)
+    n2 = sorted({z for y in n1 for z in o.neighbors(y)} - set(n1) - {x})
+    spheres = [[x], n1, n2]
     ordered = [v for sph in spheres for v in sph]
     index = {v: i for i, v in enumerate(ordered)}
     adjacency: list[list[int]] = [[] for _ in ordered]

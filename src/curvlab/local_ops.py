@@ -56,7 +56,7 @@ def ph_sides(
     over edges inside sphere 1.  rhs is ((2K + d(x) - 3)/2) Gamma(f)(x)
     - (1/2)(Delta f(x))^2.  CD(inf, K) holds at x iff lhs >= rhs for all f.
     """
-    _, bmap = ball(o, x, 2)
+    _, bmap = ball(o, x)
     n1 = bmap.sphere_vertices(1)
     n2 = bmap.sphere_vertices(2)
     n1_set = set(n1)

@@ -31,7 +31,7 @@ from .cuts import CutCertificate, classify_min_cuts, edge_connectivity
 # the benchmark's traced run wraps bakry_emery_curvature under this module's name
 from .curvature import bakry_emery_curvature, graph_curvature  # noqa: F401
 from .enumeration import MAX_ENUMERATION_N, connected_graphs_upto
-from .formats import iter_graph6_file
+from .formats import iter_graph6_file, parse_integer
 from .generators import generate, parse_family_spec
 from .graph import Graph, GraphError, girth, is_connected
 from .matching import Matching, maximum_matching
@@ -202,12 +202,15 @@ class CorpusSource:
         if text.startswith("gen:"):
             return CorpusSource("generators", specs=tuple(t for t in text[4:].split(";") if t))
         if text.startswith("exhaustive:"):
-            arg = text.split(":", 1)[1]
-            if not arg.isdecimal() or not 1 <= int(arg) <= MAX_ENUMERATION_N:
+            try:
+                max_n = parse_integer(text[len("exhaustive:") :])
+            except ValueError:
+                max_n = 0
+            if not 1 <= max_n <= MAX_ENUMERATION_N:
                 raise GraphError(
                     f"corpus source {text!r}: N must be an integer in 1..{MAX_ENUMERATION_N}"
                 )
-            return CorpusSource("exhaustive", max_n=int(arg))
+            return CorpusSource("exhaustive", max_n=max_n)
         return CorpusSource("file", path=text)
 
     def graphs(self) -> Iterator[tuple[str, Graph]]:
@@ -376,21 +379,17 @@ class Beta1Finding:
     girth: float
 
 
-def beta1_search(extra: Iterable[tuple[str, Graph]] = ()) -> list[Beta1Finding]:
+def beta1_search() -> list[Beta1Finding]:
     """Cubic amply regular graphs with beta = 1 whose connectivity drops
     below the degree.
 
-    Always examines the spliced double-Petersen construction (the
-    constructive witness that star-cut rigidity fails at beta = 1) plus
-    any extra (id, graph) pairs, and returns those with lam < d.
+    Examines the spliced double-Petersen construction (the constructive
+    witness that star-cut rigidity fails at beta = 1) and the Petersen
+    graph, and returns those with lam < d.
     """
-    candidates: list[tuple[str, Graph]] = [
-        ("beta1_counterexample", generate("beta1_counterexample")),
-        ("petersen", generate("petersen")),
-    ]
-    candidates.extend(extra)
     findings = []
-    for gid, g in candidates:
+    for gid in ("beta1_counterexample", "petersen"):
+        g = generate(gid)
         reg = detect_regularity(g)
         if not reg.is_amply_regular or reg.beta != 1:
             continue

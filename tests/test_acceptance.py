@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from curvlab.curvature import bakry_emery_curvature, check_cd, graph_curvature, violates_ph
+from curvlab.curvature import bakry_emery_curvature, check_cd, graph_curvature
 from curvlab.cuts import edge_connectivity, classify_min_cuts, min_cut_bruteforce
 from curvlab.enumeration import connected_graphs_upto
 from curvlab.formats import parse_graph6, write_graph6
@@ -144,7 +144,8 @@ def test_criterion_04_duality_and_witness():
             assert holds_below, (name, x)
             holds_above, witness = check_cd(g, x, math.inf, rep.K + 1e-6)
             assert not holds_above, (name, x)
-            assert violates_ph(g, witness, x, rep.K + 1e-6), (name, x)
+            lhs, rhs = ph_sides(g, witness, x, rep.K + 1e-6)
+            assert lhs < rhs, (name, x)
             checked += 1
     report(4, True, f"CD holds at K-1e-6 and witness violates at K+1e-6 on {checked} vertices")
 
@@ -247,7 +248,7 @@ def test_criterion_08_partition_inequality_sampling():
             if not g.adjacency[x]:
                 continue
             K = ks[x]
-            _, bmap = ball(g, x, 2)
+            _, bmap = ball(g, x)
             n1 = bmap.sphere_vertices(1)
             n2 = bmap.sphere_vertices(2)
             for _ in range(1000):

@@ -61,6 +61,12 @@ def test_curvature_infinite_family(capsys):
         ("zxk:3", "0,3", "a pair i,c of integers with 0 <= c < 3"),
         ("zxk:3", "0,-1", "a pair i,c of integers with 0 <= c < 3"),
         ("line", "0,0", "an integer"),
+        # int() reads each of these; a vertex is written in ASCII digits
+        ("petersen", "+3", "an integer in 0..9"),
+        ("petersen", " 3", "an integer in 0..9"),
+        ("petersen", "1_0", "an integer in 0..9"),
+        ("line", "\uff13", "an integer"),
+        ("zxk:3", "0, 1", "a pair i,c of integers with 0 <= c < 3"),
     ],
 )
 def test_curvature_rejects_bad_vertex(capsys, spec, vertex, form):
@@ -168,7 +174,7 @@ def test_check_deterministic_across_runs(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("n", ["0", "-3", "10", "x"])
+@pytest.mark.parametrize("n", ["0", "-3", "10", "x", "+7", "\uff17"])
 def test_check_rejects_bad_exhaustive_bound(capsys, monkeypatch, n):
     def no_enumeration(max_n):
         raise AssertionError("enumerated before validating the source")
@@ -294,6 +300,14 @@ def test_check_rejects_repeated_theorem(capsys):
     assert "theorem id 'T1.1' is given more than once" in err
 
 
+@pytest.mark.parametrize("theorems", ["", "T1.1,,T1.3"])
+def test_check_rejects_empty_theorem_id(capsys, theorems):
+    argv = ("check", "--source", "exhaustive:2", "--theorems", theorems)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT and out == ""
+    assert "unknown theorem id ''" in err
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "connectivity", "no_such_file.g6")
     assert code == EXIT_INPUT
@@ -320,6 +334,8 @@ def test_matching_reads_only_first_graph_of_file(capsys, tmp_path):
         ("check", "--source", "exhaustive:3", "--parallelism", "2"),
         ("check", "--source", "exhaustive:3", "--seed", "1"),
         ("no-such-command",),
+        ("conjecture", "--max-n", "+3"),  # int() reads these two
+        ("conjecture", "--max-n", "\uff13"),
     ],
 )
 def test_usage_error_exits_3(capsys, argv):

@@ -16,7 +16,6 @@ from curvlab.curvature import (
     graph_curvature,
     min_eigenpair,
     schur_reduce,
-    violates_ph,
 )
 from curvlab.enumeration import connected_graphs_upto
 from curvlab.graph import ball, from_edge_list
@@ -79,7 +78,7 @@ def test_form_matches_gamma2_and_polarization(corpus):
     cases.append((line_times_complete(3), (0, 0)))
     for o, x in cases:
         q = curvature_form(o, x)
-        _, bmap = ball(o, x, 2)
+        _, bmap = ball(o, x)
         assert q.basis == bmap.vertices[1:]
         polarized = _polarized_gamma2(o, x, q.basis, bmap.vertices)
         assert np.array_equal(q.matrix, polarized), (x, q.matrix, polarized)
@@ -233,7 +232,7 @@ def test_graph_curvature_bitwise_equals_per_vertex_path(corpus, monkeypatch, bat
 def _ball_kernel_form(o, x, N):
     """The kernel's reduced form at x, read off the blocks of its 2-ball as
     `bakry_emery_curvature` reads them."""
-    bg, _ = ball(o, x, 2)
+    bg, _ = ball(o, x)
     adj = curvature._adjacency(bg)
     k = len(bg.adjacency[0])
     a11, a12 = adj[1 : k + 1, 1 : k + 1], adj[1 : k + 1, k + 1 :]
@@ -291,7 +290,7 @@ def test_witness_properties(corpus):
         g = corpus[name]
         for x in range(g.n):
             rep = bakry_emery_curvature(g, x)
-            _, bmap = ball(g, x, 2)
+            _, bmap = ball(g, x)
             assert set(rep.witness) == set(bmap.vertices)
             assert any(abs(t) > 1e-9 for t in rep.witness.values())
             # witness attains the curvature: Gamma_2 = K Gamma exactly
@@ -307,7 +306,8 @@ def test_duality_at_every_corpus_vertex(corpus):
             assert holds, (name, x)
             holds, witness = check_cd(g, x, math.inf, rep.K + 1e-6)
             assert not holds, (name, x)
-            assert violates_ph(g, witness, x, rep.K + 1e-6), (name, x)
+            lhs, rhs = ph_sides(g, witness, x, rep.K + 1e-6)
+            assert lhs < rhs, (name, x)
 
 
 def test_check_cd_far_below_curvature():
@@ -334,9 +334,10 @@ def test_check_cd_modes_agree():
 def test_bisection_matches_eigensolver(corpus):
     for name, g in sorted(corpus.items()):
         for x in range(g.n):
-            direct = bakry_emery_curvature(g, x).K
-            bisected = bakry_emery_curvature_bisect(g, x, tol=1e-9)
-            assert abs(direct - bisected) <= 1e-7, (name, x)
+            for N in (math.inf, 3.0):
+                direct = bakry_emery_curvature(g, x, N).K
+                bisected = bakry_emery_curvature_bisect(g, x, N, tol=1e-9)
+                assert abs(direct - bisected) <= 1e-7, (name, x, N)
 
 
 def test_monotone_in_dimension():
@@ -368,7 +369,7 @@ def test_locality_second_sphere_edges_irrelevant():
         if not g.adjacency[x]:
             continue
         whole = bakry_emery_curvature(g, x).K
-        bg, bmap = ball(g, x, 2)
+        bg, bmap = ball(g, x)
         local = bakry_emery_curvature(bg, 0).K
         assert whole == pytest.approx(local, abs=1e-9)
         # adding or removing sphere-2 internal edges changes nothing

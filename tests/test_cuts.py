@@ -147,6 +147,10 @@ def test_restricted_vs_bruteforce_random():
     rng = random.Random(202)
     for _ in range(400):
         g = random_graph(rng, rng.randint(4, 9), rng.choice([0.15, 0.35, 0.55, 0.8]))
+        if not is_connected(g):
+            with pytest.raises(GraphError, match="requires a connected graph"):
+                restricted_edge_connectivity(g)
+            continue
         lam_r, cert = restricted_edge_connectivity(g)
         expected = brute_restricted(g)
         assert lam_r == expected, (g.adjacency, lam_r, expected)
@@ -226,7 +230,10 @@ def test_max_flow_vs_bruteforce_set_cut():
 def test_restricted_below_bound_exhaustive():
     connected = [g for _, g in connected_graphs_upto(7) if g.n >= 4]
     disconnected = [g for n in (4, 5, 6) for g in all_graphs(n) if not is_connected(g)]
-    for g in connected + disconnected:
+    for g in disconnected:
+        with pytest.raises(GraphError, match="requires a connected graph"):
+            restricted_edge_connectivity(g, below=edge_connectivity(g)[0] + 1)
+    for g in connected:
         lam_r, cert = restricted_edge_connectivity(g)
         lam = edge_connectivity(g)[0]
         for below in (lam, lam + 1, math.inf):

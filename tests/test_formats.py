@@ -11,7 +11,7 @@ from curvlab.formats import (
     write_edge_list,
     write_graph6,
 )
-from curvlab.generators import complete_graph, cycle_graph, petersen
+from curvlab.generators import complete_graph, petersen
 from curvlab.graph import from_edge_list
 from conftest import random_graph
 
@@ -163,14 +163,13 @@ def test_edge_list_malformed():
             r"line 2: non-integer token '\xff' in edge list",
         ),
         ("3 1\n0 \u00e9", r"line 2: non-integer token '\xc3\xa9' in edge list"),
+        # int() reads each of these; an integer is -?[0-9]+ in ASCII
+        ("3 1\n0 +1", "line 2: non-integer token '+1' in edge list"),
+        ("3 1\n0 1_0", "line 2: non-integer token '1_0' in edge list"),
+        ("3 1\n0 \uff13", r"line 2: non-integer token '\xef\xbc\x93' in edge list"),
     ],
 )
 def test_edge_list_errors_name_the_fault(text, message):
     with pytest.raises(FormatError) as err:
         parse_edge_list(text)
     assert str(err.value) == message
-
-
-def test_write_cap():
-    with pytest.raises(FormatError):
-        write_graph6(cycle_graph(10), max_vertices=5)

@@ -117,6 +117,9 @@ def test_spec_parsing_errors():
         parse_family_spec("hypercube:0")
     with pytest.raises(GraphError):
         parse_family_spec("hypercube:a")
+    for text in ("hypercube:+3", "hypercube:1_0", "hypercube:\uff13", "paley: 13"):
+        with pytest.raises(GraphError, match="bad parameters"):
+            parse_family_spec(text)  # int() reads each parameter
     with pytest.raises(GraphError):
         parse_family_spec("petersen:3")  # takes no parameters
     with pytest.raises(GraphError, match="unknown graph family 'cartesian_product'"):

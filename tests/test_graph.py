@@ -84,7 +84,7 @@ def test_girth_of_forest_is_infinite():
 
 
 def test_ball_integer_line():
-    g, bmap = ball(integer_line(), 0, 2)
+    g, bmap = ball(integer_line(), 0)
     assert g.n == 5
     assert bmap.vertices == (0, -1, 1, -2, 2)
     assert bmap.sphere == (0, 1, 1, 2, 2)
@@ -94,20 +94,14 @@ def test_ball_integer_line():
     assert g.m == 4
 
 
-def test_ball_radius_one():
-    g, bmap = ball(integer_line(), 5, 1)
-    assert bmap.vertices == (5, 4, 6)
-    assert g.m == 2
-
-
 def test_ball_petersen_covers_graph():
     p = petersen()
-    g, bmap = ball(p, 0, 2)
+    g, bmap = ball(p, 0)
     assert g.n == 10  # diameter 2
 
 
 def test_ball_complete_has_empty_second_sphere():
-    g, bmap = ball(complete_graph(5), 2, 2)
+    g, bmap = ball(complete_graph(5), 2)
     assert g.n == 5
     assert bmap.sphere_vertices(2) == ()
 
@@ -117,15 +111,14 @@ def test_ball_matches_induced_subgraph():
     for _ in range(50):
         g = random_graph(rng, rng.randint(2, 10), 0.4)
         x = rng.randrange(g.n)
-        bg, bmap = ball(g, x, 2)
+        bg, bmap = ball(g, x)
         expected = induced_subgraph(g, list(bmap.vertices))
         assert bg == expected
-    # every vertex and both radii of the connected graphs with n <= 6
+    # every vertex of the connected graphs with n <= 6
     for _, g in connected_graphs_upto(6):
         for x in range(g.n):
-            for r in (1, 2):
-                bg, bmap = ball(g, x, r)
-                assert bg == induced_subgraph(g, list(bmap.vertices)), (g.adjacency, x, r)
+            bg, bmap = ball(g, x)
+            assert bg == induced_subgraph(g, list(bmap.vertices)), (g.adjacency, x)
 
 
 def test_ball_reads_oracle_adjacency():
@@ -133,19 +126,13 @@ def test_ball_reads_oracle_adjacency():
     for o, x in [(integer_line(), -3)] + [
         (line_times_complete(k), (2, k - 1)) for k in range(1, 5)
     ]:
-        for r in (1, 2):
-            bg, bmap = ball(o, x, r)
-            vs = bmap.vertices
-            expected = {
-                (i, j) for i, v in enumerate(vs) for j, w in enumerate(vs) if w in o.neighbors(v)
-            }
-            assert {(i, j) for i in range(bg.n) for j in bg.adjacency[i]} == expected
-            assert all(list(row) == sorted(row) for row in bg.adjacency)
-
-
-def test_ball_rejects_other_radii():
-    with pytest.raises(GraphError):
-        ball(integer_line(), 0, 3)
+        bg, bmap = ball(o, x)
+        vs = bmap.vertices
+        expected = {
+            (i, j) for i, v in enumerate(vs) for j, w in enumerate(vs) if w in o.neighbors(v)
+        }
+        assert {(i, j) for i in range(bg.n) for j in bg.adjacency[i]} == expected
+        assert all(list(row) == sorted(row) for row in bg.adjacency)
 
 
 def test_cartesian_product_degrees():

@@ -1,15 +1,25 @@
 """Source hygiene checks that need no linter: every imported name is used,
-and the package imports nothing but the standard library and numpy."""
+the package imports nothing but the standard library and numpy, every
+function, class and method of the package is named somewhere, and every
+defaulted parameter of the package is passed by some call."""
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "curvlab").glob("*.py"))
 CHECKED = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# every file that may name or call the package's functions, except this one,
+# whose self-tests spell out names of their own
+CALLERS = [
+    path
+    for path in CHECKED + sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("bench/*.py"))
+    if path != Path(__file__).resolve()
+]
 # networkx, scipy, sympy, hypothesis and pytest serve the tests and the
 # benchmark only
 RUNTIME_DEPENDENCIES = sys.stdlib_module_names | {"numpy"}
@@ -87,3 +97,136 @@ def test_package_imports_only_stdlib_and_numpy():
         for lineno, name in foreign_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+# a string that spells a name or a dotted path, such as a `WRAPS` entry in
+# bench/tracing.py or a monkeypatch target
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+# a dataclass or an object runs these itself
+IMPLICIT = {"__init__", "__post_init__"}
+
+
+def _definitions(tree: ast.AST, owner: ast.ClassDef | None = None):
+    """(node, the class it is defined in or None) of every function and class
+    in a tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, owner
+        yield from _definitions(node, node if isinstance(node, ast.ClassDef) else None)
+
+
+def names_used(source: str) -> set[str]:
+    """Every name the source reads, every attribute it takes and every part
+    of a string that spells a dotted name; imports and definitions only bind."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                used.update(node.value.split("."))
+    return used
+
+
+def unnamed_definitions(source: str, used: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of every function, class and method of the source whose
+    name is not in `used`; `IMPLICIT` methods are exempt."""
+    return [
+        (node.lineno, node.name)
+        for node, _ in _definitions(ast.parse(source))
+        if node.name not in used and node.name not in IMPLICIT
+    ]
+
+
+def test_unnamed_definitions_are_found():
+    source = (
+        "class A:\n    def __init__(self):\n        pass\n    def __str__(self):\n"
+        "        return 'a'\n    def run(self):\n        return helper()\n"
+        "def helper():\n    return 1\ndef spare():\n    return 2\n"
+    )
+    used = names_used(source + "A().run()\n")
+    assert unnamed_definitions(source, used) == [(4, "__str__"), (10, "spare")]
+    assert unnamed_definitions(source, used | names_used("x = ('m.spare', '__str__')\n")) == []
+    assert "spare" not in names_used("'spare is unused'\n")
+
+
+def test_every_definition_is_named():
+    used = set().union(*(names_used(path.read_text(encoding="utf-8")) for path in CALLERS))
+    unnamed = [
+        f"{path.relative_to(ROOT)}:{lineno}: {name}"
+        for path in PACKAGE
+        for lineno, name in unnamed_definitions(path.read_text(encoding="utf-8"), used)
+    ]
+    assert unnamed == []
+
+
+def calls(source: str) -> list[tuple[str, int, set[str] | None]]:
+    """(callee name, positional argument count, keyword names) of every call
+    in the source; the keywords are None when the call unpacks * or **."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        unpacks = any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        )
+        found.append((name, len(node.args), None if unpacks else {k.arg for k in node.keywords}))
+    return found
+
+
+def unpassed_defaults(source: str, all_calls) -> list[tuple[int, str]]:
+    """(line, "function(parameter)") of every defaulted parameter of a function
+    or method of the source that none of `all_calls` passes, by position or by
+    keyword.  Calls are matched by name, a constructor by its class's name,
+    so two functions of one name share their calls; the `self` of a method
+    that is not static is not counted among the positions."""
+    found = []
+    for node, owner in _definitions(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        bound = owner is not None and not static
+        callee = owner.name if bound and node.name == "__init__" else node.name
+        positional = [a.arg for a in node.args.posonlyargs + node.args.args][bound:]
+        first = len(positional) - len(node.args.defaults)
+        defaulted = [(i, positional[i]) for i in range(first, len(positional))] + [
+            (None, a.arg)
+            for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+            if d is not None
+        ]
+        mine = [(npos, kws) for name, npos, kws in all_calls if name == callee]
+        for index, arg in defaulted:
+            if not any(
+                kws is None or arg in kws or (index is not None and npos > index)
+                for npos, kws in mine
+            ):
+                found.append((node.lineno, f"{node.name}({arg})"))
+    return found
+
+
+def test_unpassed_defaults_are_found():
+    source = (
+        "def f(a, b=1, c=2, *, d=3):\n    return a\n"
+        "class A:\n    def __init__(self, y=0):\n        pass\n"
+        "    def m(self, x=0):\n        return x\n"
+        "    @staticmethod\n    def s(z=0):\n        return z\n"
+    )
+    found = unpassed_defaults(source, calls(source + "f(1, 2)\nA().m()\nA.s()\n"))
+    assert found == [(1, "f(c)"), (1, "f(d)"), (4, "__init__(y)"), (6, "m(x)"), (9, "s(z)")]
+    calls_all = calls("f(0, 0, d=1, c=2)\nA(1).m(1)\nA.s(1)\n")
+    assert unpassed_defaults(source, calls_all) == []
+    assert unpassed_defaults(source, calls("f(*args)\nA(**kw).m(*a)\nA.s(**kw)\n")) == []
+
+
+def test_every_default_is_passed():
+    all_calls = [c for path in CALLERS for c in calls(path.read_text(encoding="utf-8"))]
+    unpassed = [
+        f"{path.relative_to(ROOT)}:{lineno}: {name}"
+        for path in PACKAGE
+        for lineno, name in unpassed_defaults(path.read_text(encoding="utf-8"), all_calls)
+    ]
+    assert unpassed == []

@@ -10,7 +10,7 @@ from conftest import random_graph
 
 def fn_on_ball(g, x, values=None, rng=None):
     """A function on the 2-ball of x: given values, or random in [-2, 2]."""
-    _, bmap = ball(g, x, 2)
+    _, bmap = ball(g, x)
     if values is not None:
         return {v: values[i] for i, v in enumerate(bmap.vertices)}, bmap
     return {v: rng.uniform(-2, 2) for v in bmap.vertices}, bmap

@@ -199,7 +199,7 @@ def test_induced_diamond_semantics():
 
 def test_lemma1_gap_c4_hand_value():
     g = cycle_graph(4)
-    _, bmap = ball(g, 0, 2)
+    _, bmap = ball(g, 0)
     X = frozenset(bmap.sphere_vertices(1))
     A = frozenset(bmap.sphere_vertices(2))
     assert lemma1_gap(g, bmap, X, A, 1.0, 2.0) == pytest.approx(0.0, abs=1e-12)
@@ -207,7 +207,7 @@ def test_lemma1_gap_c4_hand_value():
 
 def test_lemma1_gap_rejects_bad_partition():
     g = cycle_graph(4)
-    _, bmap = ball(g, 0, 2)
+    _, bmap = ball(g, 0)
     with pytest.raises(GraphError):
         lemma1_gap(g, bmap, frozenset({2}), frozenset(), 0.0, 0.0)
     with pytest.raises(GraphError):
@@ -220,7 +220,7 @@ def test_partition_gaps_reject_isolated_center():
     g = from_edge_list(3, [(0, 1)])
     K = graph_curvature(g)[1][2]
     assert K == math.inf
-    _, bmap = ball(g, 2, 2)
+    _, bmap = ball(g, 2)
     with pytest.raises(GraphError, match="isolated"):
         lemma1_gap(g, bmap, frozenset(), frozenset(), 0.5, K)
     # the class of a triangle gets past corollary2_gap's edge-regularity check
@@ -234,7 +234,7 @@ def test_lemma1_empty_x_matches_direct_recount():
     # recount every term independently
     g = petersen()
     x = 0
-    _, bmap = ball(g, x, 2)
+    _, bmap = ball(g, x)
     n1 = set(bmap.sphere_vertices(1))
     n2 = set(bmap.sphere_vertices(2))
     A = frozenset(sorted(n2)[:3])
@@ -265,7 +265,7 @@ def test_lemma1_nonnegative_at_curvature(corpus):
             if not g.adjacency[x]:
                 continue
             K = ks[x]
-            _, bmap = ball(g, x, 2)
+            _, bmap = ball(g, x)
             n1 = bmap.sphere_vertices(1)
             n2 = bmap.sphere_vertices(2)
             for _ in range(60):
@@ -281,7 +281,7 @@ def test_lemma1_nonnegative_at_curvature(corpus):
 def test_corollary2_gap_examples():
     g = cycle_graph(4)
     reg = detect_regularity(g)
-    _, bmap = ball(g, 0, 2)
+    _, bmap = ball(g, 0)
     n1 = bmap.sphere_vertices(1)
     n2 = bmap.sphere_vertices(2)
     # X empty: LHS counts only e(Xb, A) >= 0 and RHS vanishes
@@ -295,7 +295,7 @@ def test_corollary2_gap_examples():
 
 def test_corollary2_rejects_irregular():
     g = path_graph(4)
-    _, bmap = ball(g, 1, 2)
+    _, bmap = ball(g, 1)
     with pytest.raises(GraphError):
         corollary2_gap(g, bmap, detect_regularity(g), frozenset(), frozenset(), 0.0)
 
@@ -306,7 +306,7 @@ def test_corollary2_nonnegative_at_curvature_petersen():
     assert K == pytest.approx(-1.0, abs=1e-8)
     reg = detect_regularity(g)
     rng = random.Random(77)
-    _, bmap = ball(g, 0, 2)
+    _, bmap = ball(g, 0)
     n1 = bmap.sphere_vertices(1)
     n2 = bmap.sphere_vertices(2)
     for _ in range(1000):
@@ -334,7 +334,7 @@ def test_partition_gaps_exhaustive_on_small_spheres():
         reg = detect_regularity(g)
         _, ks = graph_curvature(g)
         for x in range(g.n):
-            _, bmap = ball(g, x, 2)
+            _, bmap = ball(g, x)
             n1 = bmap.sphere_vertices(1)
             n2 = bmap.sphere_vertices(2)
             if len(n1) + len(n2) > 10:

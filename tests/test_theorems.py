@@ -7,7 +7,6 @@ from curvlab import curvature, cuts, graph, regularity, theorems
 from curvlab.enumeration import connected_graphs_upto
 from curvlab.formats import FormatError, write_graph6
 from curvlab.generators import (
-    beta1_counterexample,
     cycle_graph,
     hypercube,
     path_graph,
@@ -292,20 +291,10 @@ def test_conjecture_scan_cap():
 
 
 def test_beta1_search_finds_splice():
+    # petersen is amply (3,0,1) but lambda = 3 = d: not a finding
     findings = beta1_search()
     assert len(findings) == 1
     f = findings[0]
     assert f.graph_id == "beta1_counterexample"
     assert (f.d, f.alpha, f.beta, f.lam) == (3, 0, 1, 2)
     assert f.girth == 5
-
-
-def test_beta1_search_skips_petersen_and_extras():
-    # petersen is amply (3,0,1) but lambda = 3 = d: not a finding;
-    # C5 is not cubic amply with beta 1 in the required sense either
-    findings = beta1_search(extra=[("C5", cycle_graph(5))])
-    assert all(f.graph_id != "petersen" for f in findings)
-    assert all(f.graph_id != "C5" for f in findings)
-    # a second splice passed as an extra is found
-    findings = beta1_search(extra=[("splice2", beta1_counterexample())])
-    assert {f.graph_id for f in findings} == {"beta1_counterexample", "splice2"}
