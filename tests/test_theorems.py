@@ -291,10 +291,18 @@ def test_conjecture_scan_cap():
 
 
 def test_beta1_search_finds_splice():
-    # petersen is amply (3,0,1) but lambda = 3 = d: not a finding
     findings = beta1_search()
     assert len(findings) == 1
     f = findings[0]
     assert f.graph_id == "beta1_counterexample"
     assert (f.d, f.alpha, f.beta, f.lam) == (3, 0, 1, 2)
     assert f.girth == 5
+
+
+def test_beta1_search_skips_petersen_and_extras():
+    # petersen is amply (3,0,1) but lambda = 3 = d: examined, not a finding
+    g = petersen()
+    reg = regularity.detect_regularity(g)
+    assert reg.is_amply_regular and (reg.d, reg.alpha, reg.beta) == (3, 0, 1)
+    assert cuts.edge_connectivity(g)[0] == 3
+    assert all(f.graph_id != "petersen" for f in beta1_search())
