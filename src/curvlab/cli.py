@@ -17,7 +17,7 @@ import sys
 
 from .curvature import bakry_emery_curvature, graph_curvature
 from .cuts import classify_min_cuts, edge_connectivity
-from .formats import FormatError, parse_edge_list, parse_graph6, parse_integer
+from .formats import FormatError, parse_edge_list, parse_graph6, parse_integer, parse_real
 from .generators import generate, parse_family_spec
 from .graph import Graph, GraphError, NeighborOracle
 from .matching import maximum_matching
@@ -78,7 +78,7 @@ def _print_json(payload) -> None:
 
 def cmd_curvature(args) -> int:
     g = _load_graph_spec(args.graph)
-    dim = math.inf if args.dimension in (None, "inf") else float(args.dimension)
+    dim = args.dimension
     if isinstance(g, Graph) and args.vertex is None:
         kmin, ks = graph_curvature(g, dim)
         _print_json(
@@ -195,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curvature", help="vertex or whole-graph curvature")
     p.add_argument("graph")
     p.add_argument("--vertex", help="vertex id: 0..n-1, an integer for line, i,c for zxk:k")
-    p.add_argument("--dimension", help="dimension parameter N (default inf)")
+    p.add_argument(
+        "--dimension", type=parse_real, default=math.inf, help="dimension parameter N (default inf)"
+    )
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("connectivity", help="edge connectivity with certificate")

@@ -15,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, connected_components, is_connected
+from .graph import Graph, GraphError, is_connected, reachable
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,15 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate | None]:
     """Global minimum cut value with an achieving certificate.
 
     Single-vertex graphs return 0 with no certificate (no bipartition
-    exists); disconnected graphs return 0 with a component as side_L.
+    exists); disconnected graphs return 0 with vertex 0's component as side_L.
     """
     if g.n == 0:
         raise GraphError("edge connectivity of the empty graph is undefined")
     if g.n == 1:
         return 0, None
-    if not is_connected(g):
-        return 0, _certificate(g, set(connected_components(g)[0]))
+    component = reachable(g, 0)
+    if len(component) < g.n:
+        return 0, _certificate(g, component)
     # Stoer-Wagner with unit weights; supernodes carry their merged members.
     members = {v: [v] for v in range(g.n)}
     weight = {v: dict.fromkeys(g.adjacency[v], 1) for v in range(g.n)}
@@ -211,14 +212,14 @@ class CutClassification:
     witness: CutCertificate | None
 
 
-def classify_min_cuts(g: Graph, connectivity: tuple | None = None) -> CutClassification:
+def classify_min_cuts(g: Graph, connectivity: tuple) -> CutClassification:
     """Decide whether every minimum cut isolates a single vertex.
 
     For n <= 3 every bipartition has a singleton side, so the answer is
     trivially yes.  Otherwise star cuts are optimal iff the connectivity
     equals the minimum degree and no both-sides->=2 partition matches it;
     the witness is a non-star minimum cut whenever one exists.
-    `connectivity` is g's `edge_connectivity` result when already known.
+    `connectivity` is g's `edge_connectivity` result.
     """
     if g.n < 2:
         raise GraphError("cut classification needs at least two vertices")
@@ -226,7 +227,7 @@ def classify_min_cuts(g: Graph, connectivity: tuple | None = None) -> CutClassif
         raise GraphError("cut classification requires a connected graph")
     if g.n <= 3:
         return CutClassification(True, None)
-    lam, cert = edge_connectivity(g) if connectivity is None else connectivity
+    lam, cert = connectivity
     delta = min(g.degree(v) for v in range(g.n))
     if lam < delta:
         # certificate cannot be a star: a singleton side would cost >= delta

@@ -29,6 +29,15 @@ def parse_integer(token: str) -> int:
     return int(token)
 
 
+def parse_real(token: str) -> float:
+    """A real number read from input: `inf`, `nan` or an ASCII decimal such
+    as `2`, `-2.5` or `1e3`; float() alone would also read '+2', '1_0',
+    ' 2', 'Infinity' and non-ASCII digits."""
+    if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|inf|nan", token):
+        raise FormatError(f"not a real number: {token!r}")
+    return float(token)
+
+
 def _decode_size(data: bytes, pos: int) -> tuple[int, int]:
     """Decode the N(n) size prefix, returning (n, next position)."""
     if pos >= len(data):

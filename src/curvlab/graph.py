@@ -135,39 +135,21 @@ def ball(o: Graph | NeighborOracle, x: Hashable) -> tuple[Graph, BallMap]:
     return bg, BallMap(tuple(ordered), sphere_tags)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    q = deque([0])
+def reachable(g: Graph, s: int) -> set[int]:
+    """The vertices of s's component, found by breadth-first search."""
+    seen = {s}
+    q = deque([s])
     while q:
         u = q.popleft()
         for v in g.adjacency[u]:
             if v not in seen:
                 seen.add(v)
                 q.append(v)
-    return len(seen) == g.n
+    return seen
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by smallest vertex."""
-    seen: set[int] = set()
-    comps = []
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in g.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    q.append(v)
-        comps.append(sorted(comp))
-    return comps
+def is_connected(g: Graph) -> bool:
+    return g.n == 0 or len(reachable(g, 0)) == g.n
 
 
 def girth(g: Graph) -> float:

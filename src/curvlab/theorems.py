@@ -45,7 +45,6 @@ from .regularity import (
 
 CURVATURE_TOL = 1e-8
 THEOREM_IDS = ("T1.1", "T1.2", "T1.3", "T1.4", "C1.6", "T2.4", "T2.5")
-_CURVATURE_CHECKERS = ("T1.1", "T1.3", "T2.5")  # the checkers that read facts.curvature
 
 # A corpus scan buffers graphs up to this many vertices in all and runs the
 # curvature kernel once on the disjoint union of their connected graphs; a
@@ -75,13 +74,16 @@ class GraphFacts:
     """The per-graph quantities the checkers share, each computed on first
     use and then kept, so a scan computes each at most once per graph.
 
-    A corpus scan fills `curvature` ahead of the checkers, one kernel call
-    per chunk of graphs (`_with_facts`); computed here, it is the same
-    `graph_curvature` call on the graph alone.
+    `chunk` lists the GraphFacts of the graphs buffered with this one
+    (`_with_facts`); the first read of `curvature` on any of them fills it
+    for every connected graph of the chunk with one kernel call.  Without a
+    chunk, or once the chunk has been checked and emptied, the graph is a
+    chunk of one.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, chunk: list[GraphFacts] | None = None):
         self.g = g
+        self.chunk = chunk
 
     @cached_property
     def connected(self) -> bool:
@@ -93,7 +95,8 @@ class GraphFacts:
 
     @cached_property
     def curvature(self) -> tuple[float, tuple[float, ...]]:
-        return graph_curvature(self.g)
+        _fill_curvature([f for f in self.chunk or [self] if f.connected or f is self])
+        return vars(self)["curvature"]
 
     @cached_property
     def connectivity(self) -> tuple[int, CutCertificate | None]:
@@ -231,48 +234,47 @@ class CorpusSource:
             raise GraphError(f"unknown corpus source kind {self.kind!r}")
 
 
-def _with_facts(
-    graphs: Iterable[tuple[str, Graph]], curvature: bool
-) -> Iterator[tuple[str, Graph, GraphFacts]]:
+def _with_facts(graphs: Iterable[tuple[str, Graph]]) -> Iterator[tuple[str, Graph, GraphFacts]]:
     """(gid, g, facts) for each graph, in the order given.
 
-    With `curvature`, graphs are buffered up to `_CHUNK_VERTICES` vertices,
-    and the curvature of a chunk's connected graphs comes from one
-    `graph_curvature` call on their disjoint union.  A 2-ball never leaves
-    its component, so each graph's slice of the union's vertex curvatures is
-    its own, bit for bit, and its minimum is taken in vertex order as
-    `graph_curvature` takes it.
+    Graphs are buffered up to `_CHUNK_VERTICES` vertices, and each one's
+    facts know their chunk, so the first curvature read of a chunk fills
+    the chunk's connected graphs with one kernel call (`_fill_curvature`).
+    A chunk is emptied once the consumer asks past its last graph, which
+    frees its facts without waiting for the cycle collector.
     """
-    if not curvature:
-        for gid, g in graphs:
-            yield gid, g, GraphFacts(g)
-        return
-    chunk: list[tuple[str, Graph, GraphFacts]] = []
+    chunk: list[GraphFacts] = []
+    ids: list[str] = []
     size = 0
     for gid, g in graphs:
         if size + g.n > _CHUNK_VERTICES:
-            _fill_curvature(chunk)
-            yield from chunk
-            chunk, size = [], 0
-        chunk.append((gid, g, GraphFacts(g)))
+            yield from _checked(ids, chunk)
+            chunk, ids, size = [], [], 0
+        chunk.append(GraphFacts(g, chunk))
+        ids.append(gid)
         size += g.n
-    _fill_curvature(chunk)
-    yield from chunk
+    yield from _checked(ids, chunk)
 
 
-def _fill_curvature(chunk: list[tuple[str, Graph, GraphFacts]]) -> None:
-    """Set `curvature` of each connected graph of a chunk from one kernel
-    call on their disjoint union, its vertices numbered graph by graph."""
-    connected = [facts for _, _, facts in chunk if facts.connected]
-    if not connected:
-        return
+def _checked(ids: list[str], chunk: list[GraphFacts]) -> Iterator[tuple[str, Graph, GraphFacts]]:
+    """Yield a chunk's graphs, then empty the list its facts point to."""
+    yield from ((gid, facts.g, facts) for gid, facts in zip(ids, chunk))
+    chunk.clear()
+
+
+def _fill_curvature(members: list[GraphFacts]) -> None:
+    """Set `curvature` of each graph from one `graph_curvature` call on
+    their disjoint union, its vertices numbered graph by graph.  A 2-ball
+    never leaves its component, so each graph's slice of the union's vertex
+    curvatures is its own, bit for bit, and its minimum is taken in vertex
+    order as `graph_curvature` takes it."""
     adjacency: list[tuple[int, ...]] = []
-    for facts in connected:
+    for facts in members:
         offset = len(adjacency)
         adjacency.extend(tuple(w + offset for w in nbrs) for nbrs in facts.g.adjacency)
     _, ks = graph_curvature(Graph(len(adjacency), tuple(adjacency)))
     offset = 0
-    for facts in connected:
+    for facts in members:
         own = ks[offset : offset + facts.g.n]
         facts.curvature = (min(own), own)
         offset += facts.g.n
@@ -297,8 +299,8 @@ def scan(
     """Run checkers over a corpus, graph by graph in corpus order.
 
     The checkers on one graph share one `GraphFacts`, so each per-graph
-    quantity is computed at most once, and when a selected checker reads
-    curvature it is filled for a chunk of graphs at a time (`_with_facts`).
+    quantity is computed at most once, and the first curvature read in a
+    chunk of graphs fills the whole chunk (`_with_facts`).
     """
     for i, tid in enumerate(theorem_ids):
         if tid not in THEOREM_IDS:
@@ -307,8 +309,7 @@ def scan(
             raise GraphError(f"theorem id {tid!r} is given more than once")
     verdicts = []
     total_graphs = 0
-    curvature = any(tid in _CURVATURE_CHECKERS for tid in theorem_ids)
-    for gid, g, facts in _with_facts(source.graphs(), curvature):
+    for gid, g, facts in _with_facts(source.graphs()):
         total_graphs += 1
         verdicts.extend(check_theorem(g, tid, gid, facts) for tid in theorem_ids)
     summary = ScanSummary(
@@ -356,7 +357,7 @@ def conjecture_scan(max_n: int) -> ConjectureReport:
     table: dict[tuple[int, int], int] = {}
     # a single vertex has lambda = 0 by convention: trivial
     graphs = ((gid, g) for gid, g in connected_graphs_upto(max_n) if g.n >= 2)
-    for gid, g, facts in _with_facts(graphs, curvature=True):
+    for gid, g, facts in _with_facts(graphs):
         t13 = check_theorem(g, "T1.3", gid, facts)
         if not t13.applicable:
             continue

@@ -212,12 +212,12 @@ def test_criterion_07_star_cut_rigidity():
         if not (reg.is_amply_regular and reg.beta >= 2):
             continue
         checked += 1
-        lam, _ = edge_connectivity(g)
+        lam, cert = edge_connectivity(g)
         if lam != reg.d:
             failures.append((name, "lambda", lam, reg.d))
             continue
         quadrangle = g.n == 4 and reg.d == 2
-        cls = classify_min_cuts(g)
+        cls = classify_min_cuts(g, (lam, cert))
         if quadrangle:
             # the quadrangle exception: exhibit its non-star minimum cuts
             value, cuts = min_cut_bruteforce(g)

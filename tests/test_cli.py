@@ -89,6 +89,17 @@ def test_curvature_finite_dimension(capsys, tmp_path):
             code, out, err = run_cli(capsys, "curvature", str(path), *vertex, "--dimension", dim)
             assert code == EXIT_INPUT and out == "", (dim, vertex, out)
             assert "dimension parameter must be positive" in err
+    # float() would read each of these; the option takes ASCII decimals, inf and nan
+    for dim in ("1_0", "+2", " 2", "\uff12"):
+        code, out, err = run_cli(capsys, "curvature", "complete:3", "--dimension", dim)
+        assert code == EXIT_INPUT and out == "", dim
+        assert repr(dim) in err
+    for dim, expected in (("-1", None), ("2.5", 2.5), ("1e3", 1000.0), ("inf", "inf")):
+        code, out, err = run_cli(capsys, "curvature", "complete:3", "--dimension", dim)
+        if expected is None:
+            assert code == EXIT_INPUT and "dimension parameter must be positive" in err
+        else:
+            assert code == 0 and json.loads(out)["dimension"] == expected, dim
 
 
 def test_connectivity_with_classification(capsys):

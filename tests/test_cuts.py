@@ -64,8 +64,20 @@ def test_edge_connectivity_trivial_cases():
     assert edge_connectivity(from_edge_list(1, [])) == (0, None)
     with pytest.raises(GraphError):
         edge_connectivity(from_edge_list(0, []))
-    lam, cert = edge_connectivity(from_edge_list(4, [(0, 1), (2, 3)]))
-    assert lam == 0 and cert.verify(from_edge_list(4, [(0, 1), (2, 3)]))
+    # a disconnected graph: lambda 0, cut off by vertex 0's component
+    disconnected = 0
+    for n in range(2, 7):
+        for g in all_graphs(n):
+            reached = {0}
+            while len(grown := reached.union(*(g.adjacency[v] for v in reached))) > len(reached):
+                reached = grown
+            if len(reached) == n:
+                continue
+            disconnected += 1
+            lam, cert = edge_connectivity(g)
+            assert lam == 0 and sorted(cert.side_L) == sorted(reached), g.adjacency
+            assert cert.verify(g)
+    assert disconnected == (2 - 1) + (4 - 2) + (11 - 6) + (34 - 21) + (156 - 112)
 
 
 def test_certificates_verify(corpus):
@@ -167,13 +179,12 @@ def test_restricted_star_graph():
 
 
 def test_classify_examples():
-    cls = classify_min_cuts(cycle_graph(4))
+    cls = classify_min_cuts(cycle_graph(4), edge_connectivity(cycle_graph(4)))
     assert not cls.stars_only
     assert cls.witness is not None and len(cls.witness.side_L) == 2
-    assert classify_min_cuts(complete_graph(4)).stars_only
-    assert classify_min_cuts(hypercube(4)).stars_only
-    assert classify_min_cuts(path_graph(3)).stars_only  # n <= 3 handled directly
-    assert classify_min_cuts(path_graph(2)).stars_only
+    # n <= 3 is handled directly
+    for g in (complete_graph(4), hypercube(4), path_graph(3), path_graph(2)):
+        assert classify_min_cuts(g, edge_connectivity(g)).stars_only
 
 
 def test_classify_agrees_with_enumeration():
@@ -189,7 +200,7 @@ def test_classify_agrees_with_enumeration():
             c for c in cuts if 2 <= len(c.side_L) <= g.n - 2
         ]
         expected = not non_star
-        cls = classify_min_cuts(g)
+        cls = classify_min_cuts(g, edge_connectivity(g))
         assert cls.stars_only == expected, g.adjacency
         if not expected:
             assert cls.witness is not None
@@ -197,17 +208,9 @@ def test_classify_agrees_with_enumeration():
             assert 2 <= len(cls.witness.side_L) <= g.n - 2
 
 
-def test_classify_reuses_given_connectivity():
-    # passing the edge_connectivity result skips that call, with equal answers
-    for _, g in connected_graphs_upto(6):
-        if g.n < 2:
-            continue
-        known = edge_connectivity(g)
-        assert classify_min_cuts(g, known) == classify_min_cuts(g)
-
-
 def test_classify_beta1_splice_has_non_star_cut():
-    cls = classify_min_cuts(beta1_counterexample())
+    g = beta1_counterexample()
+    cls = classify_min_cuts(g, edge_connectivity(g))
     assert not cls.stars_only
     assert cls.witness.value == 2
 
@@ -296,7 +299,9 @@ def test_several_min_cut_pins_are_exhaustive_graphs():
 
 
 def test_classify_witnesses_pinned():
-    witness = classify_min_cuts(beta1_counterexample()).witness
+    g = beta1_counterexample()
+    witness = classify_min_cuts(g, edge_connectivity(g)).witness
     assert (sorted(witness.side_L), witness.cut_edges) == (list(range(10, 20)), ((0, 10), (1, 11)))
-    witness = classify_min_cuts(cycle_graph(4)).witness
+    g = cycle_graph(4)
+    witness = classify_min_cuts(g, edge_connectivity(g)).witness
     assert (sorted(witness.side_L), witness.cut_edges) == ([0, 1], ((0, 3), (1, 2)))

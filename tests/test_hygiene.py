@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every imported name is used,
 the package imports nothing but the standard library and numpy, every
-function, class and method of the package is named somewhere, and every
+function, class and method of the package is named somewhere, every
+module-level name the package assigns is read somewhere, and every
 defaulted parameter of the package is passed by some call."""
 
 from __future__ import annotations
@@ -160,6 +161,58 @@ def test_every_definition_is_named():
         for lineno, name in unnamed_definitions(path.read_text(encoding="utf-8"), used)
     ]
     assert unnamed == []
+
+
+def names_read(source: str) -> set[str]:
+    """Every name and attribute the source reads in load context; a store,
+    a deletion or a string that spells a name is not a read."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_assignments(source: str, read: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of every name a module-level assignment of the source
+    binds that is not in `read`; dunder names such as `__all__` are exempt."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        found += [
+            (node.lineno, name)
+            for name in names
+            if name not in read and not (name.startswith("__") and name.endswith("__"))
+        ]
+    return found
+
+
+def test_unread_assignments_are_found():
+    source = (
+        "__version__ = '1'\nLIMIT = 3\n_SPARE, USED = 1, 2\nTOTAL: int = 0\n"
+        "def f():\n    return USED\nclass A:\n    x = 1\n"
+    )
+    read = names_read(source + "print(m.LIMIT)\nm.TOTAL = 1\ndel m.TOTAL\n")
+    assert unread_assignments(source, read) == [(3, "_SPARE"), (4, "TOTAL")]
+    assert unread_assignments(source, read | names_read("'_SPARE'\nm._SPARE\n")) == [
+        (4, "TOTAL")
+    ]
+
+
+def test_every_assignment_is_read():
+    read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in CALLERS))
+    unread = [
+        f"{path.relative_to(ROOT)}:{lineno}: {name}"
+        for path in PACKAGE
+        for lineno, name in unread_assignments(path.read_text(encoding="utf-8"), read)
+    ]
+    assert unread == []
 
 
 def calls(source: str) -> list[tuple[str, int, set[str] | None]]:

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import numpy as np
@@ -171,9 +172,10 @@ def test_scan_uses_only_the_whole_graph_curvature_kernel(monkeypatch):
 
 
 def _chunked_curvature_matches_per_graph(graphs, monkeypatch):
-    """Fill curvature a chunk at a time and hold every graph's (kmin, ks)
-    byte-equal to graph_curvature on the graph alone; return the vertex
-    counts of the graphs the kernel ran on."""
+    """Read every connected graph's curvature while its chunk is current,
+    as a scan does, and hold its (kmin, ks) byte-equal to graph_curvature on
+    the graph alone; return the vertex counts of the graphs the kernel ran
+    on."""
     runs = []
 
     def counted(g, *args, **kwargs):
@@ -181,17 +183,18 @@ def _chunked_curvature_matches_per_graph(graphs, monkeypatch):
         return curvature.graph_curvature(g, *args, **kwargs)
 
     monkeypatch.setattr(theorems, "graph_curvature", counted)
-    out = list(theorems._with_facts(graphs, curvature=True))
-    assert [(gid, g) for gid, g, _ in out] == graphs  # corpus order
-    for gid, g, facts in out:
+    out = []
+    for gid, g, facts in theorems._with_facts(graphs):
+        out.append((gid, g, facts))
         if not facts.connected:
-            assert "curvature" not in vars(facts), gid  # not in the union
             continue
-        assert "curvature" in vars(facts), gid  # filled before any checker
         kmin, ks = facts.curvature
         ref_kmin, ref_ks = curvature.graph_curvature(g)
         assert np.array(ks).tobytes() == np.array(ref_ks).tobytes(), gid  # signed zeros too
         assert np.array(kmin).tobytes() == np.array(ref_kmin).tobytes(), gid
+    assert [(gid, g) for gid, g, _ in out] == graphs  # corpus order
+    for gid, _, facts in out:
+        assert facts.connected or "curvature" not in vars(facts), gid  # not in the union
     return runs
 
 
@@ -232,6 +235,44 @@ def test_scan_without_curvature_checkers_runs_no_kernel(monkeypatch):
     _, summary = scan(CorpusSource.from_string("exhaustive:5"), ("T1.2", "T1.4", "C1.6", "T2.4"))
     assert summary.clean and summary.checked == 4 * (1 + 1 + 2 + 6 + 21)
     assert calls == []
+
+
+@pytest.mark.parametrize("tid", ("T2.5", "T1.1"))
+def test_scan_with_one_curvature_checker_fills_whole_chunks(tid, corpus, monkeypatch, tmp_path):
+    # the checker reads curvature on few graphs of a chunk; the first read
+    # fills the chunk, so there are fewer kernel calls than applicable
+    # verdicts, and the verdicts are those of the all-checker scan
+    graphs = [g for _, g in connected_graphs_upto(6)] + [g for _, g in sorted(corpus.items())]
+    path = tmp_path / "corpus.g6"
+    path.write_text("".join(write_graph6(g) + "\n" for g in graphs), encoding="ascii")
+    src = CorpusSource.from_string(str(path))
+    everything, _ = scan(src)
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g.n)
+        return curvature.graph_curvature(g, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "graph_curvature", counted)
+    verdicts, summary = scan(src, (tid,))
+    assert summary.total_graphs == len(graphs) and 0 < len(calls) < summary.applicable
+    assert render_json(verdicts) == render_json([v for v in everything if v.theorem == tid])
+
+
+def test_scan_frees_facts_without_the_cycle_collector():
+    # a checked chunk's list is emptied, so it and its facts, which point
+    # to it, do not keep each other alive until a collection
+    def alive():
+        return sum(isinstance(o, theorems.GraphFacts) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        _, summary = scan(CorpusSource.from_string("exhaustive:5"))
+        assert summary.clean and alive() == before
+    finally:
+        gc.enable()
 
 
 def test_scan_file_source(tmp_path):
