@@ -10,19 +10,18 @@ graph (an implementation bug), 3 bad input or a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
 from .curvature import bakry_emery_curvature, graph_curvature
 from .cuts import classify_min_cuts, edge_connectivity
-from .formats import FormatError, parse_edge_list, parse_graph6, parse_integer, parse_real
+from .formats import FormatError, iter_graph6_file, parse_edge_list, parse_integer, parse_real
 from .generators import generate, parse_family_spec
 from .graph import Graph, GraphError, NeighborOracle
 from .matching import maximum_matching
 from .regularity import detect_regularity
-from .reports import _plain, emit_report
+from .reports import emit_report, print_json
 from .theorems import THEOREM_IDS, CorpusSource, beta1_search, conjecture_scan, scan
 
 EXIT_OK = 0
@@ -37,18 +36,15 @@ def _load_graph_spec(text: str) -> Graph | NeighborOracle:
         # a non-ASCII byte survives decoding, so the parser can name its line
         with open(text, "r", encoding="ascii", errors="surrogateescape") as fh:
             content = fh.read()
-        lineno, first = next(
-            ((i, line.strip()) for i, line in enumerate(content.splitlines(), 1) if line.strip()),
-            (0, ""),
-        )
-        if not first:
-            raise FormatError(f"no graphs in {text}")
-        if first[0].isdigit():
+        lines = content.splitlines()
+        # the lines up to the first non-blank one, which holds the graph
+        head = lines[: next((i + 1 for i, line in enumerate(lines) if line.strip()), 0)]
+        if head and head[-1].strip()[0].isdigit():
             return parse_edge_list(content)
-        try:
-            return parse_graph6(first)
-        except GraphError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
+        graphs = iter_graph6_file(head)
+        if not graphs:
+            raise FormatError(f"no graphs in {text}")
+        return graphs[0][1]
     return generate(parse_family_spec(text))
 
 
@@ -72,21 +68,17 @@ def _parse_vertex(text: str | None, g: Graph | NeighborOracle, spec: str):
     return parts[0] if arity == 1 else parts
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(_plain(payload), indent=2, sort_keys=True))
-
-
 def cmd_curvature(args) -> int:
     g = _load_graph_spec(args.graph)
     dim = args.dimension
     if isinstance(g, Graph) and args.vertex is None:
         kmin, ks = graph_curvature(g, dim)
-        _print_json(
+        print_json(
             {"K": kmin, "dimension": dim, "per_vertex": {str(v): K for v, K in enumerate(ks)}}
         )
         return EXIT_OK
     x = _parse_vertex(args.vertex, g, args.graph)
-    _print_json({"vertex": str(x), "K": bakry_emery_curvature(g, x, dim).K, "dimension": dim})
+    print_json({"vertex": str(x), "K": bakry_emery_curvature(g, x, dim).K, "dimension": dim})
     return EXIT_OK
 
 
@@ -100,25 +92,23 @@ def cmd_connectivity(args) -> int:
         else {"side_L": sorted(cert.side_L), "edges": list(cert.cut_edges)},
     }
     if args.classify_cuts:
-        cls = classify_min_cuts(g, (lam, cert))
-        payload["stars_only"] = cls.stars_only
-        payload["non_star_cut"] = (
-            None if cls.witness is None else {"side_L": sorted(cls.witness.side_L)}
-        )
-    _print_json(payload)
+        witness = classify_min_cuts(g, (lam, cert))
+        payload["stars_only"] = witness is None
+        payload["non_star_cut"] = None if witness is None else {"side_L": sorted(witness.side_L)}
+    print_json(payload)
     return EXIT_OK
 
 
 def cmd_matching(args) -> int:
     g = _require_finite(_load_graph_spec(args.graph))
     m = maximum_matching(g)
-    _print_json({"size": m.size, "perfect": m.is_perfect, "edges": list(m.edges)})
+    print_json({"size": m.size, "perfect": m.is_perfect, "edges": list(m.edges)})
     return EXIT_OK
 
 
 def cmd_regularity(args) -> int:
     g = _require_finite(_load_graph_spec(args.graph))
-    _print_json(detect_regularity(g))
+    print_json(detect_regularity(g))
     return EXIT_OK
 
 
@@ -145,7 +135,7 @@ def cmd_conjecture(args) -> int:
     table = {
         f"delta={d},lambda={l}": c for (d, l), c in sorted(report.table.items())
     }
-    _print_json(
+    print_json(
         {
             "max_n": report.max_n,
             "nonnegative_curvature_graphs": len(report.rows),
@@ -162,7 +152,7 @@ def cmd_conjecture(args) -> int:
 def cmd_beta1(args) -> int:
     del args
     findings = beta1_search()
-    _print_json(
+    print_json(
         [
             {
                 "graph": f.graph_id,

@@ -133,11 +133,10 @@ def bakry_emery_curvature(
     empty constraint set).
     """
     _check_dimension(N)
-    bg, bmap = ball(o, x)
-    k = len(bg.adjacency[0])
+    adj, bmap = ball(o, x)
+    k = bmap.sphere.count(1)
     if k == 0:
         return CurvatureReport(math.inf, None)
-    adj = _adjacency(bg)
     a11, a12 = adj[1 : k + 1, 1 : k + 1], adj[1 : k + 1, k + 1 :]  # centre, sphere 1, sphere 2
     q11 = _stacked_sphere1_forms(a11[None], a12.sum(1)[None], N)
     lam, vec = min_eigenpair(_stacked_schur(q11, a12[None])[0])
@@ -240,14 +239,14 @@ def curvature_form(o: Graph | NeighborOracle, x: Hashable) -> QuadraticForm:
     Q[i][j] = (Gamma_2(e_i + e_j)(x) - Gamma_2(e_i)(x) - Gamma_2(e_j)(x)) / 2
     of `gamma2_at` on indicators e_i of the basis vertices.
     """
-    bg, bmap = ball(o, x)
+    adj, bmap = ball(o, x)
     k = bmap.sphere.count(1)
     if k == 0:
         raise FormError(f"vertex {x!r} is isolated; no curvature form exists")
-    a = _adjacency(bg).astype(float)
+    a = adj.astype(float)
     a11 = a[1 : k + 1, 1 : k + 1]
     a12 = a[1 : k + 1, k + 1 :]
-    q = np.empty((bg.n - 1, bg.n - 1))
+    q = np.empty((len(a) - 1, len(a) - 1))
     q[:k, :k] = np.diag(a11.sum(1) + 0.75 * a12.sum(1) - (k - 3) / 4.0) - a11 + 0.5
     q[:k, k:] = 0.0 - a12 / 2.0  # not -a12 / 2.0, which writes -0.0 for non-edges
     q[k:, :k] = q[:k, k:].T

@@ -206,19 +206,13 @@ def restricted_edge_connectivity(g: Graph, below=math.inf) -> tuple[float, CutCe
     return int(best), _certificate(g, best_side)
 
 
-@dataclass(frozen=True)
-class CutClassification:
-    stars_only: bool
-    witness: CutCertificate | None
+def classify_min_cuts(g: Graph, connectivity: tuple) -> CutCertificate | None:
+    """A minimum cut with both sides of size at least two, or None when
+    every minimum cut isolates a single vertex.
 
-
-def classify_min_cuts(g: Graph, connectivity: tuple) -> CutClassification:
-    """Decide whether every minimum cut isolates a single vertex.
-
-    For n <= 3 every bipartition has a singleton side, so the answer is
-    trivially yes.  Otherwise star cuts are optimal iff the connectivity
-    equals the minimum degree and no both-sides->=2 partition matches it;
-    the witness is a non-star minimum cut whenever one exists.
+    For n <= 3 every bipartition has a singleton side, so there is none.
+    Otherwise star cuts are the only minimum cuts iff the connectivity
+    equals the minimum degree and no both-sides->=2 partition matches it.
     `connectivity` is g's `edge_connectivity` result.
     """
     if g.n < 2:
@@ -226,14 +220,12 @@ def classify_min_cuts(g: Graph, connectivity: tuple) -> CutClassification:
     if not is_connected(g):
         raise GraphError("cut classification requires a connected graph")
     if g.n <= 3:
-        return CutClassification(True, None)
+        return None
     lam, cert = connectivity
     delta = min(g.degree(v) for v in range(g.n))
     if lam < delta:
         # certificate cannot be a star: a singleton side would cost >= delta
-        return CutClassification(False, cert)
-    # lam_r >= lam always, so only a restricted cut of value lam matters
-    lam_r, cert_r = restricted_edge_connectivity(g, below=lam + 1)
-    if lam_r <= lam:
-        return CutClassification(False, cert_r)
-    return CutClassification(True, None)
+        return cert
+    # lam_r >= lam always, so only a restricted cut of value lam matters;
+    # the bound turns any larger one into None
+    return restricted_edge_connectivity(g, below=lam + 1)[1]

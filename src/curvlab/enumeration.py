@@ -69,39 +69,41 @@ def _match(g: Graph, cg: list[int], h: Graph, ch: list[int]) -> bool:
     targets: dict[int, list[int]] = {}
     for v in range(h.n):
         targets.setdefault(ch[v], []).append(v)
+    return _extend(0, order, g, cg, h, targets, {}, [False] * h.n)
 
-    mapping: dict[int, int] = {}
-    used = [False] * h.n
 
-    def extend(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        for w in targets.get(cg[v], ()):
-            if used[w]:
-                continue
-            ok = True
-            for u in g.adjacency[v]:
-                if u in mapping and not h.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                # forward checks put mapped neighbors of v inside N(w); equal
-                # counts then force non-edges to map to non-edges as well
-                mapped_nbrs = sum(1 for u in g.adjacency[v] if u in mapping)
-                back_nbrs = sum(1 for u2 in h.adjacency[w] if used[u2])
-                if mapped_nbrs != back_nbrs:
-                    ok = False
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used[w] = False
-        return False
-
-    return extend(0)
+def _extend(
+    i: int, order: list[int], g: Graph, cg: list[int], h: Graph,
+    targets: dict[int, list[int]], mapping: dict[int, int], used: list[bool],
+) -> bool:
+    """Extend the partial isomorphism `mapping` of order[:i] to all of g; a
+    module-level recursion, so a search leaves no reference cycle behind."""
+    if i == g.n:
+        return True
+    v = order[i]
+    for w in targets.get(cg[v], ()):
+        if used[w]:
+            continue
+        ok = True
+        for u in g.adjacency[v]:
+            if u in mapping and not h.has_edge(w, mapping[u]):
+                ok = False
+                break
+        if ok:
+            # forward checks put mapped neighbors of v inside N(w); equal
+            # counts then force non-edges to map to non-edges as well
+            mapped_nbrs = sum(1 for u in g.adjacency[v] if u in mapping)
+            back_nbrs = sum(1 for u2 in h.adjacency[w] if used[u2])
+            if mapped_nbrs != back_nbrs:
+                ok = False
+        if ok:
+            mapping[v] = w
+            used[w] = True
+            if _extend(i + 1, order, g, cg, h, targets, mapping, used):
+                return True
+            del mapping[v]
+            used[w] = False
+    return False
 
 
 def _extensions(g: Graph) -> list[Graph]:

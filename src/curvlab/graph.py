@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
+import numpy as np
+
 
 class GraphError(ValueError):
     """Raised for malformed graph constructions or out-of-contract queries."""
@@ -100,9 +102,10 @@ class NeighborOracle:
 class BallMap:
     """Vertex bookkeeping for an extracted ball.
 
-    `vertices[i]` is the original identifier of ball-graph index i and
-    `sphere[i]` its distance from the center (0, 1, or 2).  Index 0 is the
-    center, sphere-1 vertices follow in sorted order, then sphere-2 sorted.
+    `vertices[i]` is the original identifier of row and column i of the
+    ball's adjacency and `sphere[i]` its distance from the center (0, 1,
+    or 2).  Index 0 is the center, sphere-1 vertices follow in sorted
+    order, then sphere-2 sorted.
     """
 
     vertices: tuple
@@ -112,8 +115,9 @@ class BallMap:
         return tuple(v for v, s in zip(self.vertices, self.sphere) if s == k)
 
 
-def ball(o: Graph | NeighborOracle, x: Hashable) -> tuple[Graph, BallMap]:
-    """Induced subgraph on the radius-2 ball around x.
+def ball(o: Graph | NeighborOracle, x: Hashable) -> tuple[np.ndarray, BallMap]:
+    """The 0/1 adjacency of the subgraph induced on the radius-2 ball around
+    x, as a bool array, and the ball's vertex bookkeeping.
 
     The center maps to index 0, sphere-1 vertices next (sorted), sphere-2
     last (sorted); this ordering is the basis contract for curvature forms.
@@ -123,16 +127,17 @@ def ball(o: Graph | NeighborOracle, x: Hashable) -> tuple[Graph, BallMap]:
     spheres = [[x], n1, n2]
     ordered = [v for sph in spheres for v in sph]
     index = {v: i for i, v in enumerate(ordered)}
-    adjacency: list[list[int]] = [[] for _ in ordered]
+    size = len(ordered)
+    cells = []
     for i, v in enumerate(ordered):
         for w in o.neighbors(v):
             j = index.get(w)
             if j is not None and i < j:
-                adjacency[i].append(j)
-                adjacency[j].append(i)
+                cells += (i * size + j, j * size + i)
+    adj = np.zeros(size * size, dtype=bool)
+    adj[cells] = True
     sphere_tags = tuple(s for s, sph in enumerate(spheres) for _ in sph)
-    bg = Graph(len(ordered), tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
-    return bg, BallMap(tuple(ordered), sphere_tags)
+    return adj.reshape(size, size), BallMap(tuple(ordered), sphere_tags)
 
 
 def reachable(g: Graph, s: int) -> set[int]:

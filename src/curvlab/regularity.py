@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import BallMap, Graph, GraphError, induced_subgraph
+from .graph import BallMap, Graph, GraphError
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,8 @@ def local_graph_spectrum(g: Graph, x: int) -> list[float]:
     nbrs = g.adjacency[x]
     if not nbrs:
         raise GraphError(f"vertex {x} is isolated; local graph is empty")
-    local = induced_subgraph(g, nbrs)
-    a = np.zeros((local.n, local.n))
-    for u, v in local.edges():
-        a[u, v] = a[v, u] = 1.0
+    rows = [set(g.adjacency[u]) for u in nbrs]
+    a = np.array([[float(v in row) for v in nbrs] for row in rows])
     return [float(t) for t in np.linalg.eigvalsh(a)]
 
 

@@ -11,7 +11,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from typing import Sequence
 
 from .theorems import TheoremVerdict
@@ -20,11 +20,12 @@ CSV_HEADER = ("theorem", "graph", "applicable", "holds", "detail")
 
 
 def _plain(value):
-    """Recursively convert evidence values to JSON-safe structures."""
+    """Recursively convert evidence values to JSON-safe structures; every
+    caller dumps them with sorted keys."""
     if is_dataclass(value) and not isinstance(value, type):
-        return {k: _plain(v) for k, v in asdict(value).items()}
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, (list, tuple, set)):
@@ -44,6 +45,11 @@ def verdict_record(v: TheoremVerdict) -> dict:
         "holds": v.holds,
         "evidence": _plain(v.evidence),
     }
+
+
+def print_json(payload) -> None:
+    """Write a command's payload to stdout as indented JSON with sorted keys."""
+    print(json.dumps(_plain(payload), indent=2, sort_keys=True))
 
 
 def render_json(verdicts: Sequence[TheoremVerdict]) -> str:

@@ -167,10 +167,10 @@ def check_theorem(
         evidence = {"lambda": lam, "d": reg.d, "cut": cert, "quadrangle": quadrangle}
         if lam != reg.d or quadrangle:
             return verdict(True, lam == reg.d, evidence)
-        cls = classify_min_cuts(g, facts.connectivity)
-        evidence["stars_only"] = cls.stars_only
-        evidence["non_star_cut"] = cls.witness
-        return verdict(True, cls.stars_only, evidence)
+        witness = classify_min_cuts(g, facts.connectivity)
+        evidence["stars_only"] = witness is None
+        evidence["non_star_cut"] = witness
+        return verdict(True, witness is None, evidence)
 
     if theorem_id == "C1.6":
         if not reg.is_amply_regular or reg.beta < 2 or g.n % 2 != 0:
@@ -203,7 +203,10 @@ class CorpusSource:
     def from_string(text: str) -> "CorpusSource":
         """Parse CLI forms: a path, "gen:spec1;spec2", or "exhaustive:N"."""
         if text.startswith("gen:"):
-            return CorpusSource("generators", specs=tuple(t for t in text[4:].split(";") if t))
+            specs = tuple(t for t in text[4:].split(";") if t)
+            if not specs:
+                raise GraphError(f"corpus source {text!r}: no generator spec")
+            return CorpusSource("generators", specs=specs)
         if text.startswith("exhaustive:"):
             try:
                 max_n = parse_integer(text[len("exhaustive:") :])

@@ -237,6 +237,19 @@ def test_exploration_output_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the csv and markdown reports of the two sources of test_check_report_pinned
+REPORT_SHA256 = {
+    "exhaustive:6": {
+        "csv": "0716741e2cd241021d44df8e4b2e3b3ad91f99a74d803bcaf0bd8e69d0674bff",
+        "markdown": "2cfaa9c64c0565fab26837f87e97a627cccd14374ffbc471c7c1e106d56a34f5",
+    },
+    "gen:petersen;hypercube:4;paley:13;cycle:4;hamming2:3": {
+        "csv": "3af140e27862c599d58bdcab81ad49d358a563721be2902740406912f985d26a",
+        "markdown": "410eb9a389ecf1e0fe999b1627e43ac9cbf4ca121ddbd984988f041e36e0bd50",
+    },
+}
+
+
 @pytest.mark.parametrize(
     "source, digest",
     [
@@ -248,12 +261,22 @@ def test_exploration_output_pinned(capsys, argv, digest):
     ],
 )
 def test_check_report_pinned(capsys, tmp_path, source, digest):
-    # sha256 of the whole json report of all seven checkers, so a change to
-    # how the facts are computed cannot move a byte of it
-    out = tmp_path / "report.json"
-    code, _, _ = run_cli(capsys, "check", "--source", source, "--out", str(out))
-    assert code == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    # sha256 of the whole json, csv and markdown reports of all seven
+    # checkers, so a change to how the facts are computed or converted cannot
+    # move a byte of them; `digest` is the json report's
+    for fmt, expected in (("json", digest), *REPORT_SHA256[source].items()):
+        out = tmp_path / f"report.{fmt}"
+        argv = ("check", "--source", source, "--format", fmt, "--out", str(out))
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, fmt
+
+
+@pytest.mark.parametrize("source", ["gen:", "gen:;"])
+def test_check_rejects_empty_generator_source(capsys, source):
+    code, out, err = run_cli(capsys, "check", "--source", source)
+    assert code == EXIT_INPUT and out == ""
+    assert f"corpus source {source!r}: no generator spec" in err
 
 
 def test_beta1_command(capsys):
@@ -336,6 +359,9 @@ def test_matching_reads_only_first_graph_of_file(capsys, tmp_path):
     path.write_text("\n!!!bad\nBw\n", encoding="ascii")
     code, _, err = run_cli(capsys, "matching", str(path))
     assert code == EXIT_INPUT and "line 2" in err
+    path.write_text("\n \n", encoding="ascii")
+    code, _, err = run_cli(capsys, "matching", str(path))
+    assert code == EXIT_INPUT and f"no graphs in {path}" in err
 
 
 @pytest.mark.parametrize(

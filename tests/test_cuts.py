@@ -179,12 +179,11 @@ def test_restricted_star_graph():
 
 
 def test_classify_examples():
-    cls = classify_min_cuts(cycle_graph(4), edge_connectivity(cycle_graph(4)))
-    assert not cls.stars_only
-    assert cls.witness is not None and len(cls.witness.side_L) == 2
+    witness = classify_min_cuts(cycle_graph(4), edge_connectivity(cycle_graph(4)))
+    assert witness is not None and len(witness.side_L) == 2
     # n <= 3 is handled directly
     for g in (complete_graph(4), hypercube(4), path_graph(3), path_graph(2)):
-        assert classify_min_cuts(g, edge_connectivity(g)).stars_only
+        assert classify_min_cuts(g, edge_connectivity(g)) is None
 
 
 def test_classify_agrees_with_enumeration():
@@ -200,19 +199,17 @@ def test_classify_agrees_with_enumeration():
             c for c in cuts if 2 <= len(c.side_L) <= g.n - 2
         ]
         expected = not non_star
-        cls = classify_min_cuts(g, edge_connectivity(g))
-        assert cls.stars_only == expected, g.adjacency
+        witness = classify_min_cuts(g, edge_connectivity(g))
+        assert (witness is None) == expected, g.adjacency
         if not expected:
-            assert cls.witness is not None
-            assert cls.witness.value == lam
-            assert 2 <= len(cls.witness.side_L) <= g.n - 2
+            assert witness.value == lam
+            assert 2 <= len(witness.side_L) <= g.n - 2
 
 
 def test_classify_beta1_splice_has_non_star_cut():
     g = beta1_counterexample()
-    cls = classify_min_cuts(g, edge_connectivity(g))
-    assert not cls.stars_only
-    assert cls.witness.value == 2
+    witness = classify_min_cuts(g, edge_connectivity(g))
+    assert witness is not None and witness.value == 2
 
 
 def test_max_flow_vs_bruteforce_set_cut():
@@ -300,8 +297,8 @@ def test_several_min_cut_pins_are_exhaustive_graphs():
 
 def test_classify_witnesses_pinned():
     g = beta1_counterexample()
-    witness = classify_min_cuts(g, edge_connectivity(g)).witness
+    witness = classify_min_cuts(g, edge_connectivity(g))
     assert (sorted(witness.side_L), witness.cut_edges) == (list(range(10, 20)), ((0, 10), (1, 11)))
     g = cycle_graph(4)
-    witness = classify_min_cuts(g, edge_connectivity(g)).witness
+    witness = classify_min_cuts(g, edge_connectivity(g))
     assert (sorted(witness.side_L), witness.cut_edges) == ([0, 1], ((0, 3), (1, 2)))

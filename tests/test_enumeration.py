@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -13,7 +14,7 @@ from curvlab.enumeration import (
     is_isomorphic,
 )
 from curvlab.generators import cycle_graph, petersen
-from curvlab.graph import GraphError, from_edge_list
+from curvlab.graph import Graph, GraphError, from_edge_list
 
 # published counts of isomorphism classes per vertex count
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -142,6 +143,23 @@ def test_is_isomorphic_vertex_transitive():
         10, [(9 - u, 9 - v) for u, v in p.edges()]
     )
     assert is_isomorphic(p, relabeled)
+
+
+def test_isomorphism_search_frees_graphs_without_the_cycle_collector():
+    # the backtracking search keeps its state in arguments, not in a
+    # recursive closure, so no reference cycle holds the two graphs
+    def alive():
+        return sum(isinstance(o, Graph) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        for _ in range(10):
+            assert is_isomorphic(petersen(), petersen())
+        assert alive() == before
+    finally:
+        gc.enable()
 
 
 def test_upto_iteration_labels():

@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from curvlab.curvature import _adjacency
 from curvlab.enumeration import connected_graphs_upto
 from curvlab.graph import (
     GraphError,
@@ -84,25 +86,25 @@ def test_girth_of_forest_is_infinite():
 
 
 def test_ball_integer_line():
-    g, bmap = ball(integer_line(), 0)
-    assert g.n == 5
+    adj, bmap = ball(integer_line(), 0)
+    assert adj.shape == (5, 5) and adj.dtype == bool
     assert bmap.vertices == (0, -1, 1, -2, 2)
     assert bmap.sphere == (0, 1, 1, 2, 2)
     # path structure: index of -1 is 1, of 1 is 2, etc.
-    assert g.has_edge(0, 1) and g.has_edge(0, 2)
-    assert g.has_edge(1, 3) and g.has_edge(2, 4)
-    assert g.m == 4
+    assert adj[0, 1] and adj[0, 2]
+    assert adj[1, 3] and adj[2, 4]
+    assert (adj == adj.T).all() and adj.sum() == 2 * 4
 
 
 def test_ball_petersen_covers_graph():
     p = petersen()
-    g, bmap = ball(p, 0)
-    assert g.n == 10  # diameter 2
+    adj, bmap = ball(p, 0)
+    assert adj.shape == (10, 10)  # diameter 2
 
 
 def test_ball_complete_has_empty_second_sphere():
-    g, bmap = ball(complete_graph(5), 2)
-    assert g.n == 5
+    adj, bmap = ball(complete_graph(5), 2)
+    assert adj.shape == (5, 5)
     assert bmap.sphere_vertices(2) == ()
 
 
@@ -111,14 +113,15 @@ def test_ball_matches_induced_subgraph():
     for _ in range(50):
         g = random_graph(rng, rng.randint(2, 10), 0.4)
         x = rng.randrange(g.n)
-        bg, bmap = ball(g, x)
-        expected = induced_subgraph(g, list(bmap.vertices))
-        assert bg == expected
+        adj, bmap = ball(g, x)
+        assert adj.dtype == bool
+        assert np.array_equal(adj, _adjacency(induced_subgraph(g, bmap.vertices)))
     # every vertex of the connected graphs with n <= 6
     for _, g in connected_graphs_upto(6):
         for x in range(g.n):
-            bg, bmap = ball(g, x)
-            assert bg == induced_subgraph(g, list(bmap.vertices)), (g.adjacency, x)
+            adj, bmap = ball(g, x)
+            expected = _adjacency(induced_subgraph(g, bmap.vertices))
+            assert np.array_equal(adj, expected), (g.adjacency, x)
 
 
 def test_ball_reads_oracle_adjacency():
@@ -126,13 +129,12 @@ def test_ball_reads_oracle_adjacency():
     for o, x in [(integer_line(), -3)] + [
         (line_times_complete(k), (2, k - 1)) for k in range(1, 5)
     ]:
-        bg, bmap = ball(o, x)
+        adj, bmap = ball(o, x)
         vs = bmap.vertices
         expected = {
             (i, j) for i, v in enumerate(vs) for j, w in enumerate(vs) if w in o.neighbors(v)
         }
-        assert {(i, j) for i in range(bg.n) for j in bg.adjacency[i]} == expected
-        assert all(list(row) == sorted(row) for row in bg.adjacency)
+        assert set(zip(*np.nonzero(adj))) == expected
 
 
 def test_cartesian_product_degrees():

@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every imported name is used,
-the package imports nothing but the standard library and numpy, every
-function, class and method of the package is named somewhere, every
-module-level name the package assigns is read somewhere, and every
-defaulted parameter of the package is passed by some call."""
+the package imports nothing but the standard library and numpy, no package
+module imports another's underscore names, every function, class and method
+of the package is named somewhere, every module-level name the package
+assigns is read somewhere, and every defaulted parameter of the package is
+passed by some call."""
 
 from __future__ import annotations
 
@@ -96,6 +97,36 @@ def test_package_imports_only_stdlib_and_numpy():
         f"{path.relative_to(ROOT)}:{lineno}: {name}"
         for path in PACKAGE
         for lineno, name in foreign_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every underscore name the source imports from the
+    package, by a relative import or one from `curvlab`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.split(".")[0] == "curvlab"
+        ):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_private_imports_are_found():
+    source = (
+        "from __future__ import annotations\nfrom .reports import _plain, emit_report\n"
+        "from curvlab.graph import _helper\nfrom . import _cache\nfrom numpy import _core\n"
+    )
+    assert private_imports(source) == [(2, "_plain"), (3, "_helper"), (4, "_cache")]
+
+
+def test_package_imports_no_private_names():
+    # a module reaches another only through its public names; tests are exempt
+    found = [
+        f"{path.relative_to(ROOT)}:{lineno}: {name}"
+        for path in PACKAGE
+        for lineno, name in private_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
 
