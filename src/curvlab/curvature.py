@@ -41,6 +41,8 @@ import numpy as np
 from .graph import Graph, GraphError, NeighborOracle, ball
 
 DEFAULT_EIG_TOL = 1e-10
+# the width to which bakry_emery_curvature_bisect brackets K
+BISECT_TOL = 1e-9
 
 # Centres are stacked in batches whose arrays hold at most this many entries
 # (512 KiB of floats), so the kernel's temporaries stay bounded on any graph.
@@ -297,15 +299,10 @@ def _is_psd(m: np.ndarray) -> bool:
         return False
 
 
-def bakry_emery_curvature_bisect(
-    o: Graph | NeighborOracle,
-    x: Hashable,
-    N: float = math.inf,
-    tol: float = 1e-9,
-) -> float:
-    """Curvature by bisection on K with a Cholesky positive-semidefiniteness
-    test of the reference route's Q_eff - (K/2) I; independent of the
-    kernel's assembly and of the eigensolver."""
+def bakry_emery_curvature_bisect(o: Graph | NeighborOracle, x: Hashable, N: float) -> float:
+    """Curvature by bisection on K, to within `BISECT_TOL`, with a Cholesky
+    positive-semidefiniteness test of the reference route's Q_eff - (K/2) I;
+    independent of the kernel's assembly and of the eigensolver."""
     _check_dimension(N)
     if not o.neighbors(x):
         return math.inf
@@ -315,7 +312,7 @@ def bakry_emery_curvature_bisect(
     radii = np.sum(np.abs(m), axis=1) - np.abs(np.diag(m))
     lo = float(np.min(np.diag(m) - radii)) - 1.0
     hi = float(np.max(np.diag(m) + radii)) + 1.0
-    while hi - lo > tol / 2.0:
+    while hi - lo > BISECT_TOL / 2.0:
         mid = (lo + hi) / 2.0
         if _is_psd(m - mid * np.eye(dim)):
             lo = mid

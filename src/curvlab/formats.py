@@ -139,6 +139,8 @@ def _parse_sparse6(line: str) -> Graph:
         else:
             if x == v:
                 raise FormatError(f"self-loop at vertex {x} in sparse6 line")
+            if (x, v) in edges:
+                raise FormatError(f"parallel edge ({x}, {v}) in sparse6 line")
             edges.add((x, v))
     return from_edge_list(n, sorted(edges))
 
@@ -189,6 +191,7 @@ def _legible(token: str) -> str:
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain text format "n m\\nu v\\n..." (one edge per line)."""
     values = []
+    token_lines = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         for token in line.split():
             try:
@@ -197,6 +200,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise FormatError(
                     f"line {lineno}: non-integer token {_legible(token)} in edge list"
                 ) from exc
+            token_lines.append(lineno)
     if len(values) < 2:
         raise FormatError("edge-list header must be 'n m'")
     n, m, rest = values[0], values[1], values[2:]
@@ -208,7 +212,17 @@ def parse_edge_list(text: str) -> Graph:
         )
     if len(rest) != 2 * m:
         raise FormatError(f"expected {m} edges, found {len(rest) // 2}")
-    return from_edge_list(n, list(zip(rest[0::2], rest[1::2])))
+    edges = list(zip(rest[0::2], rest[1::2]))
+    g = from_edge_list(n, edges)
+    if g.m < m:
+        # an edge repeats: name its second listing and the line of its first
+        lines = token_lines[2::2]
+        first: dict[frozenset, int] = {}
+        for i, (u, v) in enumerate(edges):
+            j = first.setdefault(frozenset((u, v)), i)
+            if j != i:
+                raise FormatError(f"line {lines[i]}: edge ({u}, {v}) repeats line {lines[j]}")
+    return g
 
 
 def write_edge_list(g: Graph) -> str:

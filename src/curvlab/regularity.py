@@ -193,63 +193,42 @@ def _edge_count(g: Graph, left: Iterable[int], right: set[int]) -> int:
     return sum(1 for u in left for v in g.adjacency[u] if v in right)
 
 
-def _sphere_split(
-    g: Graph, bmap: BallMap, X: frozenset, A: frozenset
-) -> tuple[set, set, set, set, set, set, int]:
-    """Sphere sets N1, N2 of the 2-ball `bmap`, the split X, Xb of N1 and
-    A, Ab of N2, and the crossing count e(X,Xb) + e(X,Ab) + e(Xb,A)."""
+def _sphere_split(bmap: BallMap, X: frozenset) -> tuple[set, set]:
+    """Sphere 1 (N1) of the 2-ball `bmap` and Xb, the complement of X in it."""
     n1 = set(bmap.sphere_vertices(1))
-    n2 = set(bmap.sphere_vertices(2))
     if not n1:
         raise GraphError(f"center {bmap.vertices[0]} is isolated; sphere 1 is empty")
-    if not (X <= n1 and A <= n2):
-        raise GraphError("X, A must sit inside spheres 1 and 2 of the ball's center")
-    X = set(X)
-    Xb = n1 - X
-    A = set(A)
-    Ab = n2 - A
-    crossing = _edge_count(g, X, Xb) + _edge_count(g, X, Ab) + _edge_count(g, Xb, A)
-    return n1, n2, X, Xb, A, Ab, crossing
+    if not X <= n1:
+        raise GraphError("X must sit inside sphere 1 of the ball's center")
+    return n1, n1 - X
 
 
-def lemma1_gap(
-    g: Graph, bmap: BallMap, X: frozenset, A: frozenset, epsilon: float, K: float
-) -> float:
+def lemma1_gap(g: Graph, bmap: BallMap, X: frozenset, epsilon: float, K: float) -> float:
     """Slack of the partition inequality at the center x of the 2-ball
-    `bmap` of g, for x satisfying CD(inf, K).
+    `bmap` of g, for x satisfying CD(inf, K): LHS - RHS of
 
-    Returns LHS - RHS of
-
-      (1-eps)^2 [ e(X,Xb) + e(X,Ab) + e(Xb,A)
-                  - sum_{z in A} d_Xb(z)^2 / d_N1(z)
-                  - sum_{z in Ab} d_X(z)^2 / d_N1(z) ]
+      (1-eps)^2 [ e(X,Xb) + sum_{z in N2} d_X(z) d_Xb(z) / d_N1(z) ]
         >= (1/4)(2K + d(x) - 3)(eps^2 |X| + |Xb|)
            + (1/4)(eps^2 e(X,N2) + e(Xb,N2))
            - (1/2)(eps |X| + |Xb|)^2
 
-    where X lies in sphere 1, A in sphere 2, and Xb, Ab are their
-    complements within the spheres.  Vertices of sphere 2 always have a
-    sphere-1 neighbor, but 0/0 is read as 0 defensively for malformed
-    partitions fed from outside.
+    where X lies in sphere 1 (N1) and Xb is its complement there.  The
+    paper's Lemma 1 also splits sphere 2 (N2) into A and Ab, and its bracket
+    reads e(X,Xb) + e(X,Ab) + e(Xb,A) - sum_{z in A} d_Xb(z)^2 / d_N1(z)
+    - sum_{z in Ab} d_X(z)^2 / d_N1(z).  Since d_X(z) + d_Xb(z) = d_N1(z),
+    each z in N2 adds d_X(z) d_Xb(z) / d_N1(z) to it on either side of the
+    split, so the bracket is the one above whatever A is.
     """
-    n1, n2, X, Xb, A, Ab, crossing = _sphere_split(g, bmap, X, A)
-    eps = epsilon
-    d = len(n1)
-
-    def ratio_sum(zs: set[int], side: set[int]) -> float:
-        total = 0.0
-        for z in zs:
-            dn1 = sum(1 for w in g.adjacency[z] if w in n1)
-            ds = sum(1 for w in g.adjacency[z] if w in side)
-            if dn1:
-                total += ds * ds / dn1
-        return total
-
-    lhs = (1 - eps) ** 2 * (crossing - ratio_sum(A, Xb) - ratio_sum(Ab, X))
-    rhs = 0.25 * (2 * K + d - 3) * (eps**2 * len(X) + len(Xb))
-    rhs += 0.25 * (eps**2 * _edge_count(g, X, n2) + _edge_count(g, Xb, n2))
-    rhs -= 0.5 * (eps * len(X) + len(Xb)) ** 2
-    return lhs - rhs
+    n1, Xb = _sphere_split(bmap, X)
+    bracket = _edge_count(g, X, Xb)
+    rhs = 0.25 * (2 * K + len(n1) - 3) * (epsilon**2 * len(X) + len(Xb))
+    rhs -= 0.5 * (epsilon * len(X) + len(Xb)) ** 2
+    for z in bmap.sphere_vertices(2):
+        dx = sum(1 for w in g.adjacency[z] if w in X)
+        dxb = sum(1 for w in g.adjacency[z] if w in Xb)
+        bracket += dx * dxb / (dx + dxb)
+        rhs += 0.25 * (epsilon**2 * dx + dxb)
+    return (1 - epsilon) ** 2 * bracket - rhs
 
 
 def corollary2_gap(
@@ -257,11 +236,16 @@ def corollary2_gap(
 ) -> float:
     """Slack of the edge-regular partition bound at the center of the
     2-ball `bmap` of g, where `reg` is g's regularity class:
-    e(X,Xb) + e(X,Ab) + e(Xb,A) >= (2K + 2d - alpha - 4) |X||Xb| / (4d).
+    e(X,Xb) + e(X,Ab) + e(Xb,A) >= (2K + 2d - alpha - 4) |X||Xb| / (4d),
+    with A in sphere 2 and Ab its complement there.
     """
     if not reg.is_edge_regular:
         raise GraphError(f"requires an edge-regular graph, detected {reg.kind}")
-    _, _, X, Xb, _, _, crossing = _sphere_split(g, bmap, X, A)
+    _, Xb = _sphere_split(bmap, X)
+    n2 = set(bmap.sphere_vertices(2))
+    if not A <= n2:
+        raise GraphError("A must sit inside sphere 2 of the ball's center")
+    crossing = _edge_count(g, X, Xb) + _edge_count(g, X, n2 - A) + _edge_count(g, Xb, A)
     rhs = (2 * K + 2 * reg.d - reg.alpha - 4) * len(X) * len(Xb) / (4.0 * reg.d)
     return crossing - rhs
 

@@ -82,9 +82,7 @@ def render_markdown(verdicts: Sequence[TheoremVerdict]) -> str:
     return "\n".join(lines)
 
 
-def emit_report(
-    verdicts: Sequence[TheoremVerdict], fmt: str = "json", out: str | None = None
-) -> str:
+def emit_report(verdicts: Sequence[TheoremVerdict], fmt: str, out: str | None) -> str:
     """Render verdicts in the requested format and write them to `out`
     (a path, or stdout when None).  Returns the rendered text."""
     if fmt == "json":

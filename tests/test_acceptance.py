@@ -40,7 +40,7 @@ from curvlab.regularity import (
 )
 from curvlab.reports import render_json
 from curvlab.theorems import CorpusSource, beta1_search, scan
-from conftest import amply_corpus, mixed_corpus, random_graph
+from conftest import amply_corpus, mixed_corpus, partition_minima, random_graph
 
 TOL = 1e-8
 
@@ -236,37 +236,44 @@ def test_criterion_07_star_cut_rigidity():
     assert ok, failures
 
 
-def test_criterion_08_partition_inequality_sampling():
-    rng = random.Random(1808)
-    worst_lemma = 0.0
-    worst_cor = 0.0
-    corpus = mixed_corpus()
-    for name, g in sorted(corpus.items()):
+def test_criterion_08_partition_inequality_exact():
+    # the exact minima over every X in S1, every A in S2 and every real eps,
+    # at every non-isolated vertex; the package's gaps recount each minimum
+    # at a split that attains it
+    vertices = masks = loose = 0
+    worst_lemma = worst_cor = math.inf
+    mismatches = []
+    for name, g in sorted(mixed_corpus().items()):
         reg = detect_regularity(g)
         _, ks = graph_curvature(g)
         for x in range(g.n):
             if not g.adjacency[x]:
                 continue
             K = ks[x]
+            low = partition_minima(g, x, K, reg)
+            vertices += 1
+            masks += low.masks
+            worst_lemma = min(worst_lemma, low.lemma1)
             _, bmap = ball(g, x)
-            n1 = bmap.sphere_vertices(1)
-            n2 = bmap.sphere_vertices(2)
-            for _ in range(1000):
-                X = frozenset(v for v in n1 if rng.random() < 0.5)
-                A = frozenset(v for v in n2 if rng.random() < 0.5)
-                eps = rng.uniform(-3.0, 3.0)
-                gap = lemma1_gap(g, bmap, X, A, eps, K)
-                worst_lemma = min(worst_lemma, gap)
-                if reg.is_edge_regular:
-                    worst_cor = min(worst_cor, corollary2_gap(g, bmap, reg, X, A, K))
-    ok = worst_lemma >= -1e-9 and worst_cor >= -1e-9
+            if abs(lemma1_gap(g, bmap, low.X, low.eps, K) - low.lemma1) > 1e-10:
+                mismatches.append((name, x, "lemma1"))
+            if low.corollary2 is not None:
+                worst_cor = min(worst_cor, low.corollary2)
+                gap = corollary2_gap(g, bmap, reg, low.X2, low.A, K)
+                if abs(gap - low.corollary2) > 1e-10:
+                    mismatches.append((name, x, "corollary2"))
+            # a curvature too large by 1e-3 must break Lemma 1 somewhere
+            loose += partition_minima(g, x, K + 1e-3, reg).lemma1 < -1e-9
+    ok = worst_lemma >= -1e-9 and worst_cor >= -1e-9 and not mismatches
     report(
         8,
         ok,
-        f"partition inequalities at K_BE(x), 1000 samples per vertex: "
-        f"min gaps {worst_lemma:.2e} (general) / {worst_cor:.2e} (edge-regular)",
+        f"partition inequalities at K_BE(x), exact over {masks} sets X (every "
+        f"A, every eps) at {vertices} vertices: min gaps {worst_lemma:.2e} (general) / "
+        f"{worst_cor:.2e} (edge-regular); {loose} vertices fail at K + 1e-3",
     )
-    assert ok
+    assert ok, mismatches
+    assert (vertices, masks, loose) == (337, 40874, 307)
 
 
 def test_criterion_09_oracle_equivalences():

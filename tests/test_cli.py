@@ -327,6 +327,22 @@ def test_non_ascii_byte_names_its_line(capsys, tmp_path, command, content, messa
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        (("check", "--source"), b"Bw\n:C_m\n", "error: line 2: parallel edge (0, 1) in sparse6 line"),
+        (("curvature",), b"3 2\n0 1\n1 0\n", "error: line 3: edge (1, 0) repeats line 2"),
+    ],
+    ids=["check-sparse6", "curvature-edge-list"],
+)
+def test_repeated_edge_is_input_error(capsys, tmp_path, command, content, message):
+    path = tmp_path / "multi.g6"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert message in err
+
+
 def test_check_rejects_repeated_theorem(capsys):
     argv = ("check", "--source", "exhaustive:2", "--theorems", "T1.1,T1.3,T1.1")
     code, out, err = run_cli(capsys, *argv)

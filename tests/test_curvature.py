@@ -335,7 +335,7 @@ def test_bisection_matches_eigensolver(corpus):
         for x in range(g.n):
             for N in (math.inf, 3.0):
                 direct = bakry_emery_curvature(g, x, N).K
-                bisected = bakry_emery_curvature_bisect(g, x, N, tol=1e-9)
+                bisected = bakry_emery_curvature_bisect(g, x, N)
                 assert abs(direct - bisected) <= 1e-7, (name, x, N)
 
 

@@ -106,6 +106,16 @@ def test_sparse6_documented_example():
     assert g.edges() == [(0, 1), (0, 2), (1, 2), (5, 6)]
 
 
+# networkx.to_sparse6_bytes of a MultiGraph on 4 vertices with the edge 0-1
+# twice, alone and followed by the path 1-2-3; merging the pair would read
+# them as a graph with one edge fewer
+@pytest.mark.parametrize("line", [":C_", ":C_m"])
+def test_sparse6_rejects_parallel_edges(line):
+    with pytest.raises(FormatError) as err:
+        parse_graph6(line)
+    assert str(err.value) == "parallel edge (0, 1) in sparse6 line"
+
+
 def test_malformed_inputs():
     with pytest.raises(FormatError):
         parse_graph6("")
@@ -167,6 +177,9 @@ def test_edge_list_malformed():
         ("3 1\n0 +1", "line 2: non-integer token '+1' in edge list"),
         ("3 1\n0 1_0", "line 2: non-integer token '1_0' in edge list"),
         ("3 1\n0 \uff13", r"line 2: non-integer token '\xef\xbc\x93' in edge list"),
+        # a repeated edge would be merged and the graph read with fewer edges
+        ("3 2\n0 1\n1 0\n", "line 3: edge (1, 0) repeats line 2"),
+        ("4 3\n0 1 2 3\n\n3 2\n", "line 4: edge (3, 2) repeats line 2"),
     ],
 )
 def test_edge_list_errors_name_the_fault(text, message):

@@ -3,7 +3,7 @@ the package imports nothing but the standard library and numpy, no package
 module imports another's underscore names, every function, class and method
 of the package is named somewhere, every module-level name the package
 assigns is read somewhere, and every defaulted parameter of the package is
-passed by some call."""
+passed by some call and left out by another."""
 
 from __future__ import annotations
 
@@ -262,12 +262,14 @@ def calls(source: str) -> list[tuple[str, int, set[str] | None]]:
     return found
 
 
-def unpassed_defaults(source: str, all_calls) -> list[tuple[int, str]]:
-    """(line, "function(parameter)") of every defaulted parameter of a function
-    or method of the source that none of `all_calls` passes, by position or by
-    keyword.  Calls are matched by name, a constructor by its class's name,
-    so two functions of one name share their calls; the `self` of a method
-    that is not static is not counted among the positions."""
+def default_passes(source: str, all_calls) -> list[tuple[int, str, list[bool | None]]]:
+    """(line, "function(parameter)", passes) of every defaulted parameter of
+    a function or method of the source, where `passes` holds, for each of
+    `all_calls` to it, whether that call passes the parameter, by position
+    or by keyword, or None when the call unpacks * or ** and may or may not.
+    Calls are matched by name, a constructor by its class's name, so two
+    functions of one name share their calls; the `self` of a method that is
+    not static is not counted among the positions."""
     found = []
     for node, owner in _definitions(ast.parse(source)):
         if isinstance(node, ast.ClassDef):
@@ -284,12 +286,33 @@ def unpassed_defaults(source: str, all_calls) -> list[tuple[int, str]]:
         ]
         mine = [(npos, kws) for name, npos, kws in all_calls if name == callee]
         for index, arg in defaulted:
-            if not any(
-                kws is None or arg in kws or (index is not None and npos > index)
+            passes = [
+                None if kws is None else arg in kws or (index is not None and npos > index)
                 for npos, kws in mine
-            ):
-                found.append((node.lineno, f"{node.name}({arg})"))
+            ]
+            found.append((node.lineno, f"{node.name}({arg})", passes))
     return found
+
+
+def unpassed_defaults(source: str, all_calls) -> list[tuple[int, str]]:
+    """(line, "function(parameter)") of every defaulted parameter of the
+    source that none of `all_calls` may pass (see `default_passes`)."""
+    return [
+        (lineno, name)
+        for lineno, name, passes in default_passes(source, all_calls)
+        if all(p is False for p in passes)
+    ]
+
+
+def overridden_defaults(source: str, all_calls) -> list[tuple[int, str]]:
+    """(line, "function(parameter)") of every defaulted parameter of the
+    source that each of `all_calls` to its function passes, so that its
+    default does no work; a call that unpacks * or ** may rely on it."""
+    return [
+        (lineno, name)
+        for lineno, name, passes in default_passes(source, all_calls)
+        if passes and all(p is True for p in passes)
+    ]
 
 
 def test_unpassed_defaults_are_found():
@@ -314,3 +337,26 @@ def test_every_default_is_passed():
         for lineno, name in unpassed_defaults(path.read_text(encoding="utf-8"), all_calls)
     ]
     assert unpassed == []
+
+
+def test_overridden_defaults_are_found():
+    source = (
+        "def f(a, b=1, c=2, *, d=3):\n    return a\n"
+        "class A:\n    def __init__(self, y=0):\n        pass\n"
+        "    def m(self, x=0):\n        return x\n"
+    )
+    found = overridden_defaults(source, calls("f(1, 2, d=4)\nf(0, b=5, d=6)\nA(1).m()\nA(y=2)\n"))
+    assert found == [(1, "f(b)"), (1, "f(d)"), (4, "__init__(y)")]
+    # a default that no call reaches is the other rule's to report
+    assert overridden_defaults(source, calls("A.m(0)\n")) == [(6, "m(x)")]
+    assert overridden_defaults(source, calls("f(1, 2, d=4)\nf(*args)\nA(**kw)\n")) == []
+
+
+def test_no_default_is_always_overridden():
+    all_calls = [c for path in CALLERS for c in calls(path.read_text(encoding="utf-8"))]
+    overridden = [
+        f"{path.relative_to(ROOT)}:{lineno}: {name}"
+        for path in PACKAGE
+        for lineno, name in overridden_defaults(path.read_text(encoding="utf-8"), all_calls)
+    ]
+    assert overridden == []

@@ -28,7 +28,7 @@ from curvlab.regularity import (
     lemma1_gap,
     local_graph_spectrum,
 )
-from conftest import mixed_corpus, random_graph
+from conftest import random_graph
 
 
 def test_detect_examples():
@@ -201,17 +201,14 @@ def test_lemma1_gap_c4_hand_value():
     g = cycle_graph(4)
     _, bmap = ball(g, 0)
     X = frozenset(bmap.sphere_vertices(1))
-    A = frozenset(bmap.sphere_vertices(2))
-    assert lemma1_gap(g, bmap, X, A, 1.0, 2.0) == pytest.approx(0.0, abs=1e-12)
+    assert lemma1_gap(g, bmap, X, 1.0, 2.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lemma1_gap_rejects_bad_partition():
     g = cycle_graph(4)
     _, bmap = ball(g, 0)
     with pytest.raises(GraphError):
-        lemma1_gap(g, bmap, frozenset({2}), frozenset(), 0.0, 0.0)
-    with pytest.raises(GraphError):
-        lemma1_gap(g, bmap, frozenset(), frozenset({1}), 0.0, 0.0)
+        lemma1_gap(g, bmap, frozenset({2}), 0.0, 0.0)
 
 
 def test_partition_gaps_reject_isolated_center():
@@ -222,60 +219,56 @@ def test_partition_gaps_reject_isolated_center():
     assert K == math.inf
     _, bmap = ball(g, 2)
     with pytest.raises(GraphError, match="isolated"):
-        lemma1_gap(g, bmap, frozenset(), frozenset(), 0.5, K)
+        lemma1_gap(g, bmap, frozenset(), 0.5, K)
     # the class of a triangle gets past corollary2_gap's edge-regularity check
     triangle = detect_regularity(complete_graph(3))
     with pytest.raises(GraphError, match="isolated"):
         corollary2_gap(g, bmap, triangle, frozenset(), frozenset(), K)
 
 
-def test_lemma1_empty_x_matches_direct_recount():
-    # with X empty the inequality reduces to terms in Xb = N1 only;
-    # recount every term independently
-    g = petersen()
-    x = 0
-    _, bmap = ball(g, x)
-    n1 = set(bmap.sphere_vertices(1))
-    n2 = set(bmap.sphere_vertices(2))
-    A = frozenset(sorted(n2)[:3])
-    eps = 1.7
+def _subsets(vertices):
+    return [
+        frozenset(c)
+        for c in chain.from_iterable(
+            combinations(vertices, r) for r in range(len(vertices) + 1)
+        )
+    ]
+
+
+def _e(g, P, Q):
+    """The number of edges between P and Q, read off the edge list."""
+    return sum(1 for u, v in g.edges() if (u in P and v in Q) or (u in Q and v in P))
+
+
+def test_lemma1_a_form_matches_direct_recount(corpus):
+    # The paper states Lemma 1 with a split A, Ab of sphere 2; lemma1_gap
+    # drops A by the identity in its docstring.  Recount the paper's form
+    # from the edge list for every X and every A.
     K = -1.0
-    gap = lemma1_gap(g, bmap, frozenset(), A, eps, K)
-    e_xb_a = sum(1 for u in n1 for v in g.adjacency[u] if v in A)
-    e_xb_n2 = sum(1 for u in n1 for v in g.adjacency[u] if v in n2)
-    ratio = 0.0
-    for z in A:
-        dn1 = sum(1 for w in g.adjacency[z] if w in n1)
-        ratio += dn1 * dn1 / dn1  # d_Xb = d_N1 when X is empty
-    lhs = (1 - eps) ** 2 * (e_xb_a - ratio)
-    rhs = (
-        0.25 * (2 * K + 3 - 3) * len(n1)
-        + 0.25 * e_xb_n2
-        - 0.5 * len(n1) ** 2
-    )
-    assert gap == pytest.approx(lhs - rhs, abs=1e-12)
-
-
-def test_lemma1_nonnegative_at_curvature(corpus):
-    rng = random.Random(9001)
-    for name in ["C4", "C5", "petersen", "Q3", "T5", "K33", "bull", "rand2"]:
-        g = corpus[name]
-        _, ks = graph_curvature(g)
-        for x in range(g.n):
-            if not g.adjacency[x]:
-                continue
-            K = ks[x]
-            _, bmap = ball(g, x)
-            n1 = bmap.sphere_vertices(1)
-            n2 = bmap.sphere_vertices(2)
-            for _ in range(60):
-                X = frozenset(v for v in n1 if rng.random() < 0.5)
-                A = frozenset(v for v in n2 if rng.random() < 0.5)
-                eps = rng.uniform(-3, 3)
-                assert lemma1_gap(g, bmap, X, A, eps, K) >= -1e-9, (
-                    name,
-                    x,
+    checked = 0
+    centres = [(petersen(), 0)]
+    centres += [(corpus[name], x) for name in ("bull", "rand2") for x in range(corpus[name].n)]
+    for g, x in centres:
+        _, bmap = ball(g, x)
+        n1 = set(bmap.sphere_vertices(1))
+        n2 = set(bmap.sphere_vertices(2))
+        for X in _subsets(n1):
+            Xb = n1 - X
+            eps = 1.7 if len(X) % 2 else -0.6
+            gap = lemma1_gap(g, bmap, X, eps, K)
+            for A in _subsets(n2):
+                Ab = n2 - A
+                ratio = sum(_e(g, Xb, {z}) ** 2 / _e(g, n1, {z}) for z in A)
+                ratio += sum(_e(g, X, {z}) ** 2 / _e(g, n1, {z}) for z in Ab)
+                lhs = (1 - eps) ** 2 * (_e(g, X, Xb) + _e(g, X, Ab) + _e(g, Xb, A) - ratio)
+                rhs = (
+                    0.25 * (2 * K + len(n1) - 3) * (eps**2 * len(X) + len(Xb))
+                    + 0.25 * (eps**2 * _e(g, X, n2) + _e(g, Xb, n2))
+                    - 0.5 * (eps * len(X) + len(Xb)) ** 2
                 )
+                assert gap == pytest.approx(lhs - rhs, abs=1e-12), (x, sorted(X), sorted(A))
+                checked += 1
+    assert checked == 1280
 
 
 def test_corollary2_gap_examples():
@@ -291,6 +284,8 @@ def test_corollary2_gap_examples():
     # LHS = 1 and RHS = (4 + 4 - 0 - 4)/(4*2) = 1/2
     gap = corollary2_gap(g, bmap, reg, frozenset({n1[0]}), frozenset(n2), 2.0)
     assert gap == pytest.approx(0.5)
+    with pytest.raises(GraphError, match="sphere 2"):
+        corollary2_gap(g, bmap, reg, frozenset(), frozenset({n1[0]}), 2.0)
 
 
 def test_corollary2_rejects_irregular():
@@ -298,60 +293,3 @@ def test_corollary2_rejects_irregular():
     _, bmap = ball(g, 1)
     with pytest.raises(GraphError):
         corollary2_gap(g, bmap, detect_regularity(g), frozenset(), frozenset(), 0.0)
-
-
-def test_corollary2_nonnegative_at_curvature_petersen():
-    g = petersen()
-    K = graph_curvature(g)[0]
-    assert K == pytest.approx(-1.0, abs=1e-8)
-    reg = detect_regularity(g)
-    rng = random.Random(77)
-    _, bmap = ball(g, 0)
-    n1 = bmap.sphere_vertices(1)
-    n2 = bmap.sphere_vertices(2)
-    for _ in range(1000):
-        X = frozenset(v for v in n1 if rng.random() < 0.5)
-        A = frozenset(v for v in n2 if rng.random() < 0.5)
-        assert corollary2_gap(g, bmap, reg, X, A, K) >= -1e-9
-
-
-def _subsets(vertices):
-    return [
-        frozenset(c)
-        for c in chain.from_iterable(
-            combinations(vertices, r) for r in range(len(vertices) + 1)
-        )
-    ]
-
-
-def test_partition_gaps_exhaustive_on_small_spheres():
-    # Every split (X, A) at every vertex whose two spheres hold at most 10
-    # vertices.  lemma1_gap is a quadratic in eps, read off at -1, 0 and 1,
-    # so its exact minimum over the sampled range [-3, 3] is checked rather
-    # than a sample of eps; corollary2_gap does not depend on eps.
-    vertices = splits = 0
-    for name, g in sorted(mixed_corpus().items()):
-        reg = detect_regularity(g)
-        _, ks = graph_curvature(g)
-        for x in range(g.n):
-            _, bmap = ball(g, x)
-            n1 = bmap.sphere_vertices(1)
-            n2 = bmap.sphere_vertices(2)
-            if len(n1) + len(n2) > 10:
-                continue
-            vertices += 1
-            K = ks[x]
-            for X in _subsets(n1):
-                for A in _subsets(n2):
-                    splits += 1
-                    lo, mid, hi = (lemma1_gap(g, bmap, X, A, e, K) for e in (-1.0, 0.0, 1.0))
-                    a, b = (hi + lo) / 2 - mid, (hi - lo) / 2
-                    candidates = [-3.0, 3.0]
-                    if a > 0 and -3.0 < -b / (2 * a) < 3.0:
-                        candidates.append(-b / (2 * a))
-                    gap = min((a * e + b) * e + mid for e in candidates)
-                    assert gap >= -1e-9, (name, x, sorted(X), sorted(A), gap)
-                    if reg.is_edge_regular:
-                        gap = corollary2_gap(g, bmap, reg, X, A, K)
-                        assert gap >= -1e-9, (name, x, sorted(X), sorted(A), gap)
-    assert (vertices, splits) == (151, 35600)
