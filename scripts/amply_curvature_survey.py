@@ -50,7 +50,7 @@ def main() -> int:
         reg = detect_regularity(g)
         if not reg.is_amply_regular:
             continue
-        value, _ = graph_curvature(g)
+        [(value, _)] = graph_curvature([g])
         # "-" exactly where the checkers' sign rule says negative
         sign = "+" if value > CURVATURE_TOL else ("0" if nonnegatively_curved(value) else "-")
         rows.append(

@@ -72,7 +72,7 @@ def cmd_curvature(args) -> int:
     g = _load_graph_spec(args.graph)
     dim = args.dimension
     if isinstance(g, Graph) and args.vertex is None:
-        kmin, ks = graph_curvature(g, dim)
+        [(kmin, ks)] = graph_curvature([g], dim)
         print_json(
             {"K": kmin, "dimension": dim, "per_vertex": {str(v): K for v, K in enumerate(ks)}}
         )

@@ -14,9 +14,9 @@ diagonal and needs no factorization.  The arithmetic has two routes:
 - The production kernel turns the 0/1 sphere blocks of a stack of centres
   into reduced forms (`_stacked_sphere1_forms`, then `_stacked_schur`) and
   solves them with one stacked `eigh` (`_stacked_min_eigenpairs`).
-  `graph_curvature` reads the blocks off a whole graph's adjacency
-  (`_graph_reduced_forms`); a corpus scan hands it the disjoint union of a
-  chunk of graphs, whose vertex curvatures are each graph's own.
+  `graph_curvature` reads the blocks off the adjacencies of a list of
+  whole graphs (`_graph_reduced_forms`), stacking the centres of one degree
+  across the graphs; a corpus scan hands it a chunk of graphs at a time.
   `bakry_emery_curvature` slices the blocks out of the 2-ball of one
   vertex of any neighbour oracle and adds the witness.
 - The reference route builds one vertex's form as a matrix
@@ -83,41 +83,47 @@ def _check_dimension(N: float) -> None:
         raise FormError(f"dimension parameter must be positive, got {N}")
 
 
-def _adjacency(g: Graph) -> np.ndarray:
-    """The n x n 0/1 adjacency of a finite graph as a bool array."""
-    adj = np.zeros(g.n * g.n, dtype=bool)
-    adj[[v * g.n + w for v, nbrs in enumerate(g.adjacency) for w in nbrs]] = True
-    return adj.reshape(g.n, g.n)
+def _adjacency(graphs: list[Graph]) -> np.ndarray:
+    """The 0/1 adjacencies of finite graphs as one (graphs, w, w) bool array,
+    w the largest order; a smaller graph is padded with isolated vertices."""
+    w = max((g.n for g in graphs), default=0)
+    adj = np.zeros((len(graphs), w, w), dtype=bool)
+    for i, g in enumerate(graphs):
+        adj[i].flat[[v * w + u for v, nbrs in enumerate(g.adjacency) for u in nbrs]] = True
+    return adj
 
 
 # --- production kernel -----------------------------------------------------
 
 
-def graph_curvature(g: Graph, N: float = math.inf) -> tuple[float, tuple[float, ...]]:
-    """Infimum of the vertex curvatures of a finite graph, and the curvature
-    of every vertex in vertex order (math.inf at an isolated vertex).
+def graph_curvature(
+    graphs: list[Graph], N: float = math.inf
+) -> list[tuple[float, tuple[float, ...]]]:
+    """For each finite graph, the infimum of its vertex curvatures and the
+    curvature of every vertex in vertex order (math.inf at an isolated vertex).
 
-    The production kernel on the whole graph: every centre's sphere blocks
-    are read off one 0/1 adjacency array, and the forms of one sphere-1 size
-    k are solved by one stacked `eigh` (one per batch of centres).
-    `bakry_emery_curvature` feeds the same kernel the blocks of one 2-ball,
-    and the tests hold the two bit for bit equal; the reference route
-    (`curvature_form`, `schur_reduce`, Cholesky bisection) is the kernel's
-    independent check.
+    The production kernel on whole graphs: every centre's sphere blocks are
+    read off one stack of 0/1 adjacency arrays, and the forms of one sphere-1
+    size k, over all the graphs, are solved by one stacked `eigh` (one per
+    batch of centres).  `bakry_emery_curvature` feeds the same kernel the
+    blocks of one 2-ball, and the tests hold the two bit for bit equal; the
+    reference route (`curvature_form`, `schur_reduce`, Cholesky bisection)
+    is the kernel's independent check.
     """
-    if g.n == 0:
+    if any(g.n == 0 for g in graphs):
         raise GraphError("curvature of the empty graph is undefined")
     _check_dimension(N)
-    adj = _adjacency(g)
-    deg = adj.sum(1)
-    ks = np.full(g.n, math.inf)
-    for k in sorted(set(deg.tolist()) - {0}):
-        centres = np.flatnonzero(deg == k)
-        step = max(1, _BATCH_ENTRIES // (k * g.n))
-        for start in range(0, len(centres), step):
-            xs = centres[start : start + step]
-            ks[xs] = 2.0 * _stacked_min_eigenpairs(_graph_reduced_forms(adj, deg, xs, N))[0]
-    return min(ks.tolist()), tuple(ks.tolist())
+    adj = _adjacency(graphs)
+    deg = adj.sum(2)
+    ks = np.full(deg.shape, math.inf)
+    for k in sorted(set(deg.ravel().tolist()) - {0}):
+        gs, xs = np.nonzero(deg == k)
+        step = max(1, _BATCH_ENTRIES // (k * adj.shape[2]))
+        for start in range(0, len(xs), step):
+            batch = gs[start : start + step], xs[start : start + step]
+            ks[batch] = 2.0 * _stacked_min_eigenpairs(_graph_reduced_forms(adj, deg, *batch, N))[0]
+    rows = [tuple(row[: g.n]) for g, row in zip(graphs, ks.tolist())]
+    return [(min(row), row) for row in rows]
 
 
 def bakry_emery_curvature(
@@ -161,21 +167,25 @@ def check_cd(
     return False, report.witness
 
 
-def _graph_reduced_forms(adj: np.ndarray, deg: np.ndarray, xs: np.ndarray, N: float) -> np.ndarray:
-    """Reduced forms of the centres xs of a graph, all of one degree k, as an
-    (m, k, k) stack, with each centre's spheres read off the adjacency."""
+def _graph_reduced_forms(
+    adj: np.ndarray, deg: np.ndarray, gs: np.ndarray, xs: np.ndarray, N: float
+) -> np.ndarray:
+    """Reduced forms of the centres xs of the graphs gs, all of one degree k,
+    as an (m, k, k) stack, with each centre's spheres read off its graph's
+    adjacency."""
     m = len(xs)
-    rows = adj[xs]
+    rows = adj[gs, xs]
     n1 = np.nonzero(rows)[1].reshape(m, -1)  # sorted sphere 1 of each centre
-    s2 = np.logical_or.reduce(adj[n1], 1) > rows  # sphere 2: reached from sphere 1, not adjacent
+    g1 = gs[:, None]
+    s2 = np.logical_or.reduce(adj[g1, n1], 1) > rows  # sphere 2: reached via sphere 1, not adjacent
     s2[np.arange(m), xs] = False  # and not the centre
-    a11 = adj[n1[:, :, None], n1[:, None, :]]
-    q11 = _stacked_sphere1_forms(a11, deg[n1] - 1 - a11.sum(2), N)
+    a11 = adj[g1[:, :, None], n1[:, :, None], n1[:, None, :]]
+    q11 = _stacked_sphere1_forms(a11, deg[g1, n1] - 1 - a11.sum(2), N)
     n2 = np.add.reduce(s2, 1)
     for size in set(n2.tolist()) - {0}:
         sel = np.flatnonzero(n2 == size)
         idx2 = np.nonzero(s2[sel])[1].reshape(len(sel), 1, size)  # sorted sphere 2
-        q11[sel] = _stacked_schur(q11[sel], adj[n1[sel][:, :, None], idx2])
+        q11[sel] = _stacked_schur(q11[sel], adj[g1[sel][:, :, None], n1[sel][:, :, None], idx2])
     return q11
 
 

@@ -125,7 +125,7 @@ def _parse_sparse6(line: str) -> Graph:
     v = 0
     i = 0
     while i + k < len(bits):
-        b = bits[i]
+        start, b = i, bits[i]
         x = 0
         for j in range(i + 1, i + 1 + k):
             x = (x << 1) | bits[j]
@@ -133,6 +133,9 @@ def _parse_sparse6(line: str) -> Graph:
         if b:
             v += 1
         if v >= n or x >= n:
+            # only the 1-bits that pad the last byte may end the stream early
+            if len(bits) - start >= 6 or not all(bits[start:]):
+                raise FormatError(f"sparse6 data after the end of the edge stream at bit {start}")
             break
         if x > v:
             v = x

@@ -6,8 +6,8 @@ verdict that is applicable but does not hold indicates an implementation
 bug somewhere in the pipeline, never new mathematics, and the scanner
 reports it with full evidence.  A corpus scan (`scan`, `conjecture_scan`)
 shares one `GraphFacts` between the checkers on a graph and fills the
-curvature of a chunk of graphs with one kernel call on their disjoint
-union.
+curvature of a chunk of graphs with one kernel call on the chunk's list
+of connected graphs.
 
 Checker ids:
   T1.1  regular + even order + nonnegative curvature  => perfect matching
@@ -47,8 +47,8 @@ CURVATURE_TOL = 1e-8
 THEOREM_IDS = ("T1.1", "T1.2", "T1.3", "T1.4", "C1.6", "T2.4", "T2.5")
 
 # A corpus scan buffers graphs up to this many vertices in all and runs the
-# curvature kernel once on the disjoint union of their connected graphs; a
-# larger graph makes a chunk of its own.
+# curvature kernel once on the list of their connected graphs; a larger
+# graph makes a chunk of its own.
 _CHUNK_VERTICES = 256
 
 
@@ -70,20 +70,34 @@ class TheoremVerdict:
         return self.applicable and self.holds is False
 
 
+class _Chunk:
+    """Connected graphs buffered together (`_with_facts`), whose curvature
+    one kernel call fills on first read."""
+
+    def __init__(self):
+        self.graphs: list[Graph] = []
+
+    @cached_property
+    def curvature(self) -> list[tuple[float, tuple[float, ...]]]:
+        return graph_curvature(self.graphs)
+
+
 class GraphFacts:
     """The per-graph quantities the checkers share, each computed on first
     use and then kept, so a scan computes each at most once per graph.
 
-    `chunk` lists the GraphFacts of the graphs buffered with this one
-    (`_with_facts`); the first read of `curvature` on any of them fills it
-    for every connected graph of the chunk with one kernel call.  Without a
-    chunk, or once the chunk has been checked and emptied, the graph is a
-    chunk of one.
+    A connected graph joins the `chunk` it is given, and its `curvature` is
+    the chunk's at its `index`, so the first read on any graph of the chunk
+    fills them all.  Without a chunk, or if it is not connected, the graph
+    is a chunk of one.
     """
 
-    def __init__(self, g: Graph, chunk: list[GraphFacts] | None = None):
+    def __init__(self, g: Graph, chunk: _Chunk | None = None):
         self.g = g
-        self.chunk = chunk
+        if chunk is None or not self.connected:
+            chunk = _Chunk()
+        self.chunk, self.index = chunk, len(chunk.graphs)
+        chunk.graphs.append(g)
 
     @cached_property
     def connected(self) -> bool:
@@ -93,10 +107,9 @@ class GraphFacts:
     def regularity(self) -> RegularityClass:
         return detect_regularity(self.g)
 
-    @cached_property
+    @property
     def curvature(self) -> tuple[float, tuple[float, ...]]:
-        _fill_curvature([f for f in self.chunk or [self] if f.connected or f is self])
-        return vars(self)["curvature"]
+        return self.chunk.curvature[self.index]
 
     @cached_property
     def connectivity(self) -> tuple[int, CutCertificate | None]:
@@ -240,47 +253,18 @@ class CorpusSource:
 def _with_facts(graphs: Iterable[tuple[str, Graph]]) -> Iterator[tuple[str, Graph, GraphFacts]]:
     """(gid, g, facts) for each graph, in the order given.
 
-    Graphs are buffered up to `_CHUNK_VERTICES` vertices, and each one's
-    facts know their chunk, so the first curvature read of a chunk fills
-    the chunk's connected graphs with one kernel call (`_fill_curvature`).
-    A chunk is emptied once the consumer asks past its last graph, which
-    frees its facts without waiting for the cycle collector.
+    Graphs are read ahead up to `_CHUNK_VERTICES` vertices, and the facts of
+    the connected ones share a `_Chunk`, so the first curvature read of a
+    chunk fills them all with one kernel call.
     """
-    chunk: list[GraphFacts] = []
-    ids: list[str] = []
-    size = 0
+    chunk, buffered, size = _Chunk(), [], 0
     for gid, g in graphs:
         if size + g.n > _CHUNK_VERTICES:
-            yield from _checked(ids, chunk)
-            chunk, ids, size = [], [], 0
-        chunk.append(GraphFacts(g, chunk))
-        ids.append(gid)
+            yield from buffered
+            chunk, buffered, size = _Chunk(), [], 0
+        buffered.append((gid, g, GraphFacts(g, chunk)))
         size += g.n
-    yield from _checked(ids, chunk)
-
-
-def _checked(ids: list[str], chunk: list[GraphFacts]) -> Iterator[tuple[str, Graph, GraphFacts]]:
-    """Yield a chunk's graphs, then empty the list its facts point to."""
-    yield from ((gid, facts.g, facts) for gid, facts in zip(ids, chunk))
-    chunk.clear()
-
-
-def _fill_curvature(members: list[GraphFacts]) -> None:
-    """Set `curvature` of each graph from one `graph_curvature` call on
-    their disjoint union, its vertices numbered graph by graph.  A 2-ball
-    never leaves its component, so each graph's slice of the union's vertex
-    curvatures is its own, bit for bit, and its minimum is taken in vertex
-    order as `graph_curvature` takes it."""
-    adjacency: list[tuple[int, ...]] = []
-    for facts in members:
-        offset = len(adjacency)
-        adjacency.extend(tuple(w + offset for w in nbrs) for nbrs in facts.g.adjacency)
-    _, ks = graph_curvature(Graph(len(adjacency), tuple(adjacency)))
-    offset = 0
-    for facts in members:
-        own = ks[offset : offset + facts.g.n]
-        facts.curvature = (min(own), own)
-        offset += facts.g.n
+    yield from buffered
 
 
 @dataclass

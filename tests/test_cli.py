@@ -343,6 +343,14 @@ def test_repeated_edge_is_input_error(capsys, tmp_path, command, content, messag
     assert message in err
 
 
+def test_sparse6_data_after_the_edge_stream_is_input_error(capsys, tmp_path):
+    path = tmp_path / "trailing.s6"
+    path.write_bytes(b"Bw\n:DCFGO\n")
+    code, out, err = run_cli(capsys, "check", "--source", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert "error: line 2: sparse6 data after the end of the edge stream at bit 8" in err
+
+
 def test_check_rejects_repeated_theorem(capsys):
     argv = ("check", "--source", "exhaustive:2", "--theorems", "T1.1,T1.3,T1.1")
     code, out, err = run_cli(capsys, *argv)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from curvlab import curvature
+from curvlab import curvature, theorems
 from curvlab.curvature import (
     FormError,
     QuadraticForm,
@@ -186,7 +186,7 @@ def test_curvature_ground_truths():
         rep = bakry_emery_curvature(complete_graph(n), 0)
         assert rep.K == pytest.approx((n + 2) / 2, abs=1e-8)
     for d in range(1, 7):
-        value, _ = graph_curvature(hypercube(d))
+        [(value, _)] = graph_curvature([hypercube(d)])
         assert value == pytest.approx(2.0, abs=1e-8)
     assert bakry_emery_curvature(cycle_graph(5), 0).K == pytest.approx(
         0.0, abs=1e-10
@@ -194,18 +194,17 @@ def test_curvature_ground_truths():
 
 
 def test_graph_curvature_c4_and_petersen():
-    value, ks = graph_curvature(cycle_graph(4))
+    [(value, ks)] = graph_curvature([cycle_graph(4)])
     assert value == pytest.approx(2.0, abs=1e-10)
     assert all(K == pytest.approx(2.0, abs=1e-10) for K in ks)
-    value, ks = graph_curvature(petersen())
+    [(value, ks)] = graph_curvature([petersen()])
     assert max(ks) - min(ks) < 1e-10  # vertex-transitive
     assert value == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_isolated_vertex_sentinel():
     g = from_edge_list(1, [])
-    value, ks = graph_curvature(g)
-    assert value == math.inf and ks == (math.inf,)
+    assert graph_curvature([g]) == [(math.inf, (math.inf,))]
 
 
 KERNEL_GRAPHS = [g for _, g in connected_graphs_upto(6)] + [
@@ -222,11 +221,36 @@ def test_graph_curvature_bitwise_equals_per_vertex_path(corpus, monkeypatch, bat
     monkeypatch.setattr(curvature, "_BATCH_ENTRIES", batch)
     for g in KERNEL_GRAPHS + [g for _, g in sorted(corpus.items())]:
         for N in (math.inf, 3.0):
-            kmin, ks = graph_curvature(g, N)
+            [(kmin, ks)] = graph_curvature([g], N)
             ref = tuple(bakry_emery_curvature(g, x, N).K for x in range(g.n))
             assert ks == ref, (g.adjacency, N)
             assert np.array(ks).tobytes() == np.array(ref).tobytes()  # signed zeros too
             assert kmin == min(ref)
+
+
+@pytest.mark.parametrize("batch", [curvature._BATCH_ENTRIES, 1])
+def test_graph_curvature_on_a_list_bitwise_equals_per_vertex_path(corpus, monkeypatch, batch):
+    # one call on graphs of mixed orders, padded to the largest, gives each
+    # graph's vertices the kernel on their 2-balls' K bit for bit: a graph
+    # with an isolated vertex, a disconnected graph and one larger than a
+    # scan's chunk among them
+    big = hypercube(9)
+    assert big.n > theorems._CHUNK_VERTICES
+    graphs = [g for _, g in connected_graphs_upto(5)] + [
+        from_edge_list(4, [(0, 1), (1, 2)]),
+        from_edge_list(4, [(0, 1), (2, 3)]),
+        big,
+        from_edge_list(1, []),
+    ]
+    graphs += [g for _, g in sorted(corpus.items())]
+    monkeypatch.setattr(curvature, "_BATCH_ENTRIES", batch)
+    for N in (math.inf, 3.0):
+        result = graph_curvature(graphs, N)
+        assert len(result) == len(graphs)
+        for g, (kmin, ks) in zip(graphs, result):
+            ref = tuple(bakry_emery_curvature(g, x, N).K for x in range(g.n))
+            assert np.array(ks).tobytes() == np.array(ref).tobytes(), (g.adjacency, N)
+            assert np.array(kmin).tobytes() == np.array(min(ref)).tobytes()
 
 
 def _ball_kernel_form(o, x, N):
@@ -239,34 +263,36 @@ def _ball_kernel_form(o, x, N):
     return curvature._stacked_schur(q11, a12[None])[0]
 
 
-def _graph_kernel_forms(g, N):
-    """The kernel's reduced forms of all non-isolated vertices of g, stacked
-    by degree over the whole graph as `graph_curvature` stacks them."""
-    adj = curvature._adjacency(g)
-    deg = adj.sum(1)
+def _graph_kernel_forms(graphs, N):
+    """The kernel's reduced forms of all non-isolated vertices of the graphs,
+    keyed by (graph index, vertex) and stacked by degree over all the graphs
+    as `graph_curvature` stacks them."""
+    adj = curvature._adjacency(graphs)
+    deg = adj.sum(2)
     forms = {}
-    for k in set(deg.tolist()) - {0}:
-        xs = np.flatnonzero(deg == k)
-        forms.update(zip(xs.tolist(), curvature._graph_reduced_forms(adj, deg, xs, N)))
+    for k in set(deg.ravel().tolist()) - {0}:
+        gs, xs = np.nonzero(deg == k)
+        stack = curvature._graph_reduced_forms(adj, deg, gs, xs, N)
+        forms.update(zip(zip(gs.tolist(), xs.tolist()), stack))
     return forms
 
 
 def test_kernel_reduced_forms_bitwise_equal_reference_route(corpus):
-    # the kernel's reduced form, over the whole graph and on the 2-ball that
-    # bakry_emery_curvature uses, is byte for byte the reference route's:
-    # curvature_form, 1/N subtracted from sphere 1, then schur_reduce
+    # the kernel's reduced form, over all the graphs at once and on the
+    # 2-ball that bakry_emery_curvature uses, is byte for byte the reference
+    # route's: curvature_form, 1/N subtracted from sphere 1, then schur_reduce
     graphs = [g for _, g in connected_graphs_upto(6) if g.n > 1] + [hypercube(7)]
     graphs += [g for _, g in sorted(corpus.items())]
     pairs = 0
     for N in (math.inf, 3.0):
-        for g in graphs:
-            whole = _graph_kernel_forms(g, N)
-            for x in whole:
-                ref = curvature._reference_reduced_form(g, x, N).matrix
-                for form in (whole[x], _ball_kernel_form(g, x, N)):
-                    assert form.shape == ref.shape, (g.adjacency, x, N)
-                    assert form.tobytes() == ref.tobytes(), (g.adjacency, x, N)
-                pairs += 1
+        whole = _graph_kernel_forms(graphs, N)
+        for (i, x), stacked in whole.items():
+            g = graphs[i]
+            ref = curvature._reference_reduced_form(g, x, N).matrix
+            for form in (stacked, _ball_kernel_form(g, x, N)):
+                assert form.shape == ref.shape, (g.adjacency, x, N)
+                assert form.tobytes() == ref.tobytes(), (g.adjacency, x, N)
+            pairs += 1
         o = line_times_complete(3)
         ref = curvature._reference_reduced_form(o, (0, 0), N).matrix
         assert _ball_kernel_form(o, (0, 0), N).tobytes() == ref.tobytes()
@@ -276,12 +302,12 @@ def test_kernel_reduced_forms_bitwise_equal_reference_route(corpus):
 @pytest.mark.parametrize("N", [0.0, -1.0, math.nan])
 def test_graph_curvature_rejects_nonpositive_dimension(N):
     with pytest.raises(FormError):
-        graph_curvature(petersen(), N)
+        graph_curvature([petersen()], N)
 
 
 def test_empty_graph_rejected():
     with pytest.raises(Exception):
-        graph_curvature(from_edge_list(0, []))
+        graph_curvature([from_edge_list(0, [])])
 
 
 def test_witness_properties(corpus):
@@ -370,7 +396,7 @@ def test_locality_second_sphere_edges_irrelevant():
         whole = bakry_emery_curvature(g, x).K
         adj, bmap = ball(g, x)
         bg = induced_subgraph(g, bmap.vertices)
-        assert np.array_equal(adj, curvature._adjacency(bg))
+        assert np.array_equal(adj, curvature._adjacency([bg])[0])
         local = bakry_emery_curvature(bg, 0).K
         assert whole == pytest.approx(local, abs=1e-9)
         # adding or removing sphere-2 internal edges changes nothing

@@ -1,8 +1,10 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvlab.enumeration import all_graphs
 from curvlab.formats import (
     FormatError,
     iter_graph6_file,
@@ -114,6 +116,35 @@ def test_sparse6_rejects_parallel_edges(line):
     with pytest.raises(FormatError) as err:
         parse_graph6(line)
     assert str(err.value) == "parallel edge (0, 1) in sparse6 line"
+
+
+def test_sparse6_rejects_data_after_the_edge_stream():
+    # n = 5: the edge 0-1, then x = 7 >= n ends the stream, but the records
+    # of the edges 1-2 and 0-2 follow; only the 1-bits that pad the last
+    # byte may come after the end
+    with pytest.raises(FormatError) as err:
+        parse_graph6(":DCFGO")
+    assert str(err.value) == "sparse6 data after the end of the edge stream at bit 8"
+
+
+def test_sparse6_reads_every_networkx_line():
+    # networkx pads the last byte with 1-bits, after a 0-bit when n is 2, 4,
+    # 8 or 16, vertex n-2 has an edge and n-1 has none; the paths below are
+    # such graphs, and n = 63, 64 and 65 change the size prefix and k
+    rng = random.Random(6)
+    graphs = [(n, g.edges()) for n in range(1, 7) for g in all_graphs(n)]
+    for n in (2, 4, 8, 16, 32, 63, 64, 65):
+        for _ in range(40):
+            p = rng.random()
+            graphs.append((n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]))
+        graphs.append((n, [(v, v + 1) for v in range(n - 2)]))
+    for n, edges in graphs:
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(edges)
+        line = nx.to_sparse6_bytes(nxg, header=False).decode("ascii").strip()
+        g = parse_graph6(line)
+        assert (g.n, g.edges()) == (n, sorted(edges)), line
 
 
 def test_malformed_inputs():

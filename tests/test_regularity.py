@@ -215,7 +215,8 @@ def test_partition_gaps_reject_isolated_center():
     # an isolated centre has K = inf and empty spheres, where the gaps'
     # (2K + ...) * 0 terms would read NaN; both gaps reject it instead
     g = from_edge_list(3, [(0, 1)])
-    K = graph_curvature(g)[1][2]
+    [(_, ks)] = graph_curvature([g])
+    K = ks[2]
     assert K == math.inf
     _, bmap = ball(g, 2)
     with pytest.raises(GraphError, match="isolated"):

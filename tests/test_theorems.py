@@ -125,7 +125,9 @@ def test_scan_shared_facts_match_checkers_alone(text):
 
 def test_scan_computes_each_fact_once_per_graph(monkeypatch):
     names = ("graph_curvature", "edge_connectivity", "maximum_matching", "detect_regularity")
-    calls = []  # (function name, graph); holding the graphs keeps their ids distinct
+    # (function name, graph), one entry for each graph in a kernel call's
+    # list; holding the graphs keeps their ids distinct
+    calls = []
     # bcn_check and classify_min_cuts resolve detect_regularity and
     # edge_connectivity in their own modules
     own = [(regularity, "detect_regularity"), (cuts, "edge_connectivity")]
@@ -133,7 +135,7 @@ def test_scan_computes_each_fact_once_per_graph(monkeypatch):
         fn = getattr(module, name)
 
         def counted(g, *args, _fn=fn, _name=name, **kwargs):
-            calls.append((_name, g))
+            calls.extend((_name, h) for h in (g if _name == "graph_curvature" else [g]))
             return _fn(g, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -174,13 +176,14 @@ def test_scan_uses_only_the_whole_graph_curvature_kernel(monkeypatch):
 def _chunked_curvature_matches_per_graph(graphs, monkeypatch):
     """Read every connected graph's curvature while its chunk is current,
     as a scan does, and hold its (kmin, ks) byte-equal to graph_curvature on
-    the graph alone; return the vertex counts of the graphs the kernel ran
-    on."""
+    the graph alone; return the vertex count of each kernel call's list,
+    which holds connected graphs only."""
     runs = []
 
-    def counted(g, *args, **kwargs):
-        runs.append(g.n)
-        return curvature.graph_curvature(g, *args, **kwargs)
+    def counted(gs, *args, **kwargs):
+        assert all(h.n > 0 and graph.is_connected(h) for h in gs)
+        runs.append(sum(h.n for h in gs))
+        return curvature.graph_curvature(gs, *args, **kwargs)
 
     monkeypatch.setattr(theorems, "graph_curvature", counted)
     out = []
@@ -189,12 +192,10 @@ def _chunked_curvature_matches_per_graph(graphs, monkeypatch):
         if not facts.connected:
             continue
         kmin, ks = facts.curvature
-        ref_kmin, ref_ks = curvature.graph_curvature(g)
+        [(ref_kmin, ref_ks)] = curvature.graph_curvature([g])
         assert np.array(ks).tobytes() == np.array(ref_ks).tobytes(), gid  # signed zeros too
         assert np.array(kmin).tobytes() == np.array(ref_kmin).tobytes(), gid
     assert [(gid, g) for gid, g, _ in out] == graphs  # corpus order
-    for gid, _, facts in out:
-        assert facts.connected or "curvature" not in vars(facts), gid  # not in the union
     return runs
 
 
@@ -225,7 +226,7 @@ def test_chunked_curvature_file_corpus(corpus, monkeypatch, tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     graphs = list(CorpusSource.from_string(str(path)).graphs())
     runs = _chunked_curvature_matches_per_graph(graphs, monkeypatch)
-    assert max(runs) == big.n  # alone: a union holding it would be larger
+    assert max(runs) == big.n  # alone: a chunk holding more would be larger
     assert len(runs) < sum(1 for _, g in graphs if g.n > 0 and graph.is_connected(g))
 
 
@@ -249,9 +250,9 @@ def test_scan_with_one_curvature_checker_fills_whole_chunks(tid, corpus, monkeyp
     everything, _ = scan(src)
     calls = []
 
-    def counted(g, *args, **kwargs):
-        calls.append(g.n)
-        return curvature.graph_curvature(g, *args, **kwargs)
+    def counted(gs, *args, **kwargs):
+        calls.append(len(gs))
+        return curvature.graph_curvature(gs, *args, **kwargs)
 
     monkeypatch.setattr(theorems, "graph_curvature", counted)
     verdicts, summary = scan(src, (tid,))
