@@ -42,11 +42,11 @@ from .regularity import (
 )
 from .reports import emit_report
 from .theorems import (
-    CorpusSource,
     TheoremVerdict,
     beta1_search,
     check_theorem,
     conjecture_scan,
+    corpus,
     scan,
 )
 

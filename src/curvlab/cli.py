@@ -22,7 +22,7 @@ from .graph import Graph, GraphError, NeighborOracle
 from .matching import maximum_matching
 from .regularity import detect_regularity
 from .reports import emit_report, print_json
-from .theorems import THEOREM_IDS, CorpusSource, beta1_search, conjecture_scan, scan
+from .theorems import THEOREM_IDS, beta1_search, conjecture_scan, corpus, scan
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -113,59 +113,39 @@ def cmd_regularity(args) -> int:
 
 
 def cmd_check(args) -> int:
-    source = CorpusSource.from_string(args.source)
+    graphs = corpus(args.source)
     ids = THEOREM_IDS
     if args.theorems is not None:  # '' names one theorem id, '', which scan rejects
         ids = tuple(t.strip() for t in args.theorems.split(","))
-    verdicts, summary = scan(source, ids)
+    verdicts, violations = [], []
+    total_graphs = applicable = held = 0
+    for _, graph_verdicts in scan(graphs, ids):
+        total_graphs += 1
+        for v in graph_verdicts:
+            applicable += v.applicable
+            held += bool(v.applicable and v.holds)
+            if v.violated:
+                violations.append(v)
+        verdicts += graph_verdicts
     emit_report(verdicts, args.format, args.out)
     print(
-        f"\nchecked {summary.checked} verdicts on {summary.total_graphs} graphs: "
-        f"{summary.applicable} applicable, {summary.held} held, "
-        f"{len(summary.violations)} violations",
+        f"\nchecked {len(verdicts)} verdicts on {total_graphs} graphs: "
+        f"{applicable} applicable, {held} held, {len(violations)} violations",
         file=sys.stderr,
     )
-    for v in summary.violations:
+    for v in violations:
         print(f"VIOLATION {v.theorem} on {v.graph_id}: {v.evidence}", file=sys.stderr)
-    return EXIT_OK if summary.clean else EXIT_VIOLATION
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def cmd_conjecture(args) -> int:
-    report = conjecture_scan(args.max_n)
-    table = {
-        f"delta={d},lambda={l}": c for (d, l), c in sorted(report.table.items())
-    }
-    print_json(
-        {
-            "max_n": report.max_n,
-            "nonnegative_curvature_graphs": len(report.rows),
-            "table": table,
-            "boundary_cases": [
-                {"graph": r.graph_id, "n": r.n, "delta": r.delta, "lambda": r.lam}
-                for r in report.boundary
-            ],
-        }
-    )
+    print_json(conjecture_scan(args.max_n))
     return EXIT_OK
 
 
 def cmd_beta1(args) -> int:
     del args
-    findings = beta1_search()
-    print_json(
-        [
-            {
-                "graph": f.graph_id,
-                "n": f.n,
-                "d": f.d,
-                "alpha": f.alpha,
-                "beta": f.beta,
-                "lambda": f.lam,
-                "girth": f.girth,
-            }
-            for f in findings
-        ]
-    )
+    print_json(beta1_search())
     return EXIT_OK
 
 

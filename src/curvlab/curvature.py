@@ -83,6 +83,16 @@ def _check_dimension(N: float) -> None:
         raise FormError(f"dimension parameter must be positive, got {N}")
 
 
+def _check_scale(forms: np.ndarray, N: float) -> None:
+    """Reject reduced forms (k x k, or a stack of them) so large that the
+    curvature, at most 2 k max|Q| in absolute value, or a step of the
+    eigensolver or the bisection on them could overflow the floats.  Only a
+    tiny N makes them so: 1/N is subtracted from every entry, and K is
+    about -2k/N."""
+    if N != math.inf and not math.isfinite(4.0 * forms.shape[-1] * float(np.abs(forms).max())):
+        raise FormError(f"dimension parameter N = {N} is too small: the curvature overflows")
+
+
 def _adjacency(graphs: list[Graph]) -> np.ndarray:
     """The 0/1 adjacencies of finite graphs as one (graphs, w, w) bool array,
     w the largest order; a smaller graph is padded with isolated vertices."""
@@ -121,7 +131,9 @@ def graph_curvature(
         step = max(1, _BATCH_ENTRIES // (k * adj.shape[2]))
         for start in range(0, len(xs), step):
             batch = gs[start : start + step], xs[start : start + step]
-            ks[batch] = 2.0 * _stacked_min_eigenpairs(_graph_reduced_forms(adj, deg, *batch, N))[0]
+            forms = _graph_reduced_forms(adj, deg, *batch, N)
+            _check_scale(forms, N)
+            ks[batch] = 2.0 * _stacked_min_eigenpairs(forms)[0]
     rows = [tuple(row[: g.n]) for g, row in zip(graphs, ks.tolist())]
     return [(min(row), row) for row in rows]
 
@@ -147,7 +159,9 @@ def bakry_emery_curvature(
         return CurvatureReport(math.inf, None)
     a11, a12 = adj[1 : k + 1, 1 : k + 1], adj[1 : k + 1, k + 1 :]  # centre, sphere 1, sphere 2
     q11 = _stacked_sphere1_forms(a11[None], a12.sum(1)[None], N)
-    lam, vec = min_eigenpair(_stacked_schur(q11, a12[None])[0])
+    form = _stacked_schur(q11, a12[None])[0]
+    _check_scale(form, N)
+    lam, vec = min_eigenpair(form)
     f2 = 2.0 * (vec @ a12) / a12.sum(0)
     witness = dict(zip(bmap.vertices, [0.0] + vec.tolist() + f2.tolist()))
     return CurvatureReport(2.0 * lam, witness)
@@ -310,13 +324,15 @@ def _is_psd(m: np.ndarray) -> bool:
 
 
 def bakry_emery_curvature_bisect(o: Graph | NeighborOracle, x: Hashable, N: float) -> float:
-    """Curvature by bisection on K, to within `BISECT_TOL`, with a Cholesky
-    positive-semidefiniteness test of the reference route's Q_eff - (K/2) I;
-    independent of the kernel's assembly and of the eigensolver."""
+    """Curvature by bisection on K, to within `BISECT_TOL` or the float
+    spacing at K if that is wider, with a Cholesky positive-semidefiniteness
+    test of the reference route's Q_eff - (K/2) I; independent of the
+    kernel's assembly and of the eigensolver."""
     _check_dimension(N)
     if not o.neighbors(x):
         return math.inf
     m = _reference_reduced_form(o, x, N).matrix
+    _check_scale(m, N)
     dim = m.shape[0]
     # Gershgorin bounds on the spectrum of the reduced form
     radii = np.sum(np.abs(m), axis=1) - np.abs(np.diag(m))
@@ -324,6 +340,8 @@ def bakry_emery_curvature_bisect(o: Graph | NeighborOracle, x: Hashable, N: floa
     hi = float(np.max(np.diag(m) + radii)) + 1.0
     while hi - lo > BISECT_TOL / 2.0:
         mid = (lo + hi) / 2.0
+        if mid in (lo, hi):  # the floats near a large |K| are spaced wider than BISECT_TOL
+            break
         if _is_psd(m - mid * np.eye(dim)):
             lo = mid
         else:

@@ -2,7 +2,8 @@
 
 graph6 encodes the upper triangle of the adjacency matrix column by column
 in 6-bit printable chunks; sparse6 (lines starting with ':') encodes an
-edge stream.  Optional ">>graph6<<" / ">>sparse6<<" headers are ignored.
+edge stream.  A line may start with one ">>graph6<<" or ">>sparse6<<"
+header, which must name the line's own format.
 """
 
 from __future__ import annotations
@@ -86,10 +87,13 @@ def _bits_of(data: bytes, pos: int) -> list[int]:
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 (or sparse6) line into a Graph."""
     line = text.strip()
-    if line.startswith(GRAPH6_HEADER):
-        line = line[len(GRAPH6_HEADER) :]
-    if line.startswith(SPARSE6_HEADER):
-        line = line[len(SPARSE6_HEADER) :]
+    for header, kind in ((GRAPH6_HEADER, "graph6"), (SPARSE6_HEADER, "sparse6")):
+        if line.startswith(header):
+            line = line[len(header) :]
+            # a graph6 payload never starts with '>', a sparse6 one always with ':'
+            if line.startswith(">") or line.startswith(":") != (kind == "sparse6"):
+                raise FormatError(f"header {header} is not followed by a {kind} payload")
+            break
     if not line:
         raise FormatError("empty graph6 line")
     if not line.isascii():

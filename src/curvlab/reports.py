@@ -21,7 +21,8 @@ CSV_HEADER = ("theorem", "graph", "applicable", "holds", "detail")
 
 def _plain(value):
     """Recursively convert evidence values to JSON-safe structures; every
-    caller dumps them with sorted keys."""
+    caller dumps them with sorted keys and allow_nan=False, so a NaN raises
+    a ValueError instead of being written as invalid JSON."""
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
@@ -49,11 +50,13 @@ def verdict_record(v: TheoremVerdict) -> dict:
 
 def print_json(payload) -> None:
     """Write a command's payload to stdout as indented JSON with sorted keys."""
-    print(json.dumps(_plain(payload), indent=2, sort_keys=True))
+    print(json.dumps(_plain(payload), allow_nan=False, indent=2, sort_keys=True))
 
 
 def render_json(verdicts: Sequence[TheoremVerdict]) -> str:
-    return json.dumps([verdict_record(v) for v in verdicts], indent=2, sort_keys=True)
+    return json.dumps(
+        [verdict_record(v) for v in verdicts], allow_nan=False, indent=2, sort_keys=True
+    )
 
 
 def render_csv(verdicts: Sequence[TheoremVerdict]) -> str:
@@ -61,7 +64,7 @@ def render_csv(verdicts: Sequence[TheoremVerdict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for v in verdicts:
-        detail = json.dumps(_plain(v.evidence), sort_keys=True)
+        detail = json.dumps(_plain(v.evidence), allow_nan=False, sort_keys=True)
         writer.writerow([v.theorem, v.graph_id, v.applicable, v.holds, detail])
     return buf.getvalue()
 

@@ -4,10 +4,12 @@ Each checker turns one proved statement into a predicate over finite
 graphs: an applicability test (the hypotheses) and a conclusion test.  A
 verdict that is applicable but does not hold indicates an implementation
 bug somewhere in the pipeline, never new mathematics, and the scanner
-reports it with full evidence.  A corpus scan (`scan`, `conjecture_scan`)
-shares one `GraphFacts` between the checkers on a graph and fills the
-curvature of a chunk of graphs with one kernel call on the chunk's list
-of connected graphs.
+reports it with full evidence.  A corpus scan (`scan`) reads the
+(gid, Graph) pairs of a `corpus` and yields each graph with its verdicts
+as it goes; it shares one `GraphFacts` between the checkers on a graph and
+fills the curvature of a chunk of graphs with one kernel call on the
+chunk's list of connected graphs.  `curvlab check` and `conjecture_scan`
+both count what the scan yields.
 
 Checker ids:
   T1.1  regular + even order + nonnegative curvature  => perfect matching
@@ -31,7 +33,7 @@ from .cuts import CutCertificate, classify_min_cuts, edge_connectivity
 # the benchmark's traced run wraps bakry_emery_curvature under this module's name
 from .curvature import bakry_emery_curvature, graph_curvature  # noqa: F401
 from .enumeration import MAX_ENUMERATION_N, connected_graphs_upto
-from .formats import iter_graph6_file, parse_integer
+from .formats import FormatError, iter_graph6_file, parse_integer
 from .generators import generate, parse_family_spec
 from .graph import Graph, GraphError, girth, is_connected
 from .matching import Matching, maximum_matching
@@ -202,52 +204,44 @@ def check_theorem(
     return verdict(True, worst <= 1e-8, {"max_abs_difference": worst})
 
 
-@dataclass(frozen=True)
-class CorpusSource:
-    """Where scan graphs come from: a graph6/sparse6 file, a list of
-    generator spec strings, or exhaustive connected enumeration up to n."""
+def corpus(text: str) -> Iterator[tuple[str, Graph]]:
+    """The (gid, Graph) pairs of a corpus, from its CLI form: a graph6/sparse6
+    file path, "gen:spec1;spec2" or "exhaustive:N".  The form is checked at
+    once; the graphs are read when the iterator is."""
+    if text.startswith("gen:"):
+        specs = [t for t in text[4:].split(";") if t]
+        if not specs:
+            raise GraphError(f"corpus source {text!r}: no generator spec")
+        return _generated(specs)
+    if text.startswith("exhaustive:"):
+        try:
+            max_n = parse_integer(text[len("exhaustive:") :])
+        except ValueError:
+            max_n = 0
+        if not 1 <= max_n <= MAX_ENUMERATION_N:
+            raise GraphError(
+                f"corpus source {text!r}: N must be an integer in 1..{MAX_ENUMERATION_N}"
+            )
+        return connected_graphs_upto(max_n)
+    return _read_file(text)
 
-    kind: str  # "file" | "generators" | "exhaustive"
-    path: str | None = None
-    specs: tuple[str, ...] = ()
-    max_n: int = 0
 
-    @staticmethod
-    def from_string(text: str) -> "CorpusSource":
-        """Parse CLI forms: a path, "gen:spec1;spec2", or "exhaustive:N"."""
-        if text.startswith("gen:"):
-            specs = tuple(t for t in text[4:].split(";") if t)
-            if not specs:
-                raise GraphError(f"corpus source {text!r}: no generator spec")
-            return CorpusSource("generators", specs=specs)
-        if text.startswith("exhaustive:"):
-            try:
-                max_n = parse_integer(text[len("exhaustive:") :])
-            except ValueError:
-                max_n = 0
-            if not 1 <= max_n <= MAX_ENUMERATION_N:
-                raise GraphError(
-                    f"corpus source {text!r}: N must be an integer in 1..{MAX_ENUMERATION_N}"
-                )
-            return CorpusSource("exhaustive", max_n=max_n)
-        return CorpusSource("file", path=text)
+def _generated(specs: list[str]) -> Iterator[tuple[str, Graph]]:
+    for spec in specs:
+        g = generate(parse_family_spec(spec))
+        if not isinstance(g, Graph):
+            raise GraphError(f"spec {spec!r} is an infinite family; scan needs finite graphs")
+        yield spec, g
 
-    def graphs(self) -> Iterator[tuple[str, Graph]]:
-        if self.kind == "file":
-            # a non-ASCII byte survives decoding, so the parser can name its line
-            with open(self.path, "r", encoding="ascii", errors="surrogateescape") as fh:
-                for lineno, g in iter_graph6_file(fh):
-                    yield f"{os.path.basename(self.path)}:{lineno}", g
-        elif self.kind == "generators":
-            for spec in self.specs:
-                g = generate(parse_family_spec(spec))
-                if not isinstance(g, Graph):
-                    raise GraphError(f"spec {spec!r} is an infinite family; scan needs finite graphs")
-                yield spec, g
-        elif self.kind == "exhaustive":
-            yield from connected_graphs_upto(self.max_n)
-        else:
-            raise GraphError(f"unknown corpus source kind {self.kind!r}")
+
+def _read_file(path: str) -> Iterator[tuple[str, Graph]]:
+    # a non-ASCII byte survives decoding, so the parser can name its line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        graphs = iter_graph6_file(fh)
+    if not graphs:
+        raise FormatError(f"no graphs in {path}")
+    for lineno, g in graphs:
+        yield f"{os.path.basename(path)}:{lineno}", g
 
 
 def _with_facts(graphs: Iterable[tuple[str, Graph]]) -> Iterator[tuple[str, Graph, GraphFacts]]:
@@ -267,113 +261,69 @@ def _with_facts(graphs: Iterable[tuple[str, Graph]]) -> Iterator[tuple[str, Grap
     yield from buffered
 
 
-@dataclass
-class ScanSummary:
-    total_graphs: int
-    checked: int
-    applicable: int
-    held: int
-    violations: list[TheoremVerdict]
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-
 def scan(
-    source: CorpusSource, theorem_ids: Sequence[str] = THEOREM_IDS
-) -> tuple[list[TheoremVerdict], ScanSummary]:
-    """Run checkers over a corpus, graph by graph in corpus order.
+    graphs: Iterable[tuple[str, Graph]], theorem_ids: Sequence[str] = THEOREM_IDS
+) -> Iterator[tuple[Graph, list[TheoremVerdict]]]:
+    """Run checkers over (gid, Graph) pairs and yield each graph with its
+    verdicts, in corpus order and in the order of `theorem_ids`.
 
-    The checkers on one graph share one `GraphFacts`, so each per-graph
-    quantity is computed at most once, and the first curvature read in a
-    chunk of graphs fills the whole chunk (`_with_facts`).
+    The ids are checked before the first graph is read.  The checkers on one
+    graph share one `GraphFacts`, so each per-graph quantity is computed at
+    most once, and the first curvature read in a chunk of graphs fills the
+    whole chunk (`_with_facts`).  A chunk's verdicts are yielded once the
+    graph that closes it has been read, and before any later graph is.
     """
+    theorem_ids = tuple(theorem_ids)
     for i, tid in enumerate(theorem_ids):
         if tid not in THEOREM_IDS:
             raise GraphError(f"unknown theorem id {tid!r}")
         if tid in theorem_ids[:i]:
             raise GraphError(f"theorem id {tid!r} is given more than once")
-    verdicts = []
-    total_graphs = 0
-    for gid, g, facts in _with_facts(source.graphs()):
-        total_graphs += 1
-        verdicts.extend(check_theorem(g, tid, gid, facts) for tid in theorem_ids)
-    summary = ScanSummary(
-        total_graphs=total_graphs,
-        checked=len(verdicts),
-        applicable=sum(1 for v in verdicts if v.applicable),
-        held=sum(1 for v in verdicts if v.applicable and v.holds),
-        violations=[v for v in verdicts if v.violated],
+    return (
+        (g, [check_theorem(g, tid, gid, facts) for tid in theorem_ids])
+        for gid, g, facts in _with_facts(graphs)
     )
-    return verdicts, summary
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
-    graph_id: str
-    n: int
-    delta: int
-    lam: int
-    K: float
+def conjecture_scan(max_n: int) -> dict:
+    """Connected graphs with 2 <= n <= max_n and nonnegative curvature (the
+    applicable T1.3 verdicts of a scan), counted by minimum degree delta and
+    edge-connectivity lambda, as `curvlab conjecture` prints them.
 
-
-@dataclass
-class ConjectureReport:
-    """Connected graphs with nonnegative curvature, tabulated by
-    (minimum degree, edge-connectivity).
-
-    `boundary` lists graphs with lam = delta - 1; none are known, and
-    finding one would refute the strengthening of the connectivity bound
-    to delta for finite graphs.  Exploratory: no pass/fail semantics.
+    `boundary_cases` lists the graphs with lambda = delta - 1; none are
+    known, and finding one would refute the strengthening of the
+    connectivity bound to delta for finite graphs.  Exploratory: no
+    pass/fail semantics.
     """
-
-    max_n: int
-    rows: list[ConjectureRow]
-    table: dict[tuple[int, int], int]
-    boundary: list[ConjectureRow]
-
-
-def conjecture_scan(max_n: int) -> ConjectureReport:
-    """Tabulate the applicable T1.3 verdicts over the connected graphs with
-    2 <= n <= max_n; each row's delta, lambda and K are that verdict's.
-    Curvature is filled a chunk of graphs at a time, as in `scan`."""
     if not 1 <= max_n <= MAX_ENUMERATION_N:
         raise GraphError(f"conjecture scan needs max_n in 1..{MAX_ENUMERATION_N}, got {max_n}")
-    rows = []
-    table: dict[tuple[int, int], int] = {}
+    table, boundary = {}, []
     # a single vertex has lambda = 0 by convention: trivial
     graphs = ((gid, g) for gid, g in connected_graphs_upto(max_n) if g.n >= 2)
-    for gid, g, facts in _with_facts(graphs):
-        t13 = check_theorem(g, "T1.3", gid, facts)
+    for g, [t13] in scan(graphs, ("T1.3",)):
         if not t13.applicable:
             continue
-        ev = t13.evidence
-        row = ConjectureRow(gid, g.n, ev["delta"], ev["lambda"], ev["K"])
-        rows.append(row)
-        table[(row.delta, row.lam)] = table.get((row.delta, row.lam), 0) + 1
-    boundary = [r for r in rows if r.lam == r.delta - 1]
-    return ConjectureReport(max_n, rows, table, boundary)
+        delta, lam = t13.evidence["delta"], t13.evidence["lambda"]
+        key = f"delta={delta},lambda={lam}"
+        table[key] = table.get(key, 0) + 1
+        if lam == delta - 1:
+            boundary.append({"graph": t13.graph_id, "n": g.n, "delta": delta, "lambda": lam})
+    return {
+        "max_n": max_n,
+        "nonnegative_curvature_graphs": sum(table.values()),
+        "table": table,
+        "boundary_cases": boundary,
+    }
 
 
-@dataclass(frozen=True)
-class Beta1Finding:
-    graph_id: str
-    n: int
-    d: int
-    alpha: int
-    beta: int
-    lam: int
-    girth: float
-
-
-def beta1_search() -> list[Beta1Finding]:
+def beta1_search() -> list[dict]:
     """Cubic amply regular graphs with beta = 1 whose connectivity drops
     below the degree.
 
     Examines the spliced double-Petersen construction (the constructive
     witness that star-cut rigidity fails at beta = 1) and the Petersen
-    graph, and returns those with lam < d.
+    graph, and returns those with lambda < d, as `curvlab beta1-search`
+    prints them.
     """
     findings = []
     for gid in ("beta1_counterexample", "petersen"):
@@ -383,5 +333,15 @@ def beta1_search() -> list[Beta1Finding]:
             continue
         lam, _ = edge_connectivity(g)
         if lam < reg.d:
-            findings.append(Beta1Finding(gid, g.n, reg.d, reg.alpha, reg.beta, lam, girth(g)))
+            findings.append(
+                {
+                    "graph": gid,
+                    "n": g.n,
+                    "d": reg.d,
+                    "alpha": reg.alpha,
+                    "beta": reg.beta,
+                    "lambda": lam,
+                    "girth": girth(g),
+                }
+            )
     return findings

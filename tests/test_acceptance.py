@@ -39,7 +39,7 @@ from curvlab.regularity import (
     local_graph_spectrum,
 )
 from curvlab.reports import render_json
-from curvlab.theorems import CorpusSource, beta1_search, scan
+from curvlab.theorems import beta1_search, corpus, scan
 from conftest import amply_corpus, mixed_corpus, partition_minima, random_graph
 
 TOL = 1e-8
@@ -332,8 +332,8 @@ def test_criterion_09_oracle_equivalences():
 def test_criterion_10_beta1_boundary():
     findings = beta1_search()
     ok = any(
-        f.graph_id == "beta1_counterexample"
-        and (f.d, f.alpha, f.beta, f.lam) == (3, 0, 1, 2)
+        f["graph"] == "beta1_counterexample"
+        and (f["d"], f["alpha"], f["beta"], f["lambda"]) == (3, 0, 1, 2)
         for f in findings
     )
     g = beta1_counterexample()
@@ -359,8 +359,11 @@ def test_criterion_11_formats_and_determinism():
         if back != g or write_graph6(back) != line:
             bad += 1
 
-    src = CorpusSource.from_string("gen:petersen;hypercube:4;paley:13;cycle:4")
-    renders = {render_json(scan(src, ("T1.3", "T1.4", "T2.5"))[0]) for _ in range(3)}
+    text = "gen:petersen;hypercube:4;paley:13;cycle:4"
+    renders = {
+        render_json([v for _, vs in scan(corpus(text), ("T1.3", "T1.4", "T2.5")) for v in vs])
+        for _ in range(3)
+    }
     ok = bad == 0 and len(renders) == 1
     report(
         11,
@@ -374,7 +377,8 @@ def test_criterion_11_formats_and_determinism():
 def test_exhaustive_scan_all_checkers_clean():
     # full-theorem sweep on <= 7 vertices: any applicable-but-failed verdict
     # is an implementation bug by construction
-    verdicts, summary = scan(CorpusSource.from_string("exhaustive:7"))
-    ok = summary.clean
-    report(0, ok, f"bonus sweep: {summary.checked} verdicts on n<=7, {len(summary.violations)} violations")
-    assert ok, summary.violations[:3]
+    verdicts = [v for _, vs in scan(corpus("exhaustive:7")) for v in vs]
+    violations = [v for v in verdicts if v.violated]
+    ok = not violations
+    report(0, ok, f"bonus sweep: {len(verdicts)} verdicts on n<=7, {len(violations)} violations")
+    assert ok, violations[:3]

@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
 import json
+import warnings
 
 import pytest
 
-from curvlab import cli, cuts
-from curvlab.cli import EXIT_INPUT, EXIT_OK, main
+from curvlab import cli, cuts, theorems
+from curvlab.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from curvlab.formats import write_graph6
 from curvlab.generators import petersen
 
@@ -102,6 +104,19 @@ def test_curvature_finite_dimension(capsys, tmp_path):
             assert code == 0 and json.loads(out)["dimension"] == expected, dim
 
 
+@pytest.mark.parametrize("dim", ["1e-320", "5e-324", "1e-308"])
+def test_curvature_tiny_dimension_is_input_error(capsys, dim):
+    # 1/N overflows K: "K": NaN (invalid JSON) was printed with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy RuntimeWarning
+        for vertex in ((), ("--vertex", "0")):
+            code, out, err = run_cli(capsys, "curvature", "cycle:3", *vertex, "--dimension", dim)
+            assert code == EXIT_INPUT and out == "", vertex
+            assert f"error: dimension parameter N = {dim} is too small" in err
+        code, out, _ = run_cli(capsys, "curvature", "cycle:3", "--dimension", "1e-300")
+    assert code == EXIT_OK and json.loads(out)["K"] == pytest.approx(-4e300)
+
+
 def test_connectivity_with_classification(capsys):
     code, out, _ = run_cli(capsys, "connectivity", "cycle:4", "--classify-cuts")
     payload = json.loads(out)
@@ -171,6 +186,23 @@ def test_check_command_json(capsys):
     payload = json.loads(out)
     assert len(payload) == 4
     assert "0 violations" in err
+
+
+def test_check_counts_a_violation_and_exits_2(capsys, monkeypatch):
+    # make one verdict fail: the summary counts it as the scan goes by,
+    # names it and exits 2
+    check = theorems.check_theorem
+
+    def failing(g, tid, gid, facts):
+        v = check(g, tid, gid, facts)
+        return dataclasses.replace(v, holds=False) if (gid, tid) == ("petersen", "T1.2") else v
+
+    monkeypatch.setattr(theorems, "check_theorem", failing)
+    argv = ("check", "--source", "gen:cycle:4;petersen", "--theorems", "T1.2,T1.3")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_VIOLATION and len(json.loads(out)) == 4
+    assert "checked 4 verdicts on 2 graphs: 3 applicable, 2 held, 1 violations" in err
+    assert err.count("VIOLATION") == 1 and "VIOLATION T1.2 on petersen: {" in err
 
 
 def test_check_deterministic_across_runs(capsys, tmp_path):
@@ -372,6 +404,33 @@ def test_missing_file_is_input_error(capsys, tmp_path):
     for argv in (("matching", str(tmp_path)), ("check", "--source", str(tmp_path))):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_INPUT and err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize("content", ["", "\n", " \n\t\n\n"])
+def test_check_on_a_file_without_graphs_is_input_error(capsys, tmp_path, content):
+    # a truncated corpus printed [] and exited 0, as if it were clean
+    path = tmp_path / "empty.g6"
+    path.write_text(content, encoding="ascii")
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "check", "--source", str(path), "--out", str(report))
+    assert code == EXIT_INPUT and out == "" and not report.exists()
+    assert f"error: no graphs in {path}" in err
+
+
+@pytest.mark.parametrize(
+    "line, header",
+    [
+        (">>graph6<<:Bc", ">>graph6<<"),
+        (">>sparse6<<Bw", ">>sparse6<<"),
+        (">>graph6<<>>sparse6<<:Bc", ">>graph6<<"),
+    ],
+)
+def test_mismatched_graph6_header_is_input_error(capsys, tmp_path, line, header):
+    path = tmp_path / "header.g6"
+    path.write_text(f"Bw\n{line}\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "check", "--source", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert f"error: line 2: header {header} is not followed by a" in err
 
 
 def test_matching_reads_only_first_graph_of_file(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +364,32 @@ def test_bisection_matches_eigensolver(corpus):
                 direct = bakry_emery_curvature(g, x, N).K
                 bisected = bakry_emery_curvature_bisect(g, x, N)
                 assert abs(direct - bisected) <= 1e-7, (name, x, N)
+
+
+@pytest.mark.parametrize("N", [1e-320, 5e-324, 1e-308])
+def test_tiny_dimension_overflow_raises_on_every_route(N):
+    # 1/N, and K about -2 deg(x) / N with it, overflows the floats; the
+    # routes returned NaN (and the bisection looped) instead of an error
+    g = cycle_graph(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (
+            lambda: graph_curvature([g], N),
+            lambda: bakry_emery_curvature(g, 0, N),
+            lambda: bakry_emery_curvature_bisect(g, 0, N),
+        ):
+            with pytest.raises(FormError, match=f"N = {N} is too small"):
+                route()
+
+
+@pytest.mark.parametrize("N", [1e-300, 1e-10])
+def test_huge_curvature_bisection_stops_at_the_float_spacing(N):
+    # |K| is so large that no two floats within BISECT_TOL bracket it
+    g = cycle_graph(3)
+    [(kmin, _)] = graph_curvature([g], N)
+    assert math.isfinite(kmin) and kmin < -1e9
+    assert bakry_emery_curvature(g, 0, N).K == kmin
+    assert bakry_emery_curvature_bisect(g, 0, N) == pytest.approx(kmin, rel=1e-12)
 
 
 def test_monotone_in_dimension():

@@ -68,6 +68,25 @@ def test_single_vertex_and_empty():
 
 def test_header_ignored():
     assert parse_graph6(">>graph6<<C~") == complete_graph(4)
+    assert parse_graph6(">>sparse6<<:Bc") == parse_graph6(":Bc")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (">>graph6<<:Bc", "header >>graph6<< is not followed by a graph6 payload"),
+        (">>sparse6<<Bw", "header >>sparse6<< is not followed by a sparse6 payload"),
+        (">>graph6<<>>sparse6<<:Bc", "header >>graph6<< is not followed by a graph6 payload"),
+        (">>sparse6<<>>graph6<<Bw", "header >>sparse6<< is not followed by a sparse6 payload"),
+        (">>graph6<<>>graph6<<Bw", "header >>graph6<< is not followed by a graph6 payload"),
+        (">>sparse6<<>>sparse6<<:Bc", "header >>sparse6<< is not followed by a sparse6 payload"),
+        (">>sparse6<<", "header >>sparse6<< is not followed by a sparse6 payload"),
+    ],
+)
+def test_header_must_match_its_payload_and_appear_once(line, message):
+    # each of these parsed, the header read past or dropped
+    with pytest.raises(FormatError, match=message):
+        parse_graph6(line)
 
 
 def test_petersen_roundtrip():

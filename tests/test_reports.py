@@ -1,8 +1,11 @@
 import json
+import math
+
+import pytest
 
 from curvlab.generators import cycle_graph, petersen
-from curvlab.reports import emit_report, render_csv, render_json, render_markdown
-from curvlab.theorems import check_theorem
+from curvlab.reports import emit_report, print_json, render_csv, render_json, render_markdown
+from curvlab.theorems import TheoremVerdict, check_theorem
 
 
 def test_empty_json():
@@ -57,7 +60,17 @@ def test_emit_report_to_file(tmp_path):
 
 
 def test_emit_report_rejects_unknown_format(tmp_path):
-    import pytest
-
     with pytest.raises(ValueError):
         emit_report([], "xml", str(tmp_path / "x"))
+
+
+def test_nan_is_never_written(capsys):
+    # json.dumps writes NaN, which is not JSON; every writer refuses it
+    v = TheoremVerdict("T1.3", "g", True, True, {"K": math.nan})
+    for write, arg in ((print_json, {"K": math.nan}), (render_json, [v]), (render_csv, [v])):
+        with pytest.raises(ValueError):
+            write(arg)
+    assert capsys.readouterr().out == ""
+    # infinities are written as the strings "inf" and "-inf", as before
+    print_json({"K": math.inf, "L": -math.inf})
+    assert json.loads(capsys.readouterr().out) == {"K": "inf", "L": "-inf"}

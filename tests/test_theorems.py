@@ -1,4 +1,5 @@
 import gc
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -16,13 +17,23 @@ from curvlab.generators import (
 from curvlab.graph import GraphError, from_edge_list
 from curvlab.theorems import (
     THEOREM_IDS,
-    CorpusSource,
     beta1_search,
     check_theorem,
     conjecture_scan,
     scan,
 )
 from curvlab.reports import render_json
+
+
+def scanned(text, theorem_ids=THEOREM_IDS):
+    """The number of graphs a scan of a corpus (in its CLI form) yields, and
+    all their verdicts in order."""
+    pairs = list(scan(theorems.corpus(text), theorem_ids))
+    return len(pairs), [v for _, verdicts in pairs for v in verdicts]
+
+
+def clean(verdicts):
+    return not any(v.violated for v in verdicts)
 
 
 def test_quadrangle_t14():
@@ -89,24 +100,23 @@ def test_evidence_reverifies(corpus):
 
 
 def test_scan_generator_corpus_clean():
-    src = CorpusSource.from_string(
+    total, verdicts = scanned(
         "gen:cycle:4;kbip:3,3;hypercube:3;hypercube:4;triangular:5;hamming2:3;paley:13;petersen"
     )
-    verdicts, summary = scan(src, THEOREM_IDS)
-    assert summary.total_graphs == 8
-    assert summary.clean
-    assert summary.checked == 8 * len(THEOREM_IDS)
+    assert total == 8
+    assert clean(verdicts)
+    assert len(verdicts) == 8 * len(THEOREM_IDS)
 
 
 def test_scan_exhaustive_small_clean():
-    verdicts, summary = scan(CorpusSource.from_string("exhaustive:6"), ("T1.3", "T1.1"))
-    assert summary.total_graphs == 1 + 1 + 2 + 6 + 21 + 112
-    assert summary.clean
+    total, verdicts = scanned("exhaustive:6", ("T1.3", "T1.1"))
+    assert total == 1 + 1 + 2 + 6 + 21 + 112
+    assert clean(verdicts)
 
 
 def test_scan_deterministic_across_runs():
-    src = CorpusSource.from_string("gen:petersen;hypercube:3;cycle:4;paley:13")
-    out = [render_json(scan(src, ("T1.3", "T2.5", "T1.4"))[0]) for _ in range(2)]
+    text = "gen:petersen;hypercube:3;cycle:4;paley:13"
+    out = [render_json(scanned(text, ("T1.3", "T2.5", "T1.4"))[1]) for _ in range(2)]
     assert out[0] == out[1]
 
 
@@ -117,9 +127,9 @@ SHARED_FACTS_SOURCES = ("exhaustive:6", "gen:petersen;hypercube:4;paley:13;cycle
 def test_scan_shared_facts_match_checkers_alone(text):
     # every checker run on its own computes its own facts; the report must
     # not change when a scan shares one GraphFacts between the checkers
-    src = CorpusSource.from_string(text)
-    verdicts, _ = scan(src)
-    alone = [check_theorem(g, tid, gid) for gid, g in src.graphs() for tid in THEOREM_IDS]
+    _, verdicts = scanned(text)
+    graphs = theorems.corpus(text)
+    alone = [check_theorem(g, tid, gid) for gid, g in graphs for tid in THEOREM_IDS]
     assert render_json(verdicts) == render_json(alone)
 
 
@@ -140,8 +150,7 @@ def test_scan_computes_each_fact_once_per_graph(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     for text in SHARED_FACTS_SOURCES:
-        _, summary = scan(CorpusSource.from_string(text))
-        assert summary.clean
+        assert clean(scanned(text)[1])
     per_graph = Counter((name, id(g)) for name, g in calls)
     assert {name for name, _ in per_graph} == set(names)
     assert max(per_graph.values()) == 1
@@ -168,8 +177,8 @@ def test_scan_uses_only_the_whole_graph_curvature_kernel(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    _, summary = scan(CorpusSource.from_string("exhaustive:5"))
-    assert summary.clean and summary.total_graphs == 1 + 1 + 2 + 6 + 21
+    total, verdicts = scanned("exhaustive:5")
+    assert clean(verdicts) and total == 1 + 1 + 2 + 6 + 21
     assert calls == []
 
 
@@ -224,7 +233,7 @@ def test_chunked_curvature_file_corpus(corpus, monkeypatch, tmp_path):
     lines += [write_graph6(g) for g in middle[8:]] + [write_graph6(two_k2)]
     path = tmp_path / "mixed.g6"
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    graphs = list(CorpusSource.from_string(str(path)).graphs())
+    graphs = list(theorems.corpus(str(path)))
     runs = _chunked_curvature_matches_per_graph(graphs, monkeypatch)
     assert max(runs) == big.n  # alone: a chunk holding more would be larger
     assert len(runs) < sum(1 for _, g in graphs if g.n > 0 and graph.is_connected(g))
@@ -233,8 +242,8 @@ def test_chunked_curvature_file_corpus(corpus, monkeypatch, tmp_path):
 def test_scan_without_curvature_checkers_runs_no_kernel(monkeypatch):
     calls = []
     monkeypatch.setattr(theorems, "graph_curvature", lambda *args: calls.append(args))
-    _, summary = scan(CorpusSource.from_string("exhaustive:5"), ("T1.2", "T1.4", "C1.6", "T2.4"))
-    assert summary.clean and summary.checked == 4 * (1 + 1 + 2 + 6 + 21)
+    _, verdicts = scanned("exhaustive:5", ("T1.2", "T1.4", "C1.6", "T2.4"))
+    assert clean(verdicts) and len(verdicts) == 4 * (1 + 1 + 2 + 6 + 21)
     assert calls == []
 
 
@@ -246,8 +255,7 @@ def test_scan_with_one_curvature_checker_fills_whole_chunks(tid, corpus, monkeyp
     graphs = [g for _, g in connected_graphs_upto(6)] + [g for _, g in sorted(corpus.items())]
     path = tmp_path / "corpus.g6"
     path.write_text("".join(write_graph6(g) + "\n" for g in graphs), encoding="ascii")
-    src = CorpusSource.from_string(str(path))
-    everything, _ = scan(src)
+    _, everything = scanned(str(path))
     calls = []
 
     def counted(gs, *args, **kwargs):
@@ -255,14 +263,15 @@ def test_scan_with_one_curvature_checker_fills_whole_chunks(tid, corpus, monkeyp
         return curvature.graph_curvature(gs, *args, **kwargs)
 
     monkeypatch.setattr(theorems, "graph_curvature", counted)
-    verdicts, summary = scan(src, (tid,))
-    assert summary.total_graphs == len(graphs) and 0 < len(calls) < summary.applicable
+    total, verdicts = scanned(str(path), (tid,))
+    applicable = sum(v.applicable for v in verdicts)
+    assert total == len(graphs) and 0 < len(calls) < applicable
     assert render_json(verdicts) == render_json([v for v in everything if v.theorem == tid])
 
 
 def test_scan_frees_facts_without_the_cycle_collector():
-    # a checked chunk's list is emptied, so it and its facts, which point
-    # to it, do not keep each other alive until a collection
+    # facts point to their chunk, which holds graphs and no facts, so no
+    # reference cycle keeps a scanned chunk's facts alive until a collection
     def alive():
         return sum(isinstance(o, theorems.GraphFacts) for o in gc.get_objects())
 
@@ -270,17 +279,49 @@ def test_scan_frees_facts_without_the_cycle_collector():
     gc.disable()
     try:
         before = alive()
-        _, summary = scan(CorpusSource.from_string("exhaustive:5"))
-        assert summary.clean and alive() == before
+        assert clean(scanned("exhaustive:5")[1]) and alive() == before
     finally:
         gc.enable()
+
+
+def test_scan_yields_a_chunk_before_reading_past_it():
+    # cycle:8 fills a chunk with _CHUNK_VERTICES // 8 graphs, and the graph
+    # after them closes it; the chunk's verdicts must come out before the
+    # scan reads any further
+    per_chunk = theorems._CHUNK_VERTICES // 8
+    read = []
+
+    def graphs():
+        for i in itertools.count():
+            assert i <= per_chunk, "read a second graph past the first chunk"
+            read.append(i)
+            yield f"C8#{i}", cycle_graph(8)
+
+    pairs = scan(graphs(), ("T1.3", "T1.1"))
+    first = list(itertools.islice(pairs, per_chunk))
+    assert read == list(range(per_chunk + 1))
+    assert [verdicts[0].graph_id for _, verdicts in first] == [f"C8#{i}" for i in read[:-1]]
+    assert all(g == cycle_graph(8) for g, _ in first)
+    for _, verdicts in first:
+        assert [v.theorem for v in verdicts] == ["T1.3", "T1.1"]
+        assert all(v.applicable and v.holds for v in verdicts)
+
+
+def test_scan_checks_ids_before_reading_a_graph():
+    def unread():
+        raise AssertionError("read a graph")
+        yield
+
+    for ids in (("T1.3", "T7.7"), ("T1.3", "T1.3")):
+        with pytest.raises(GraphError, match="theorem id"):
+            list(scan(unread(), ids))
 
 
 def test_scan_file_source(tmp_path):
     path = tmp_path / "graphs.g6"
     path.write_text("C~\nCl\n", encoding="ascii")
-    verdicts, summary = scan(CorpusSource.from_string(str(path)), ("T1.3",))
-    assert summary.total_graphs == 2
+    total, verdicts = scanned(str(path), ("T1.3",))
+    assert total == 2
     assert verdicts[0].graph_id.endswith(":1")
 
 
@@ -288,18 +329,18 @@ def test_scan_file_with_malformed_line(tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("C~\n##bad##\n", encoding="ascii")
     with pytest.raises(FormatError) as err:
-        scan(CorpusSource.from_string(str(path)), ("T1.3",))
+        scanned(str(path), ("T1.3",))
     assert "line 2" in str(err.value)
 
 
 def test_scan_rejects_infinite_spec():
     with pytest.raises(GraphError):
-        scan(CorpusSource.from_string("gen:line"), ("T1.3",))
+        scanned("gen:line", ("T1.3",))
 
 
 def test_scan_rejects_unknown_theorem():
     with pytest.raises(GraphError):
-        scan(CorpusSource.from_string("gen:petersen"), ("T7.7",))
+        scan(theorems.corpus("gen:petersen"), ("T7.7",))
 
 
 def test_sign_rule_boundary():
@@ -313,17 +354,30 @@ def test_sign_rule_boundary():
 
 def test_conjecture_scan_small():
     report = conjecture_scan(4)
-    assert report.boundary == []
-    ids = {r.graph_id: r for r in report.rows}
+    assert report["max_n"] == 4 and report["boundary_cases"] == []
+    # recount from the kernel, Stoer-Wagner and the degrees, without a scan
+    expected = Counter()
+    for _, g in connected_graphs_upto(4):
+        [(kmin, _)] = curvature.graph_curvature([g])
+        if g.n >= 2 and theorems.nonnegatively_curved(kmin):
+            delta = min(g.degree(v) for v in range(g.n))
+            expected[f"delta={delta},lambda={cuts.edge_connectivity(g)[0]}"] += 1
+    assert report["table"] == expected
+    assert report["nonnegative_curvature_graphs"] == sum(expected.values())
     # C4 qualifies with delta = lambda = 2
-    c4_rows = [r for r in report.rows if r.n == 4 and r.delta == 2 and r.lam == 2]
-    assert c4_rows
-    assert all(r.lam >= r.delta - 1 for r in report.rows)
+    c4 = check_theorem(cycle_graph(4), "T1.3", "C4")
+    assert c4.applicable and (c4.evidence["delta"], c4.evidence["lambda"]) == (2, 2)
+    assert report["table"]["delta=2,lambda=2"] >= 1
+    # lambda >= delta - 1 on every row
+    for key in report["table"]:
+        delta, lam = (int(part.split("=")[1]) for part in key.split(","))
+        assert lam >= delta - 1, key
 
 
 def test_conjecture_scan_trivial():
     report = conjecture_scan(1)
-    assert report.rows == [] and report.table == {}
+    assert report["nonnegative_curvature_graphs"] == 0
+    assert report["table"] == {} and report["boundary_cases"] == []
 
 
 def test_conjecture_scan_cap():
@@ -336,9 +390,9 @@ def test_beta1_search_finds_splice():
     findings = beta1_search()
     assert len(findings) == 1
     f = findings[0]
-    assert f.graph_id == "beta1_counterexample"
-    assert (f.d, f.alpha, f.beta, f.lam) == (3, 0, 1, 2)
-    assert f.girth == 5
+    assert f["graph"] == "beta1_counterexample"
+    assert (f["d"], f["alpha"], f["beta"], f["lambda"]) == (3, 0, 1, 2)
+    assert f["girth"] == 5
 
 
 def test_beta1_search_skips_petersen_and_extras():
@@ -347,4 +401,4 @@ def test_beta1_search_skips_petersen_and_extras():
     reg = regularity.detect_regularity(g)
     assert reg.is_amply_regular and (reg.d, reg.alpha, reg.beta) == (3, 0, 1)
     assert cuts.edge_connectivity(g)[0] == 3
-    assert all(f.graph_id != "petersen" for f in beta1_search())
+    assert all(f["graph"] != "petersen" for f in beta1_search())
