@@ -21,7 +21,7 @@ from .generators import generate, parse_family_spec
 from .graph import Graph, GraphError, NeighborOracle
 from .matching import maximum_matching
 from .regularity import detect_regularity
-from .reports import emit_report, print_json
+from .reports import RENDERERS, emit_report, print_json
 from .theorems import THEOREM_IDS, beta1_search, conjecture_scan, corpus, scan
 
 EXIT_OK = 0
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run theorem checkers over a corpus")
     p.add_argument("--source", required=True, help="file path, gen:spec;spec, or exhaustive:N")
     p.add_argument("--theorems", help=f"comma list from {','.join(THEOREM_IDS)}")
-    p.add_argument("--format", default="json", choices=("json", "csv", "markdown"))
+    p.add_argument("--format", default="json", choices=RENDERERS)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(fn=cmd_check)
 

@@ -87,6 +87,11 @@ def _bits_of(data: bytes, pos: int) -> list[int]:
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 (or sparse6) line into a Graph."""
     line = text.strip()
+    # no graph6 or sparse6 line, nor a header, starts with an ASCII digit
+    if "0" <= line[:1] <= "9":
+        raise FormatError(
+            "a line that starts with a digit is edge-list text, not graph6 or sparse6"
+        )
     for header, kind in ((GRAPH6_HEADER, "graph6"), (SPARSE6_HEADER, "sparse6")):
         if line.startswith(header):
             line = line[len(header) :]

@@ -1,5 +1,6 @@
 """Regularity detection, the closed-form curvature of amply regular graphs,
-diamond detection, and the two-sphere partition inequalities.
+diamond detection with Theorem 2.4's check (`bcn_check`, which returns the
+parts of a verdict), and the two-sphere partition inequalities.
 
 A graph is edge-regular (n, d, alpha) when it is d-regular and every
 adjacent pair has exactly alpha common neighbors, and amply regular
@@ -151,42 +152,30 @@ def contains_induced_diamond(g: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class BcnVerdict:
-    """Outcome of the diamond-freeness check for amply regular graphs with
-    beta = 2 and d < alpha(alpha+3)/2; a violation signals a bug, since the
-    underlying statement is a theorem.
+def bcn_check(g: Graph, reg: RegularityClass | None = None) -> tuple[bool, bool | None, dict]:
+    """Theorem 2.4 on g as (applicable, holds, evidence); `reg` is g's
+    regularity class when already known.
 
-    The conclusion is induced-diamond-freeness (each vertex neighborhood
-    induces a disjoint union of cliques); subgraph containment would be
-    falsified by rook's graphs such as K5 x K5, whose row cliques carry
-    plenty of non-induced diamonds while their neighborhoods are still
-    disjoint cliques.
+    The theorem applies to amply regular graphs with beta = 2 and
+    d < alpha(alpha+3)/2, and a violation signals a bug.  Its conclusion is
+    induced-diamond-freeness (each vertex neighborhood induces a disjoint
+    union of cliques); subgraph containment would be falsified by rook's
+    graphs such as K5 x K5, whose row cliques carry plenty of non-induced
+    diamonds while their neighborhoods are still disjoint cliques.  The
+    evidence is {"reason", "witness"}, the witness an induced diamond
+    (c, d, a, b) or None.
     """
-
-    applicable: bool
-    holds: bool | None
-    reason: str
-    witness: tuple[int, int, int, int] | None = None
-
-
-def bcn_check(g: Graph, reg: RegularityClass | None = None) -> BcnVerdict:
-    """Theorem 2.4 on g; `reg` is g's regularity class when already known."""
     reg = detect_regularity(g) if reg is None else reg
     if not reg.is_amply_regular or reg.beta != 2:
-        return BcnVerdict(False, None, f"not amply regular with beta=2 ({reg.kind})")
+        reason = f"not amply regular with beta=2 ({reg.kind})"
+        return False, None, {"reason": reason, "witness": None}
     bound = reg.alpha * (reg.alpha + 3) / 2.0
     if not reg.d < bound:
-        return BcnVerdict(
-            False, None, f"d={reg.d} not below alpha(alpha+3)/2={bound}"
-        )
+        reason = f"d={reg.d} not below alpha(alpha+3)/2={bound}"
+        return False, None, {"reason": reason, "witness": None}
     witness = contains_induced_diamond(g)
-    return BcnVerdict(
-        True,
-        witness is None,
-        "induced-diamond-free" if witness is None else "contains an induced diamond",
-        witness,
-    )
+    reason = "induced-diamond-free" if witness is None else "contains an induced diamond"
+    return True, witness is None, {"reason": reason, "witness": witness}
 
 
 def _edge_count(g: Graph, left: Iterable[int], right: set[int]) -> int:

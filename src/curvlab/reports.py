@@ -1,7 +1,10 @@
 """Machine-readable verdict reports: JSON, CSV, and markdown.
 
 Field order is fixed so identical scans serialize byte-identically; see
-README for the JSON schema.
+README for the JSON schema.  Every JSON byte the package writes, a
+command's payload, a report or a CSV `detail` cell, comes from one dump
+(`_dump`: sorted keys, NaN refused), and `emit_report` writes a report to
+stdout or a file through one path.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import io
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import fields, is_dataclass
 from typing import Sequence
 
@@ -20,16 +24,16 @@ CSV_HEADER = ("theorem", "graph", "applicable", "holds", "detail")
 
 
 def _plain(value):
-    """Recursively convert evidence values to JSON-safe structures; every
-    caller dumps them with sorted keys and allow_nan=False, so a NaN raises
-    a ValueError instead of being written as invalid JSON."""
+    """Recursively convert evidence values to JSON-safe structures: a
+    dataclass becomes a dict of its fields, a frozenset a sorted list and an
+    infinity the string "inf" or "-inf"."""
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, frozenset):
         return sorted(value)
-    if isinstance(value, (list, tuple, set)):
+    if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, float):
         if math.isinf(value):
@@ -38,24 +42,29 @@ def _plain(value):
     return value
 
 
-def verdict_record(v: TheoremVerdict) -> dict:
-    return {
-        "theorem": v.theorem,
-        "graph": v.graph_id,
-        "applicable": v.applicable,
-        "holds": v.holds,
-        "evidence": _plain(v.evidence),
-    }
+def _dump(value, indent: int | None = 2) -> str:
+    """The one JSON encoding of every writer: sorted keys, and a NaN raises
+    ValueError instead of being written as invalid JSON."""
+    return json.dumps(value, allow_nan=False, indent=indent, sort_keys=True)
 
 
 def print_json(payload) -> None:
     """Write a command's payload to stdout as indented JSON with sorted keys."""
-    print(json.dumps(_plain(payload), allow_nan=False, indent=2, sort_keys=True))
+    print(_dump(_plain(payload)))
 
 
 def render_json(verdicts: Sequence[TheoremVerdict]) -> str:
-    return json.dumps(
-        [verdict_record(v) for v in verdicts], allow_nan=False, indent=2, sort_keys=True
+    return _dump(
+        [
+            {
+                "theorem": v.theorem,
+                "graph": v.graph_id,
+                "applicable": v.applicable,
+                "holds": v.holds,
+                "evidence": _plain(v.evidence),
+            }
+            for v in verdicts
+        ]
     )
 
 
@@ -64,7 +73,7 @@ def render_csv(verdicts: Sequence[TheoremVerdict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for v in verdicts:
-        detail = json.dumps(_plain(v.evidence), allow_nan=False, sort_keys=True)
+        detail = _dump(_plain(v.evidence), indent=None)
         writer.writerow([v.theorem, v.graph_id, v.applicable, v.holds, detail])
     return buf.getvalue()
 
@@ -85,24 +94,19 @@ def render_markdown(verdicts: Sequence[TheoremVerdict]) -> str:
     return "\n".join(lines)
 
 
+# report format -> renderer; `curvlab check --format` offers these keys
+RENDERERS = {"json": render_json, "csv": render_csv, "markdown": render_markdown}
+
+
 def emit_report(verdicts: Sequence[TheoremVerdict], fmt: str, out: str | None) -> str:
-    """Render verdicts in the requested format and write them to `out`
-    (a path, or stdout when None).  Returns the rendered text."""
-    if fmt == "json":
-        text = render_json(verdicts)
-    elif fmt == "csv":
-        text = render_csv(verdicts)
-    elif fmt == "markdown":
-        text = render_markdown(verdicts)
-    else:
+    """Render verdicts in the requested format and write them, ending in
+    one newline, to `out` (a path, or stdout when None).  Returns the
+    rendered text."""
+    if fmt not in RENDERERS:
         raise ValueError(f"unknown report format {fmt!r}")
-    if out is None:
-        sys.stdout.write(text)
+    text = RENDERERS[fmt](verdicts)
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write("\n")
     return text

@@ -151,10 +151,7 @@ def check_theorem(
         )
 
     if theorem_id == "T2.4":
-        bcn = bcn_check(g, facts.regularity)
-        return verdict(
-            bcn.applicable, bcn.holds, {"reason": bcn.reason, "witness": bcn.witness}
-        )
+        return verdict(*bcn_check(g, facts.regularity))
 
     reg = facts.regularity
     if theorem_id in ("T1.1", "T1.2"):

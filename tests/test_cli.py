@@ -5,10 +5,10 @@ import warnings
 
 import pytest
 
-from curvlab import cli, cuts, theorems
+from curvlab import cli, cuts, regularity, theorems
 from curvlab.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from curvlab.formats import write_graph6
-from curvlab.generators import petersen
+from curvlab.generators import hamming2, petersen
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +173,16 @@ def test_file_input_edge_list(capsys, tmp_path):
     assert json.loads(out)["lambda"] == 2
 
 
+def test_check_on_an_edge_list_file_names_the_format(capsys, tmp_path):
+    # the single-graph commands read this file as an edge list; a corpus is
+    # graph6 or sparse6, and this said "bad byte 51 in size prefix"
+    path = tmp_path / "tri.txt"
+    path.write_text("3 3\n0 1\n1 2\n0 2\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "check", "--source", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert "error: line 1: a line that starts with a digit is edge-list text" in err
+
+
 def test_check_command_json(capsys):
     code, out, err = run_cli(
         capsys,
@@ -203,6 +213,19 @@ def test_check_counts_a_violation_and_exits_2(capsys, monkeypatch):
     assert code == EXIT_VIOLATION and len(json.loads(out)) == 4
     assert "checked 4 verdicts on 2 graphs: 3 applicable, 2 held, 1 violations" in err
     assert err.count("VIOLATION") == 1 and "VIOLATION T1.2 on petersen: {" in err
+
+
+def test_check_reports_a_t24_violation(capsys, monkeypatch):
+    # T2.4 is a theorem, so only a patched diamond search reaches the
+    # branch that reports a violation
+    monkeypatch.setattr(regularity, "contains_induced_diamond", lambda g: (0, 1, 2, 3))
+    v = theorems.check_theorem(hamming2(5), "T2.4", "hamming2:5")
+    assert (v.applicable, v.holds) == (True, False)
+    assert v.evidence == {"reason": "contains an induced diamond", "witness": (0, 1, 2, 3)}
+    code, out, err = run_cli(capsys, "check", "--source", "gen:hamming2:5", "--theorems", "T2.4")
+    assert code == EXIT_VIOLATION and json.loads(out)[0]["evidence"]["witness"] == [0, 1, 2, 3]
+    assert "checked 1 verdicts on 1 graphs: 1 applicable, 0 held, 1 violations" in err
+    assert "VIOLATION T2.4 on hamming2:5: {'reason': 'contains an induced diamond'" in err
 
 
 def test_check_deterministic_across_runs(capsys, tmp_path):
@@ -269,7 +292,7 @@ def test_exploration_output_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# the csv and markdown reports of the two sources of test_check_report_pinned
+# the csv and markdown reports of the sources of test_check_report_pinned
 REPORT_SHA256 = {
     "exhaustive:6": {
         "csv": "0716741e2cd241021d44df8e4b2e3b3ad91f99a74d803bcaf0bd8e69d0674bff",
@@ -278,6 +301,11 @@ REPORT_SHA256 = {
     "gen:petersen;hypercube:4;paley:13;cycle:4;hamming2:3": {
         "csv": "3af140e27862c599d58bdcab81ad49d358a563721be2902740406912f985d26a",
         "markdown": "410eb9a389ecf1e0fe999b1627e43ac9cbf4ca121ddbd984988f041e36e0bd50",
+    },
+    # the one source whose T2.4 verdict is applicable (and holds)
+    "gen:hamming2:5": {
+        "csv": "ce5dce48421204c9e4121c568c791de0b12ed0accf0e243dde6d73b63d23c002",
+        "markdown": "f960a7231e9092e5e1cfafbc42a947deb4cd883ca72cf058493085967bd1ed36",
     },
 }
 
@@ -290,6 +318,7 @@ REPORT_SHA256 = {
             "gen:petersen;hypercube:4;paley:13;cycle:4;hamming2:3",
             "bd021ad429344720cd871439d18f4fa10a00900e6dbaff98c73cad17fd748044",
         ),
+        ("gen:hamming2:5", "e40269a346eac618e61abb638f7264faa0b6be38193939dea7870cb6c6b943b6"),
     ],
 )
 def test_check_report_pinned(capsys, tmp_path, source, digest):

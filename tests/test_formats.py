@@ -89,6 +89,16 @@ def test_header_must_match_its_payload_and_appear_once(line, message):
         parse_graph6(line)
 
 
+@pytest.mark.parametrize("line", ["3 3", "0 1", "9", "12 4 "])
+def test_edge_list_text_is_named(line):
+    # no graph6 or sparse6 line starts with an ASCII digit; these were read
+    # as a bad size prefix ("bad byte 51")
+    with pytest.raises(FormatError, match="a line that starts with a digit is edge-list text"):
+        parse_graph6(line)
+    with pytest.raises(FormatError, match="line 2: a line that starts with a digit"):
+        iter_graph6_file(["Bw", line])
+
+
 def test_petersen_roundtrip():
     p = petersen()
     assert parse_graph6(write_graph6(p)) == p

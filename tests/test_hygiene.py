@@ -2,8 +2,9 @@
 the package imports nothing but the standard library and numpy, no package
 module imports another's underscore names, every function, class and method
 of the package is named somewhere, every module-level name the package
-assigns is read somewhere, and every defaulted parameter of the package is
-passed by some call and left out by another."""
+assigns is read somewhere, every defaulted parameter of the package is
+passed by some call and left out by another, and the package calls
+json.dump or json.dumps in one place."""
 
 from __future__ import annotations
 
@@ -360,3 +361,59 @@ def test_no_default_is_always_overridden():
         for lineno, name in overridden_defaults(path.read_text(encoding="utf-8"), all_calls)
     ]
     assert overridden == []
+
+
+def json_dump_calls(source: str) -> list[tuple[int, str | None]]:
+    """(line, innermost enclosing function or None) of every call to
+    `json.dump` or `json.dumps`, through any name the source binds to the
+    module or to either function."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound, names = modules, ("json",)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            bound, names = functions, ("dump", "dumps")
+        else:
+            continue
+        bound |= {alias.asname or alias.name for alias in node.names if alias.name in names}
+    found = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id in functions) or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in ("dump", "dumps")
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in modules
+                ):
+                    found.append((child.lineno, owner))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_json_dump_calls_are_found():
+    source = (
+        "import json\nimport json as j\nfrom json import dumps as d, loads\n"
+        "def _dump(x):\n    return json.dumps(x)\n"
+        "def f(x, fh):\n    json.dump(x, fh)\n    return j.dumps(d(x))\n"
+        "TEXT = json.dumps([])\nobj.dumps(1)\nloads(json.loads('1'))\n"
+    )
+    assert json_dump_calls(source) == [(5, "_dump"), (7, "f"), (8, "f"), (8, "f"), (9, None)]
+    assert json_dump_calls("import pickle\npickle.dumps(1)\n") == []
+
+
+def test_one_json_dump_serves_the_package():
+    # reports._dump sorts keys and refuses NaN; a writer that called json
+    # itself could drop either
+    found = [
+        (str(path.relative_to(ROOT)), owner)
+        for path in PACKAGE
+        for _, owner in json_dump_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("src/curvlab/reports.py", "_dump")]

@@ -162,19 +162,23 @@ def test_diamond_vs_bruteforce():
 
 
 def test_bcn_examples():
-    verdict = bcn_check(cycle_graph(4))
-    assert not verdict.applicable  # d=2 not below alpha(alpha+3)/2 = 0
-    verdict = bcn_check(hamming2(3))
-    assert not verdict.applicable  # 4 < 2 is false
-    verdict = bcn_check(petersen())
-    assert not verdict.applicable  # beta = 1
+    applicable, _, _ = bcn_check(cycle_graph(4))
+    assert not applicable  # d=2 not below alpha(alpha+3)/2 = 0
+    applicable, _, _ = bcn_check(hamming2(3))
+    assert not applicable  # 4 < 2 is false
+    applicable, holds, evidence = bcn_check(petersen())
+    assert not applicable and holds is None  # beta = 1
+    assert evidence == {"reason": "not amply regular with beta=2 (amply_regular)", "witness": None}
 
 
 def test_bcn_inapplicable_cases():
     # hypercubes have beta = 2 but alpha = 0, so d < 0 fails
-    assert not bcn_check(hypercube(3)).applicable
+    applicable, holds, evidence = bcn_check(hypercube(3))
+    assert not applicable and holds is None
+    assert evidence == {"reason": "d=3 not below alpha(alpha+3)/2=0.0", "witness": None}
     # the octahedron T(4) = K_{2,2,2} has beta = 4
-    assert not bcn_check(triangular(4)).applicable
+    applicable, _, _ = bcn_check(triangular(4))
+    assert not applicable
 
 
 def test_bcn_applicable_on_large_rook_graph():
@@ -183,7 +187,7 @@ def test_bcn_applicable_on_large_rook_graph():
     # neighborhood induces two disjoint cliques, so the induced check holds.
     g = hamming2(5)
     verdict = bcn_check(g)
-    assert verdict.applicable and verdict.holds, verdict
+    assert verdict == (True, True, {"reason": "induced-diamond-free", "witness": None})
     # row 0 spans the clique {0, ..., 4}, so K4 and its diamonds sit in g
     assert all(g.has_edge(u, v) for u, v in combinations(range(5), 2))
 

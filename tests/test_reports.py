@@ -50,13 +50,18 @@ def test_evidence_serializes_certificates():
     assert isinstance(cut["side_L"], list)
 
 
-def test_emit_report_to_file(tmp_path):
-    v = check_theorem(cycle_graph(4), "T1.4", "C4")
-    out = tmp_path / "report.json"
-    text = emit_report([v], "json", str(out))
-    assert out.read_text().strip() == text.strip()
-    emit_report([v], "csv", str(tmp_path / "report.csv"))
-    emit_report([v], "markdown", str(tmp_path / "report.md"))
+def test_emit_report_to_file(capsys, tmp_path):
+    # to a file or to stdout, the bytes written are the returned text and one
+    # final newline, added only when the text lacks it (the json report)
+    verdicts = [check_theorem(cycle_graph(4), "T1.4", "C4")]
+    for fmt in ("json", "csv", "markdown"):
+        out = tmp_path / f"report.{fmt}"
+        text = emit_report(verdicts, fmt, str(out))
+        assert text.endswith("\n") == (fmt != "json")
+        written = (text if text.endswith("\n") else text + "\n").encode()
+        assert out.read_bytes() == written and capsys.readouterr().out == ""
+        assert emit_report(verdicts, fmt, None) == text
+        assert capsys.readouterr().out.encode() == written
 
 
 def test_emit_report_rejects_unknown_format(tmp_path):
