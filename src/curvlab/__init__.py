@@ -2,7 +2,6 @@
 
 from .curvature import (
     CurvatureReport,
-    QuadraticForm,
     bakry_emery_curvature,
     bakry_emery_curvature_bisect,
     check_cd,

@@ -11,18 +11,19 @@ The form is read in closed form off the adjacency of the 2-ball.  Its
 sphere-2 block is diagonal, so the Schur complement divides by that
 diagonal and needs no factorization.  The arithmetic has two routes:
 
-- The production kernel turns the 0/1 sphere blocks of a stack of centres
-  into reduced forms (`_stacked_sphere1_forms`, then `_stacked_schur`) and
-  solves them with one stacked `eigh` (`_stacked_min_eigenpairs`).
-  `graph_curvature` reads the blocks off the adjacencies of a list of
-  whole graphs (`_graph_reduced_forms`), stacking the centres of one degree
+- The production kernel assembles the reduced forms of a stack of centres
+  from a stack of 0/1 adjacencies (`_graph_reduced_forms`) and solves them
+  with one stacked `eigh` (`_stacked_min_eigenpairs`).  `graph_curvature`
+  gives it a list of whole graphs, stacking the centres of one degree
   across the graphs; a corpus scan hands it a chunk of graphs at a time.
-  `bakry_emery_curvature` slices the blocks out of the 2-ball of one
+  `bakry_emery_curvature` gives it the adjacency of the 2-ball of one
   vertex of any neighbour oracle and adds the witness.
 - The reference route builds one vertex's form as a matrix
   (`curvature_form`), subtracts the 1/N correction and eliminates sphere 2
-  (`schur_reduce`); `bakry_emery_curvature_bisect` then bisects on K with a
-  Cholesky test of positive semidefiniteness, with no eigensolver.
+  (`schur_reduce`), on plain arrays; `bakry_emery_curvature_bisect` then
+  bisects on K with a Cholesky test of positive semidefiniteness, with no
+  eigensolver.  It calls no function of the kernel, nor the kernel one of
+  its own.
 
 In the tests, `local_ops.gamma2_at`, which composes the operator
 definitions pointwise, checks the reference form entry by entry; the
@@ -51,25 +52,6 @@ _BATCH_ENTRIES = 1 << 16
 
 class FormError(GraphError):
     """Signals a malformed or inconsistent curvature form."""
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Dense symmetric form over an ordered vertex basis.
-
-    The basis lists sphere-1 vertices first, then sphere-2 vertices; the
-    center is excluded (its value is gauged to zero).  `n1` is the length
-    of the sphere-1 prefix.
-    """
-
-    basis: tuple
-    n1: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.shape != (len(self.basis), len(self.basis)):
-            raise FormError("matrix dimension does not match basis")
 
 
 @dataclass(frozen=True)
@@ -115,10 +97,10 @@ def graph_curvature(
     The production kernel on whole graphs: every centre's sphere blocks are
     read off one stack of 0/1 adjacency arrays, and the forms of one sphere-1
     size k, over all the graphs, are solved by one stacked `eigh` (one per
-    batch of centres).  `bakry_emery_curvature` feeds the same kernel the
-    blocks of one 2-ball, and the tests hold the two bit for bit equal; the
-    reference route (`curvature_form`, `schur_reduce`, Cholesky bisection)
-    is the kernel's independent check.
+    batch of centres).  `bakry_emery_curvature` runs the same assembly on
+    one 2-ball, and the tests hold the two bit for bit equal; the reference
+    route (`curvature_form`, `schur_reduce`, Cholesky bisection) is the
+    kernel's independent check.
     """
     if any(g.n == 0 for g in graphs):
         raise GraphError("curvature of the empty graph is undefined")
@@ -145,9 +127,11 @@ def bakry_emery_curvature(
 
     With f(x) = 0 the constraint becomes positive semidefiniteness of the
     reduced form minus (K/2) I, so K is twice its minimal eigenvalue: the
-    kernel of `graph_curvature` fed the sphere blocks of the 2-ball of x, so
-    any neighbour oracle will do.  The witness is the minimal
-    eigenvector on sphere 1, extended to sphere 2 by the Schur
+    kernel of `graph_curvature` run on the 2-ball of x as a graph of its
+    own, so any neighbour oracle will do.  The ball holds every neighbour of
+    sphere 1, so the degrees and spheres read off it are the graph's, and
+    its sphere order is the sorted order the kernel gathers.  The witness is
+    the minimal eigenvector on sphere 1, extended to sphere 2 by the Schur
     back-substitution f2 = -Q22^{-1} Q21 f1 = 2 (a12^T f1) / (1^T a12); it
     attains near-equality.  Isolated vertices return +inf (supremum over an
     empty constraint set).
@@ -157,11 +141,11 @@ def bakry_emery_curvature(
     k = bmap.sphere.count(1)
     if k == 0:
         return CurvatureReport(math.inf, None)
-    a11, a12 = adj[1 : k + 1, 1 : k + 1], adj[1 : k + 1, k + 1 :]  # centre, sphere 1, sphere 2
-    q11 = _stacked_sphere1_forms(a11[None], a12.sum(1)[None], N)
-    form = _stacked_schur(q11, a12[None])[0]
+    c = np.zeros(1, dtype=np.intp)  # the ball is graph 0, its centre vertex 0
+    form = _graph_reduced_forms(adj[None], adj.sum(1)[None], c, c, N)[0]
     _check_scale(form, N)
     lam, vec = min_eigenpair(form)
+    a12 = adj[1 : k + 1, k + 1 :]  # sphere 1 by sphere 2
     f2 = 2.0 * (vec @ a12) / a12.sum(0)
     witness = dict(zip(bmap.vertices, [0.0] + vec.tolist() + f2.tolist()))
     return CurvatureReport(2.0 * lam, witness)
@@ -184,44 +168,35 @@ def check_cd(
 def _graph_reduced_forms(
     adj: np.ndarray, deg: np.ndarray, gs: np.ndarray, xs: np.ndarray, N: float
 ) -> np.ndarray:
-    """Reduced forms of the centres xs of the graphs gs, all of one degree k,
-    as an (m, k, k) stack, with each centre's spheres read off its graph's
-    adjacency."""
+    """Reduced forms, 1/N subtracted, of the centres xs of the graphs gs, all
+    of one degree k, as an (m, k, k) stack, with each centre's spheres read
+    off its graph's 0/1 adjacency and deg its graph's degrees; byte for byte
+    the reference route's `curvature_form`, correction and `schur_reduce`."""
     m = len(xs)
     rows = adj[gs, xs]
     n1 = np.nonzero(rows)[1].reshape(m, -1)  # sorted sphere 1 of each centre
+    k = n1.shape[1]
     g1 = gs[:, None]
     s2 = np.logical_or.reduce(adj[g1, n1], 1) > rows  # sphere 2: reached via sphere 1, not adjacent
     s2[np.arange(m), xs] = False  # and not the centre
     a11 = adj[g1[:, :, None], n1[:, :, None], n1[:, None, :]]
-    q11 = _stacked_sphere1_forms(a11, deg[g1, n1] - 1 - a11.sum(2), N)
+    in1 = a11.sum(2)  # degrees of sphere 1 within sphere 1; the rest but x lead to sphere 2
+    # each entry of Q11 is a small quarter-integer, exact in floating point,
+    # so building it elementwise gives the reference route's bits
+    q = np.where(a11, -0.5, 0.5)
+    q.reshape(m, -1)[:, :: k + 1] = in1 + 0.75 * (deg[g1, n1] - 1 - in1) + (5 - k) / 4.0
+    if N != math.inf:
+        q -= 1.0 / N
     n2 = np.add.reduce(s2, 1)
     for size in set(n2.tolist()) - {0}:
+        # the centres of a stack share n2, so each keeps the shape of the
+        # (k, n2) @ (n2, k) product `schur_reduce` forms
         sel = np.flatnonzero(n2 == size)
         idx2 = np.nonzero(s2[sel])[1].reshape(len(sel), 1, size)  # sorted sphere 2
-        q11[sel] = _stacked_schur(q11[sel], adj[g1[sel][:, :, None], n1[sel][:, :, None], idx2])
-    return q11
-
-
-def _stacked_sphere1_forms(a11: np.ndarray, in2: np.ndarray, N: float) -> np.ndarray:
-    """Sphere-1 blocks of a stack of forms, 1/N subtracted, from a11 (m, k, k),
-    the 0/1 adjacency on sphere 1, and in2 (m, k), the sphere-2 degrees of
-    sphere 1.  Each entry of `curvature_form`'s Q11 is a small quarter-integer,
-    exact in floating point, so building it elementwise gives the same bits."""
-    m, k = in2.shape
-    q11 = np.where(a11, -0.5, 0.5)
-    q11.reshape(m, -1)[:, :: k + 1] = a11.sum(2) + 0.75 * in2 + (5 - k) / 4.0
-    if N != math.inf:
-        q11 -= 1.0 / N
-    return q11
-
-
-def _stacked_schur(q11: np.ndarray, a12: np.ndarray) -> np.ndarray:
-    """`schur_reduce` on a stack of sphere-1 blocks, byte for byte, with a12
-    (m, k, n2) the 0/1 adjacency from sphere 1 to sphere 2; the centres of a
-    stack share n2 so each keeps the (k, n2) @ (n2, k) product's shape."""
-    q12 = 0.0 - a12 / 2.0  # with no sphere 2 the product below is a zero matrix
-    return q11 - (q12 / (a12.sum(1) / 4.0)[:, None, :]) @ q12.transpose(0, 2, 1)
+        a12 = adj[g1[sel][:, :, None], n1[sel][:, :, None], idx2]
+        q12 = 0.0 - a12 / 2.0
+        q[sel] -= (q12 / (a12.sum(1) / 4.0)[:, None, :]) @ q12.transpose(0, 2, 1)
+    return q
 
 
 def _stacked_min_eigenpairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +222,10 @@ def min_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
 # --- reference route -------------------------------------------------------
 
 
-def curvature_form(o: Graph | NeighborOracle, x: Hashable) -> QuadraticForm:
-    """Quadratic form Q with f^T Q f = Gamma_2(f)(x) for all f with f(x) = 0.
+def curvature_form(o: Graph | NeighborOracle, x: Hashable) -> tuple[np.ndarray, int]:
+    """Quadratic form Q with f^T Q f = Gamma_2(f)(x) for all f with f(x) = 0,
+    and k = |S1|.  Q's basis is the 2-ball in `ball` order without the
+    centre (whose value is gauged to zero): sphere 1, then sphere 2.
 
     Read in closed form off the 0/1 adjacency `a` of the 2-ball (Cushing,
     Liu and Peyerimhoff, "Bakry-Emery curvature functions on graphs"), with
@@ -277,11 +254,13 @@ def curvature_form(o: Graph | NeighborOracle, x: Hashable) -> QuadraticForm:
     q[:k, k:] = 0.0 - a12 / 2.0  # not -a12 / 2.0, which writes -0.0 for non-edges
     q[k:, :k] = q[:k, k:].T
     q[k:, k:] = np.diag(a12.sum(0) / 4.0)
-    return QuadraticForm(bmap.vertices[1:], k, q)
+    return q, k
 
 
-def schur_reduce(q: QuadraticForm) -> QuadraticForm:
-    """Eliminate the sphere-2 block: Q_eff = Q11 - Q12 Q22^{-1} Q21.
+def schur_reduce(q: np.ndarray, k: int) -> np.ndarray:
+    """Eliminate the sphere-2 block of a form whose first k basis vertices
+    are sphere 1: the k x k array Q_eff = Q11 - Q12 Q22^{-1} Q21, or q
+    itself when there is no sphere 2.
 
     For every sphere-1 vector f1, f1^T Q_eff f1 equals the minimum of
     (f1,f2)^T Q (f1,f2) over sphere-2 vectors f2.  The minimum exists
@@ -289,29 +268,26 @@ def schur_reduce(q: QuadraticForm) -> QuadraticForm:
     quarter of each sphere-2 vertex's sphere-1 degree), so Q22^{-1} is a
     division by its diagonal; any other block is rejected.
     """
-    k = q.n1
-    if len(q.basis) == k:
+    if len(q) == k:
         return q
-    q12 = q.matrix[:k, k:]
-    q22 = q.matrix[k:, k:]
+    q12 = q[:k, k:]
+    q22 = q[k:, k:]
     d = np.diag(q22)
     if np.count_nonzero(q22 - np.diag(d)) or not np.all(d > 0):
         raise FormError("sphere-2 block is not diagonal with positive entries")
-    return QuadraticForm(q.basis[:k], k, q.matrix[:k, :k] - (q12 / d) @ q12.T)
+    return q[:k, :k] - (q12 / d) @ q12.T
 
 
-def _reference_reduced_form(o: Graph | NeighborOracle, x: Hashable, N: float) -> QuadraticForm:
+def _reference_reduced_form(o: Graph | NeighborOracle, x: Hashable, N: float) -> np.ndarray:
     """`curvature_form`, the dimension correction and `schur_reduce`.
 
     The correction (1/N)(Delta f)^2(x) with f(x) = 0 is (1/N)(sum of f on
     sphere 1)^2, that is 1/N subtracted from every sphere-1 entry.
     """
-    q = curvature_form(o, x)
+    q, k = curvature_form(o, x)
     if N != math.inf:
-        mat = q.matrix.copy()
-        mat[: q.n1, : q.n1] -= 1.0 / N
-        q = QuadraticForm(q.basis, q.n1, mat)
-    return schur_reduce(q)
+        q[:k, :k] -= 1.0 / N
+    return schur_reduce(q, k)
 
 
 def _is_psd(m: np.ndarray) -> bool:
@@ -331,7 +307,7 @@ def bakry_emery_curvature_bisect(o: Graph | NeighborOracle, x: Hashable, N: floa
     _check_dimension(N)
     if not o.neighbors(x):
         return math.inf
-    m = _reference_reduced_form(o, x, N).matrix
+    m = _reference_reduced_form(o, x, N)
     _check_scale(m, N)
     dim = m.shape[0]
     # Gershgorin bounds on the spectrum of the reduced form

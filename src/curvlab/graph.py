@@ -94,9 +94,6 @@ class NeighborOracle:
     def neighbors(self, v: Hashable) -> tuple:
         return tuple(self._fn(v))
 
-    def degree(self, v: Hashable) -> int:
-        return len(self.neighbors(v))
-
 
 @dataclass(frozen=True)
 class BallMap:

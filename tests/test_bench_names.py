@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import curvlab
@@ -36,17 +37,34 @@ def test_traced_names_resolve_to_package_callables():
         assert callable(getattr(module, attribute, None)), (module_name, attribute)
 
 
-def test_traced_scan_counts_kernel_calls_and_verdicts(tmp_path):
-    # a wrapper the kernel's callers no longer go through would read 0
-    # kernel calls and still exit 0
+def _traced_run(tmp_path, *argv):
+    """The span dump of `curvlab <argv>` run by the traced runner, which
+    must exit 0."""
     dump = tmp_path / "spans.json"
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
-        [sys.executable, str(TRACING), str(dump), "--", "check", "--source", "exhaustive:5"],
+        [sys.executable, str(TRACING), str(dump), "--", *argv],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
     assert result.returncode == 0, result.stderr
-    metrics = _tracing().layer_metrics(json.loads(dump.read_text(encoding="utf-8")))
+    return json.loads(dump.read_text(encoding="utf-8"))
+
+
+def test_traced_scan_counts_kernel_calls_and_verdicts(tmp_path):
+    # a wrapper the kernel's callers no longer go through would read 0
+    # kernel calls and still exit 0
+    metrics = _tracing().layer_metrics(_traced_run(tmp_path, "check", "--source", "exhaustive:5"))
     assert metrics["curvature.graph_calls"]["value"] >= 1
     assert metrics["theorems.verdicts"]["value"] == 7 * (1 + 1 + 2 + 6 + 21)
+
+
+def test_traced_vertex_query_goes_through_the_wrapped_names(tmp_path):
+    # one --vertex query on an infinite family extracts one 2-ball (11
+    # vertices at (-4, 2) of Z x K3) and solves one form, and builds no
+    # reference form
+    dump = _traced_run(tmp_path, "curvature", "zxk:3", "--vertex=-4,2")
+    spans = Counter(dump["names"][i] for i in dump["span_name"])
+    assert spans["curvature.vertex"] == spans["graph.ball"] == spans["curvature.eigh"] == 1
+    assert "curvature.form" not in spans
+    assert dump["counts"]["graph.ball_vertices"] == 11

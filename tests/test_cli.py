@@ -52,6 +52,54 @@ def test_curvature_infinite_family(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("zxk:3", "--vertex=-4,2"),
+            "599b0a3be3aff967e0cceb275fcab23b0dff00a481efd1b0fd9ba0c03003b80a",
+        ),
+        (
+            ("zxk:5", "--vertex", "7,4", "--dimension", "2.5"),
+            "0b09b497c844e2c041a25ffb657b9cfb3f85576ad85bde8537a0e0f807972850",
+        ),
+        (
+            ("line", "--vertex", "2", "--dimension", "3"),
+            "cef952402bd15cb1bb6e464578c1af9d74e9997cdfd7f4285f2ffd75d8f91575",
+        ),
+        (
+            ("petersen", "--vertex", "9"),
+            "23bbc1a8b11871bd353be164c2a7fe1f372ccfdb8137cbbc1c01e5d01953a1f1",
+        ),
+        (
+            ("hypercube:4", "--vertex", "3", "--dimension", "2.5"),
+            "1a3000b91ce59be2691b2b4d9dd9e931b3818e2ec3984dd973af891a7d34e180",
+        ),
+    ],
+)
+def test_curvature_vertex_output_pinned(capsys, argv, digest):
+    # sha256 of the whole stdout of a --vertex query, on infinite and finite
+    # graphs, at N = inf and finite N
+    code, out, _ = run_cli(capsys, "curvature", *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dim", ["inf", "2.5"])
+@pytest.mark.parametrize("spec", ["petersen", "hypercube:3", "paley:13", "triangular:5", "path:5"])
+def test_curvature_vertex_prints_the_whole_graph_bytes(capsys, spec, dim):
+    # --vertex v prints the K text that the whole-graph query prints for v
+    def k_texts(*argv):
+        code, out, _ = run_cli(capsys, "curvature", spec, "--dimension", dim, *argv)
+        assert code == EXIT_OK
+        return json.loads(out, parse_float=str)
+
+    per_vertex = k_texts()["per_vertex"]
+    assert len(per_vertex) > 1
+    for v, text in per_vertex.items():
+        assert k_texts("--vertex", v)["K"] == text, v
+
+
+@pytest.mark.parametrize(
     "spec, vertex, form",
     [
         ("petersen", "-1", "an integer in 0..9"),

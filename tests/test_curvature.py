@@ -9,7 +9,6 @@ import scipy.optimize
 from curvlab import curvature, theorems
 from curvlab.curvature import (
     FormError,
-    QuadraticForm,
     bakry_emery_curvature,
     bakry_emery_curvature_bisect,
     check_cd,
@@ -34,15 +33,15 @@ from conftest import random_graph
 
 def test_form_k2():
     g = from_edge_list(2, [(0, 1)])
-    q = curvature_form(g, 0)
-    assert q.basis == (1,) and q.n1 == 1
-    assert q.matrix == pytest.approx(np.array([[1.0]]))
+    q, k = curvature_form(g, 0)
+    assert k == 1
+    assert q == pytest.approx(np.array([[1.0]]))
 
 
 def test_form_c5_second_sphere_block():
-    q = curvature_form(cycle_graph(5), 0)
-    assert q.n1 == 2 and len(q.basis) == 4
-    assert q.matrix[2:, 2:] == pytest.approx(np.diag([0.25, 0.25]))
+    q, k = curvature_form(cycle_graph(5), 0)
+    assert k == 2 and q.shape == (4, 4)
+    assert q[2:, 2:] == pytest.approx(np.diag([0.25, 0.25]))
 
 
 def _polarized_gamma2(o, x, basis, vertices):
@@ -78,18 +77,19 @@ def test_form_matches_gamma2_and_polarization(corpus):
             cases.append((g, x))
     cases.append((line_times_complete(3), (0, 0)))
     for o, x in cases:
-        q = curvature_form(o, x)
+        q, k = curvature_form(o, x)
         _, bmap = ball(o, x)
-        assert q.basis == bmap.vertices[1:]
-        polarized = _polarized_gamma2(o, x, q.basis, bmap.vertices)
-        assert np.array_equal(q.matrix, polarized), (x, q.matrix, polarized)
+        basis = bmap.vertices[1:]  # the form's basis: the ball without its centre
+        assert k == bmap.sphere.count(1)
+        polarized = _polarized_gamma2(o, x, basis, bmap.vertices)
+        assert np.array_equal(q, polarized), (x, q, polarized)
         # quadratic contract on random functions
         for _ in range(3):
-            f = {v: rng.uniform(-2, 2) for v in q.basis}
+            f = {v: rng.uniform(-2, 2) for v in basis}
             f[x] = 0.0
             expected = gamma2_at(o, f, f, x)
-            vec = np.array([f[v] for v in q.basis])
-            assert abs(vec @ q.matrix @ vec - expected) <= 1e-9 * (1 + abs(expected))
+            vec = np.array([f[v] for v in basis])
+            assert abs(vec @ q @ vec - expected) <= 1e-9 * (1 + abs(expected))
 
 
 def test_form_rejects_isolated_vertex():
@@ -99,13 +99,13 @@ def test_form_rejects_isolated_vertex():
 
 
 def test_schur_reduce_k2_unchanged():
-    q = curvature_form(from_edge_list(2, [(0, 1)]), 0)
-    assert schur_reduce(q) is q
+    q, k = curvature_form(from_edge_list(2, [(0, 1)]), 0)
+    assert schur_reduce(q, k) is q
 
 
 def test_schur_reduce_c5():
-    q = schur_reduce(curvature_form(cycle_graph(5), 0))
-    assert q.matrix == pytest.approx(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    q = schur_reduce(*curvature_form(cycle_graph(5), 0))
+    assert q == pytest.approx(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
 def test_schur_reduction_is_partial_minimum():
@@ -113,18 +113,17 @@ def test_schur_reduction_is_partial_minimum():
     # numerical minimizer; equality at the back-substituted point
     rng = random.Random(8)
     for name_g in [cycle_graph(5), cycle_graph(6), petersen(), hypercube(3)]:
-        q = curvature_form(name_g, 0)
-        red = schur_reduce(q)
-        k = q.n1
-        n2 = len(q.basis) - k
+        q, k = curvature_form(name_g, 0)
+        red = schur_reduce(q, k)
+        n2 = len(q) - k
         if n2 == 0:
             continue
         f1 = np.array([rng.uniform(-2, 2) for _ in range(k)])
-        target = float(f1 @ red.matrix @ f1)
+        target = float(f1 @ red @ f1)
 
         def total(f2, f1=f1, q=q):
             f = np.concatenate([f1, f2])
-            return float(f @ q.matrix @ f)
+            return float(f @ q @ f)
 
         # random sphere-2 assignments never beat the reduction
         for _ in range(50):
@@ -133,23 +132,23 @@ def test_schur_reduction_is_partial_minimum():
         res = scipy.optimize.minimize(total, np.zeros(n2), tol=1e-12)
         assert res.fun == pytest.approx(target, abs=1e-8)
         # back-substitution attains the minimum
-        q22 = q.matrix[k:, k:]
-        q21 = q.matrix[k:, :k]
+        q22 = q[k:, k:]
+        q21 = q[k:, :k]
         f2_star = -np.linalg.solve(q22, q21 @ f1)
         assert total(f2_star) == pytest.approx(target, abs=1e-9)
 
 
 def test_schur_rejects_bad_block():
-    bad = QuadraticForm(("a", "b"), 1, np.array([[1.0, 0.0], [0.0, -0.5]]))
+    bad = np.array([[1.0, 0.0], [0.0, -0.5]])
     with pytest.raises(FormError):
-        schur_reduce(bad)
+        schur_reduce(bad, 1)
 
 
 def test_schur_rejects_non_diagonal_sphere2_block():
     # positive definite, but not the diagonal block a curvature form has
     m = np.array([[1.0, -0.5, 0.0], [-0.5, 1.0, 0.25], [0.0, 0.25, 1.0]])
     with pytest.raises(FormError, match="not diagonal"):
-        schur_reduce(QuadraticForm(("a", "b", "c"), 1, m))
+        schur_reduce(m, 1)
 
 
 def test_min_eigenpair_examples():
@@ -254,16 +253,6 @@ def test_graph_curvature_on_a_list_bitwise_equals_per_vertex_path(corpus, monkey
             assert np.array(kmin).tobytes() == np.array(min(ref)).tobytes()
 
 
-def _ball_kernel_form(o, x, N):
-    """The kernel's reduced form at x, read off the blocks of its 2-ball as
-    `bakry_emery_curvature` reads them."""
-    adj, bmap = ball(o, x)
-    k = bmap.sphere.count(1)
-    a11, a12 = adj[1 : k + 1, 1 : k + 1], adj[1 : k + 1, k + 1 :]
-    q11 = curvature._stacked_sphere1_forms(a11[None], a12.sum(1)[None], N)
-    return curvature._stacked_schur(q11, a12[None])[0]
-
-
 def _graph_kernel_forms(graphs, N):
     """The kernel's reduced forms of all non-isolated vertices of the graphs,
     keyed by (graph index, vertex) and stacked by degree over all the graphs
@@ -278,10 +267,20 @@ def _graph_kernel_forms(graphs, N):
     return forms
 
 
-def test_kernel_reduced_forms_bitwise_equal_reference_route(corpus):
-    # the kernel's reduced form, over all the graphs at once and on the
-    # 2-ball that bakry_emery_curvature uses, is byte for byte the reference
-    # route's: curvature_form, 1/N subtracted from sphere 1, then schur_reduce
+def test_kernel_reduced_forms_bitwise_equal_reference_route(corpus, monkeypatch):
+    # the kernel's reduced form, over all the graphs at once and as
+    # bakry_emery_curvature hands it to the eigensolver from the 2-ball, is
+    # byte for byte the reference route's: curvature_form, 1/N subtracted
+    # from sphere 1, then schur_reduce
+    solved = []
+    monkeypatch.setattr(curvature, "min_eigenpair", lambda m: solved.append(m) or min_eigenpair(m))
+
+    def ball_form(o, x, N):
+        solved.clear()
+        bakry_emery_curvature(o, x, N)
+        [form] = solved
+        return form
+
     graphs = [g for _, g in connected_graphs_upto(6) if g.n > 1] + [hypercube(7)]
     graphs += [g for _, g in sorted(corpus.items())]
     pairs = 0
@@ -289,14 +288,14 @@ def test_kernel_reduced_forms_bitwise_equal_reference_route(corpus):
         whole = _graph_kernel_forms(graphs, N)
         for (i, x), stacked in whole.items():
             g = graphs[i]
-            ref = curvature._reference_reduced_form(g, x, N).matrix
-            for form in (stacked, _ball_kernel_form(g, x, N)):
+            ref = curvature._reference_reduced_form(g, x, N)
+            for form in (stacked, ball_form(g, x, N)):
                 assert form.shape == ref.shape, (g.adjacency, x, N)
                 assert form.tobytes() == ref.tobytes(), (g.adjacency, x, N)
             pairs += 1
         o = line_times_complete(3)
-        ref = curvature._reference_reduced_form(o, (0, 0), N).matrix
-        assert _ball_kernel_form(o, (0, 0), N).tobytes() == ref.tobytes()
+        ref = curvature._reference_reduced_form(o, (0, 0), N)
+        assert ball_form(o, (0, 0), N).tobytes() == ref.tobytes()
     assert pairs == 2 * 1274  # every vertex of every graph, at both N
 
 
@@ -311,29 +310,38 @@ def test_empty_graph_rejected():
         graph_curvature([from_edge_list(0, [])])
 
 
+# centres on infinite families, whose witnesses live on an oracle's 2-ball
+ORACLE_CENTRES = [(integer_line(), x) for x in (0, -7)] + [
+    (line_times_complete(k), x) for k in range(1, 5) for x in ((0, 0), (3, k - 1))
+]
+
+
 def test_witness_properties(corpus):
-    for name in ["C4", "C5", "petersen", "Q3", "T5", "K5"]:
-        g = corpus[name]
-        for x in range(g.n):
-            rep = bakry_emery_curvature(g, x)
-            _, bmap = ball(g, x)
-            assert set(rep.witness) == set(bmap.vertices)
-            assert any(abs(t) > 1e-9 for t in rep.witness.values())
-            # witness attains the curvature: Gamma_2 = K Gamma exactly
-            lhs, rhs = ph_sides(g, rep.witness, x, rep.K)
-            assert lhs - rhs == pytest.approx(0.0, abs=1e-9)
+    cases = [
+        (corpus[name], x)
+        for name in ["C4", "C5", "petersen", "Q3", "T5", "K5"]
+        for x in range(corpus[name].n)
+    ]
+    for o, x in cases + ORACLE_CENTRES:
+        rep = bakry_emery_curvature(o, x)
+        _, bmap = ball(o, x)
+        assert set(rep.witness) == set(bmap.vertices)
+        assert any(abs(t) > 1e-9 for t in rep.witness.values())
+        # witness attains the curvature: Gamma_2 = K Gamma exactly
+        lhs, rhs = ph_sides(o, rep.witness, x, rep.K)
+        assert lhs - rhs == pytest.approx(0.0, abs=1e-9)
 
 
 def test_duality_at_every_corpus_vertex(corpus):
-    for name, g in sorted(corpus.items()):
-        for x in range(g.n):
-            rep = bakry_emery_curvature(g, x)
-            holds, _ = check_cd(g, x, math.inf, rep.K - 1e-6)
-            assert holds, (name, x)
-            holds, witness = check_cd(g, x, math.inf, rep.K + 1e-6)
-            assert not holds, (name, x)
-            lhs, rhs = ph_sides(g, witness, x, rep.K + 1e-6)
-            assert lhs < rhs, (name, x)
+    cases = [(g, x) for _, g in sorted(corpus.items()) for x in range(g.n)]
+    for o, x in cases + ORACLE_CENTRES:
+        rep = bakry_emery_curvature(o, x)
+        holds, _ = check_cd(o, x, math.inf, rep.K - 1e-6)
+        assert holds, (o, x)
+        holds, witness = check_cd(o, x, math.inf, rep.K + 1e-6)
+        assert not holds, (o, x)
+        lhs, rhs = ph_sides(o, witness, x, rep.K + 1e-6)
+        assert lhs < rhs, (o, x)
 
 
 def test_check_cd_far_below_curvature():
@@ -352,7 +360,7 @@ def test_check_cd_modes_agree():
             continue
         K = rng.uniform(-4, 4)
         eig, _ = check_cd(g, x, math.inf, K)
-        m = curvature._reference_reduced_form(g, x, math.inf).matrix
+        m = curvature._reference_reduced_form(g, x, math.inf)
         bis = curvature._is_psd(m - (K / 2.0 - 1e-9 / 2.0) * np.eye(len(m)))
         assert eig == bis, (g.adjacency, x, K)
 
