@@ -89,15 +89,7 @@ def triangular(n: int) -> Graph:
 def hamming2(q: int) -> Graph:
     """Rook's graph K_q x K_q; vertex (i,j) has index i*q + j."""
     _require(q >= 2, f"hamming2 needs q >= 2, got {q}")
-    edges = []
-    for i in range(q):
-        for j in range(q):
-            v = i * q + j
-            for jj in range(j + 1, q):
-                edges.append((v, i * q + jj))
-            for ii in range(i + 1, q):
-                edges.append((v, ii * q + j))
-    return from_edge_list(q * q, edges)
+    return cartesian_product(complete_graph(q), complete_graph(q))
 
 
 def paley(q: int) -> Graph:
@@ -109,19 +101,26 @@ def paley(q: int) -> Graph:
     return from_edge_list(q, edges)
 
 
+def _box(a, b):
+    """The neighbour rule of the box product of two graphs with `.neighbors`:
+    (u, v) is adjacent to (w, v) for w ~ u, then to (u, w) for w ~ v."""
+
+    def nbrs(x):
+        u, v = x
+        return [(w, v) for w in a.neighbors(u)] + [(u, w) for w in b.neighbors(v)]
+
+    return nbrs
+
+
 def cartesian_product(a: Graph, b: Graph) -> Graph:
     """Box product; vertex (u, v) has index u * b.n + v."""
-    edges = []
-    for u in range(a.n):
-        for v in range(b.n):
-            base = u * b.n + v
-            for w in b.adjacency[v]:
-                if w > v:
-                    edges.append((base, u * b.n + w))
-            for w in a.adjacency[u]:
-                if w > u:
-                    edges.append((base, w * b.n + v))
-    return from_edge_list(a.n * b.n, edges)
+    nbrs, k = _box(a, b), b.n
+    # each edge arrives from both ends; keep it from the smaller one
+    edges = [
+        (u * k + v, s * k + t)
+        for u in range(a.n) for v in range(k) for s, t in nbrs((u, v)) if (u, v) < (s, t)
+    ]
+    return from_edge_list(a.n * k, edges)
 
 
 def beta1_counterexample() -> Graph:
@@ -149,14 +148,7 @@ def integer_line() -> NeighborOracle:
 def line_times_complete(k: int) -> NeighborOracle:
     """Cartesian product of the integer line with K_k; vertices (i, c)."""
     _require(k >= 1, f"line_times_complete needs k >= 1, got {k}")
-
-    def nbrs(v):
-        i, c = v
-        out = [((i - 1), c), ((i + 1), c)]
-        out.extend((i, cc) for cc in range(k) if cc != c)
-        return out
-
-    return NeighborOracle(nbrs)
+    return NeighborOracle(_box(integer_line(), complete_graph(k)))
 
 
 def _require(cond: bool, msg: str) -> None:

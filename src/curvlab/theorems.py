@@ -206,7 +206,7 @@ def corpus(text: str) -> Iterator[tuple[str, Graph]]:
     file path, "gen:spec1;spec2" or "exhaustive:N".  The form is checked at
     once; the graphs are read when the iterator is."""
     if text.startswith("gen:"):
-        specs = [t for t in text[4:].split(";") if t]
+        specs = [spec for t in text[4:].split(";") if (spec := t.strip())]
         if not specs:
             raise GraphError(f"corpus source {text!r}: no generator spec")
         return _generated(specs)

@@ -381,7 +381,7 @@ def test_check_report_pinned(capsys, tmp_path, source, digest):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, fmt
 
 
-@pytest.mark.parametrize("source", ["gen:", "gen:;"])
+@pytest.mark.parametrize("source", ["gen:", "gen:;", "gen: ;"])
 def test_check_rejects_empty_generator_source(capsys, source):
     code, out, err = run_cli(capsys, "check", "--source", source)
     assert code == EXIT_INPUT and out == ""
@@ -406,6 +406,51 @@ def test_bad_input_exit_code(capsys, tmp_path):
     assert code == EXIT_INPUT
     code, _, err = run_cli(capsys, "matching", "zxk:2")
     assert code == EXIT_INPUT  # infinite family has no finite matching
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("cycle:2", "cycle needs n >= 3, got 2"),
+        ("triangular:2", "triangular needs n >= 3, got 2"),
+        ("hamming2:1", "hamming2 needs q >= 2, got 1"),
+        ("product:cycle:3", "product spec needs two '+'-separated factors: 'product:cycle:3'"),
+    ],
+)
+def test_bad_generator_parameters_are_input_errors(capsys, spec, message):
+    code, out, err = run_cli(capsys, "matching", spec)
+    assert code == EXIT_INPUT and out == ""
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (":", "empty graph6 payload"),
+        ("~??!", "bad byte 33 in size prefix"),
+        ("~?", "truncated size prefix"),
+        (":AN", "self-loop at vertex 0 in sparse6 line"),  # networkx: loops at 0 and 1
+    ],
+)
+def test_malformed_graph6_line_is_input_error(capsys, tmp_path, line, message):
+    path = tmp_path / "bad.g6"
+    path.write_text(f"{line}\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "matching", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert f"error: line 1: {message}" in err
+
+
+def test_connectivity_of_a_single_vertex(capsys):
+    code, out, _ = run_cli(capsys, "connectivity", "path:1")
+    assert code == EXIT_OK and json.loads(out) == {"cut": None, "lambda": 0}
+
+
+def test_cut_classification_of_a_disconnected_graph_is_input_error(capsys, tmp_path):
+    path = tmp_path / "two_edges.txt"
+    path.write_text("4 2\n0 1\n2 3\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "connectivity", str(path), "--classify-cuts")
+    assert code == EXIT_INPUT and out == ""
+    assert "error: cut classification requires a connected graph" in err
 
 
 GRAPH6_NON_ASCII = "error: line 2: non-ASCII characters in graph6 line"

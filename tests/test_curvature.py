@@ -177,6 +177,11 @@ def test_min_eigenpair_rejects_asymmetric():
         min_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_min_eigenpair_rejects_a_non_square_matrix():
+    with pytest.raises(FormError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        min_eigenpair(np.zeros((2, 3)))
+
+
 def test_curvature_ground_truths():
     assert bakry_emery_curvature(integer_line(), 0).K == pytest.approx(0.0, abs=1e-8)
     for k in range(1, 6):
@@ -205,6 +210,7 @@ def test_graph_curvature_c4_and_petersen():
 def test_isolated_vertex_sentinel():
     g = from_edge_list(1, [])
     assert graph_curvature([g]) == [(math.inf, (math.inf,))]
+    assert bakry_emery_curvature_bisect(g, 0, math.inf) == math.inf
 
 
 KERNEL_GRAPHS = [g for _, g in connected_graphs_upto(6)] + [

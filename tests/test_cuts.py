@@ -1,9 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from curvlab.cuts import (
+    CutCertificate,
     _max_flow,
     classify_min_cuts,
     edge_connectivity,
@@ -87,6 +89,28 @@ def test_certificates_verify(corpus):
         assert cert.value == lam
 
 
+C4_CUT = CutCertificate(frozenset({0, 1}), ((0, 3), (1, 2)), 2)
+
+
+def test_corrupted_certificates_do_not_verify():
+    g = cycle_graph(4)
+    assert C4_CUT.verify(g)
+    for bad in (
+        replace(C4_CUT, side_L=frozenset()),
+        replace(C4_CUT, side_L=frozenset(range(4))),
+        replace(C4_CUT, value=1),
+        replace(C4_CUT, value=3),
+        replace(C4_CUT, cut_edges=((0, 3),)),
+        replace(C4_CUT, cut_edges=((1, 2),), value=1),
+    ):
+        assert not bad.verify(g), bad
+
+
+def test_reversed_cut_edges_still_verify():
+    # verify compares the cut edges sorted, so their order is free
+    assert replace(C4_CUT, cut_edges=((1, 2), (0, 3))).verify(cycle_graph(4))
+
+
 def test_min_cut_bruteforce_c4():
     lam, cuts = min_cut_bruteforce(cycle_graph(4))
     assert lam == 2 and len(cuts) == 6
@@ -111,6 +135,14 @@ def test_min_cut_bruteforce_p2():
 def test_min_cut_bruteforce_caps():
     with pytest.raises(GraphError):
         min_cut_bruteforce(from_edge_list(21, []))
+
+
+def test_cut_searches_reject_a_single_vertex():
+    g = path_graph(1)
+    with pytest.raises(GraphError, match="need at least two vertices for a cut"):
+        min_cut_bruteforce(g)
+    with pytest.raises(GraphError, match="cut classification needs at least two vertices"):
+        classify_min_cuts(g, edge_connectivity(g))
 
 
 def test_stoer_wagner_vs_bruteforce_exhaustive():

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from curvlab.enumeration import all_graphs
 from curvlab.formats import (
     FormatError,
+    _decode_size,
+    _encode_size,
     iter_graph6_file,
     parse_edge_list,
     parse_graph6,
@@ -185,6 +187,29 @@ def test_malformed_inputs():
         parse_graph6("C" + chr(30))  # non-printable byte
     with pytest.raises(FormatError):
         parse_graph6("D?A")  # nonzero padding bits for n=5
+
+
+@pytest.mark.parametrize("n", [0, 62, 63, 258047, 258048, 2**36 - 1])
+def test_size_prefix_roundtrip_at_the_form_boundaries(n):
+    assert _decode_size(_encode_size(n), 0)[0] == n
+
+
+@pytest.mark.parametrize("n", [-1, 2**36])
+def test_size_prefix_rejects_counts_outside_the_format(n):
+    with pytest.raises(FormatError, match=f"vertex count {n} outside format range"):
+        _encode_size(n)
+
+
+def test_sparse6_reads_the_eight_byte_size_prefix():
+    # the first order past the 4-byte prefix, with one edge to its last vertex
+    n = 258048
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edge(0, n - 1)
+    line = nx.to_sparse6_bytes(nxg, header=False).decode("ascii").strip()
+    assert line.startswith(":~~")
+    g = parse_graph6(line)
+    assert (g.n, g.edges()) == (n, [(0, n - 1)])
 
 
 def test_trailing_bits_checked():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from curvlab.generators import (
@@ -55,6 +57,8 @@ def test_paley_rejects_bad_parameters():
         generate("paley:8")
     with pytest.raises(GraphError):
         generate("paley:7")  # prime but 3 mod 4
+    with pytest.raises(GraphError, match="paley requires a prime q = 1 mod 4, got 1"):
+        generate("paley:1")
 
 
 def test_line_times_complete_degree():
@@ -97,6 +101,37 @@ def test_cartesian_product_spec():
     g = generate("product:cycle:4+complete:2")
     assert isinstance(g, Graph)
     assert g.n == 8 and all(g.degree(v) == 3 for v in range(8))
+
+
+# sha256 of repr([(spec, adjacency)]) and of zxk neighbour lists, measured
+# when the products had three hand-written constructions: `product:`,
+# `hamming2` and `zxk` must keep their labels and neighbour order
+PRODUCT_SPECS = [f"hamming2:{q}" for q in range(2, 8)] + [
+    "product:cycle:4+hypercube:3",
+    "product:complete:2+hypercube:4",
+    "product:complete:5+complete:5",
+    "product:hamming2:3+complete:3",
+    "product:hamming2:4+complete:4",
+    "product:path:1+path:1",
+    "product:cycle:3+complete:2",
+    "product:petersen+path:3",
+]
+
+
+def test_product_families_pinned():
+    adjacency = [(s, generate(s).adjacency) for s in PRODUCT_SPECS]
+    assert hashlib.sha256(repr(adjacency).encode()).hexdigest() == (
+        "f087d9207437c0c22c86a9049e26d7b6fdfc1562344c00aa0690b83883839b0a"
+    )
+    neighbours = [
+        (k, (i, c), generate(f"zxk:{k}").neighbors((i, c)))
+        for k in range(1, 5)
+        for i in (-3, 0, 5)
+        for c in range(k)
+    ]
+    assert hashlib.sha256(repr(neighbours).encode()).hexdigest() == (
+        "acd48bf5028ee7cfdf7830d958b86d34a0d0c59eeb25f97b9f9f88ee52da22c1"
+    )
 
 
 def test_nested_product_object():
@@ -150,6 +185,7 @@ def test_product_of_infinite_rejected():
             FamilySpec("cartesian_product", (FamilySpec("path", (2,)),)),
             "cartesian_product takes two factor FamilySpecs",
         ),
+        (FamilySpec("nonsense", (3,)), "unknown family kind 'nonsense'"),
     ],
 )
 def test_generate_checks_a_spec_it_is_handed(spec, message):

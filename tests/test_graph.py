@@ -51,6 +51,11 @@ def test_out_of_range_rejected():
         from_edge_list(2, [(-1, 0)])
 
 
+def test_negative_vertex_count_rejected():
+    with pytest.raises(GraphError, match="vertex count must be non-negative, got -1"):
+        from_edge_list(-1, [])
+
+
 @given(st.integers(1, 9), st.data())
 def test_adjacency_symmetric(n, data):
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))

@@ -10,7 +10,7 @@ from curvlab.generators import (
     petersen,
 )
 from curvlab.graph import GraphError, from_edge_list
-from curvlab.matching import matching_bruteforce, maximum_matching, tutte_violation
+from curvlab.matching import Matching, matching_bruteforce, maximum_matching, tutte_violation
 from conftest import random_graph
 
 
@@ -18,6 +18,20 @@ def test_c4_perfect():
     m = maximum_matching(cycle_graph(4))
     assert m.size == 2 and m.is_perfect
     assert m.verify(cycle_graph(4))
+
+
+@pytest.mark.parametrize(
+    "edges, is_perfect",
+    [
+        (((0, 2),), False),  # not an edge of C4
+        (((0, 1), (1, 2)), False),  # both edges cover vertex 1
+        (((0, 0),), False),
+        (((0, 1), (2, 3)), False),  # perfect, flagged not
+        (((0, 1),), True),  # not perfect, flagged perfect
+    ],
+)
+def test_corrupted_matchings_do_not_verify(edges, is_perfect):
+    assert not Matching(edges, is_perfect).verify(cycle_graph(4))
 
 
 def test_star_not_perfect():

@@ -10,6 +10,7 @@ from curvlab.generators import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    generate,
     hamming2,
     hypercube,
     paley,
@@ -58,10 +59,18 @@ def test_detect_irregular_and_diagnostics():
     assert reg.kind == "edge_regular" and "beta unwitnessed" in reg.diagnostic
     # C6: regular, alpha = 0, but distance-2 common neighbor counts are 1
     assert detect_regularity(cycle_graph(6)).beta == 1
-    # regular but alpha varies: prism with a twist
+    # K4 minus an edge: degrees 3, 2, 3, 2
     k4_minus = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     reg = detect_regularity(k4_minus)
     assert reg.kind == "not_regular"
+    # regular but alpha varies: the prism's triangle edges have one common
+    # neighbour, its rungs none
+    reg = detect_regularity(generate("product:cycle:3+complete:2"))
+    assert (reg.kind, reg.n, reg.d) == ("regular", 6, 3)
+    assert reg.diagnostic == "edge (0-based) (0,2) has 1 common neighbors, first edge has 0"
+    # the empty graph is regular of degree 0
+    reg = detect_regularity(from_edge_list(0, []))
+    assert (reg.kind, reg.n, reg.d) == ("regular", 0, 0)
 
 
 def distance_matrix(g: Graph) -> list[list[float]]:
@@ -159,6 +168,11 @@ def test_diamond_vs_bruteforce():
     for _ in range(300):
         g = random_graph(rng, rng.randint(4, 12), rng.choice([0.25, 0.45, 0.65]))
         assert (contains_induced_diamond(g) is not None) == diamond_bruteforce(g)
+
+
+def test_diamond_bruteforce_cap():
+    with pytest.raises(GraphError, match="diamond scan capped at 12 vertices, got 13"):
+        diamond_bruteforce(cycle_graph(13))
 
 
 def test_bcn_examples():

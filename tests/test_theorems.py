@@ -7,7 +7,7 @@ import pytest
 
 from curvlab import curvature, cuts, graph, regularity, theorems
 from curvlab.enumeration import connected_graphs_upto
-from curvlab.formats import FormatError, write_graph6
+from curvlab.formats import FormatError, parse_graph6, write_graph6
 from curvlab.generators import (
     cycle_graph,
     hypercube,
@@ -65,6 +65,20 @@ def test_t12_applicability():
     assert v.applicable and v.holds  # 3-regular, even order, lambda = 3 >= 2
     v = check_theorem(cycle_graph(5), "T1.2", "C5")
     assert not v.applicable  # odd order
+
+
+def test_bridged_cubic_graph_is_outside_t11_t12_t13():
+    # cubic on 10 vertices with a bridge: two K4s, each with one edge
+    # subdivided, the two subdivision vertices joined
+    g = parse_graph6("I^o??KFB_")
+    assert g.n == 10 and all(g.degree(v) == 3 for v in range(10))
+    v = check_theorem(g, "T1.2", "bridged")
+    assert not v.applicable and v.holds is None
+    assert v.evidence == {"lambda": 1, "d": 3, "reason": "not (d-1)-edge-connected"}
+    for tid in ("T1.1", "T1.3"):
+        v = check_theorem(g, tid, "bridged")
+        assert not v.applicable and v.holds is None, tid
+        assert v.evidence == {"K": -1.0000000000000002, "reason": "negative curvature"}, tid
 
 
 def test_c16_on_even_amply_graphs():
@@ -336,6 +350,11 @@ def test_scan_file_with_malformed_line(tmp_path):
 def test_scan_rejects_infinite_spec():
     with pytest.raises(GraphError):
         scanned("gen:line", ("T1.3",))
+
+
+def test_generator_corpus_ids_are_the_parsed_specs():
+    ids = [gid for gid, _ in theorems.corpus("gen: petersen ;cycle:4; ")]
+    assert ids == ["petersen", "cycle:4"]
 
 
 def test_scan_rejects_unknown_theorem():
