@@ -6,6 +6,17 @@ connectivity (both cut sides of size at least two) runs unit-capacity
 max-flows between vertex sets on the graph itself, capped at the best cut
 so far; the pair enumeration is reduced to a provably sufficient family,
 see `restricted_edge_connectivity`.
+
+Star-cut classification asks a narrower question: when lambda equals the
+minimum degree delta, is there a cut of value delta with both sides of
+size at least two?  A side Y of size k with at most delta cut edges has
+k = 1 or k >= delta, so such a side is one of three sink families: a
+delta-clique N[t] - {w}, found by a direct scan; a side strictly larger
+than delta, which contains a whole closed neighbourhood N[t] and is found
+by one flow from the anchor edge to N[t] per vertex t; or a side that the
+anchor edge crosses, found by flows between edges at the anchor's two
+ends.  Only when the answer is yes does the full restricted search run,
+to produce the witness.  See `_non_star_cut_exists`.
 """
 
 from __future__ import annotations
@@ -206,14 +217,80 @@ def restricted_edge_connectivity(g: Graph, below=math.inf) -> tuple[float, CutCe
     return int(best), _certificate(g, best_side)
 
 
+def _non_star_cut_exists(g: Graph, delta: int) -> bool:
+    """Whether g, connected with n >= 4 and edge connectivity equal to its
+    minimum degree delta, has a cut of value <= delta with both sides of
+    size at least two.
+
+    Side-size lemma: let Y be a side with |Y| = k and |dY| <= delta.  Each
+    vertex of Y has at most k - 1 neighbours in Y, so at least
+    delta - k + 1 cut edges, and k (delta - k + 1) <= |dY| <= delta, that
+    is (k - 1)(delta - k) <= 0: k = 1 or k >= delta.  So both sides of a
+    sought cut have size >= delta.  With the anchor edge (a, b), the
+    first edge of g, one of three cases holds.
+
+    1. A side Y has k = delta >= 2.  The bound above is then tight: Y is
+       a clique of degree-delta vertices with one cut edge each, so
+       Y = N[t] - {w} for any t in Y and its outside neighbour w.  Such a
+       set is a clique iff every non-adjacent pair inside N(t) contains
+       w; the scan below tests this for each t of degree delta, and the
+       other side has n - delta >= 2 vertices.  No flow is needed.
+    2. The anchor lies in one side and the other side Y has k > delta.
+       At most delta vertices of Y meet a cut edge, so some t in Y meets
+       none and N[t] lies inside Y, while a, b do not.  The flow from
+       {a, b} to N[t] is then at most delta.  Conversely a flow of value
+       <= delta between {a, b} and a disjoint N[t], which has at least
+       two vertices, gives a cut with both sides of size >= 2.
+    3. The anchor crosses the cut, with a in Y and b outside.  Both sides
+       are connected: the parts of a disconnected side would each cost
+       at least lambda = delta.  So a has a neighbour c in Y and b a
+       neighbour c' outside, and the flow between the disjoint edges
+       (a, c) and (b, c') is at most delta.  Flows between edges at a
+       and edges at b that share no vertex cover this case.
+
+    Every flow stops at delta + 1, where no cut of value <= delta exists.
+    """
+    adj = g.adjacency
+    if delta >= 2 and g.n - delta >= 2:
+        for t in range(g.n):
+            # w must be the one neighbour of t whose degree may exceed delta
+            irregular = [u for u in adj[t] if len(adj[u]) != delta]
+            if len(adj[t]) != delta or len(irregular) > 1:
+                continue
+            inner = set(adj[t])
+            # missing[u]: how many of the other vertices of N(t) u misses
+            missing = {u: delta - 1 - len(inner.intersection(adj[u])) for u in adj[t]}
+            non_edges = sum(missing.values()) // 2
+            if any(missing[w] == non_edges for w in irregular or adj[t]):
+                return True
+    a, b = g.edges()[0]
+    for t in range(g.n):
+        sink = {t, *adj[t]}
+        if a not in sink and b not in sink:
+            if _max_flow(g, {a, b}, sink, delta + 1)[0] <= delta:
+                return True
+    for c in adj[a]:
+        for d in adj[b]:
+            if c != b and d not in (a, c):
+                if _max_flow(g, {a, c}, {b, d}, delta + 1)[0] <= delta:
+                    return True
+    return False
+
+
 def classify_min_cuts(g: Graph, connectivity: tuple) -> CutCertificate | None:
     """A minimum cut with both sides of size at least two, or None when
     every minimum cut isolates a single vertex.
 
     For n <= 3 every bipartition has a singleton side, so there is none.
-    Otherwise star cuts are the only minimum cuts iff the connectivity
-    equals the minimum degree and no both-sides->=2 partition matches it.
-    `connectivity` is g's `edge_connectivity` result.
+    When lambda is below the minimum degree delta the given certificate
+    is already non-star.  When lambda = delta, `_non_star_cut_exists`
+    decides the question from the side-size lemma (a side with at most
+    delta cut edges has one vertex or at least delta) and its three sink
+    families: delta-cliques N[t] - {w}, closed neighbourhoods N[t] inside
+    a larger side, and edges at the two ends of a crossing anchor.  A
+    yes is followed by `restricted_edge_connectivity` below lambda + 1,
+    whose search order fixes the witness returned.  `connectivity` is
+    g's `edge_connectivity` result.
     """
     if g.n < 2:
         raise GraphError("cut classification needs at least two vertices")
@@ -226,6 +303,8 @@ def classify_min_cuts(g: Graph, connectivity: tuple) -> CutCertificate | None:
     if lam < delta:
         # certificate cannot be a star: a singleton side would cost >= delta
         return cert
-    # lam_r >= lam always, so only a restricted cut of value lam matters;
-    # the bound turns any larger one into None
+    if not _non_star_cut_exists(g, delta):
+        return None
+    # lam_r >= lam always, so the search below lam + 1 returns a restricted
+    # cut of value lam: the first in its own order, as before the decision
     return restricted_edge_connectivity(g, below=lam + 1)[1]

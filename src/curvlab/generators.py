@@ -140,15 +140,35 @@ def beta1_counterexample() -> Graph:
     return from_edge_list(20, edges)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def integer_line() -> NeighborOracle:
-    """The two-sided infinite path on the integers."""
-    return NeighborOracle(lambda v: (v - 1, v + 1))
+    """The two-sided infinite path on the integers; a query at anything but
+    an int raises GraphError."""
+
+    def nbrs(v):
+        _require(_is_int(v), f"{v!r} is not a vertex of the integer line: expected an int")
+        return (v - 1, v + 1)
+
+    return NeighborOracle(nbrs)
 
 
 def line_times_complete(k: int) -> NeighborOracle:
-    """Cartesian product of the integer line with K_k; vertices (i, c)."""
+    """Cartesian product of the integer line with K_k; vertices (i, c) with
+    ints i and 0 <= c < k, and a query at anything else raises GraphError."""
     _require(k >= 1, f"line_times_complete needs k >= 1, got {k}")
-    return NeighborOracle(_box(integer_line(), complete_graph(k)))
+    box = _box(integer_line(), complete_graph(k))
+
+    def nbrs(x):
+        _require(
+            isinstance(x, tuple) and len(x) == 2 and all(map(_is_int, x)) and 0 <= x[1] < k,
+            f"{x!r} is not a vertex of zxk:{k}: expected a pair (i, c) of ints with 0 <= c < {k}",
+        )
+        return box(x)
+
+    return NeighborOracle(nbrs)
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -173,6 +173,28 @@ def test_connectivity_with_classification(capsys):
     assert len(payload["non_star_cut"]["side_L"]) == 2
 
 
+# sha256 of the whole stdout of `connectivity --classify-cuts`: every minimum
+# cut is a star on the first three, and the last two print the witness of
+# the full restricted search; recorded before the sink-family decision
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        ("hypercube:7", "9eb3fdb44fd8d79addda3538fab50a3a85405b3a7c137e86451c4640b7805281"),
+        (
+            "product:hamming2:4+complete:4",
+            "f0e40462747190f2faadb41d9306806ca85de770f11e941d6981228bf1bcf50a",
+        ),
+        ("triangular:9", "45e27a2331f4c48d5a45e4eea6bd97ad14c4f3b346895e58a1940733fcb37cd3"),
+        ("cycle:4", "ccc6bc3357b685640fb3f0e79f2cc01701f4953df731e7a8f922636503cb6a98"),
+        ("beta1", "3ba065764989f3d6227e6d2eb8057a9e7af5b2c64542fabc2c24fd95f460d159"),
+    ],
+)
+def test_cut_classification_output_pinned(capsys, spec, digest):
+    code, out, _ = run_cli(capsys, "connectivity", spec, "--classify-cuts")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_connectivity_classification_runs_stoer_wagner_once(capsys, monkeypatch):
     # classify_min_cuts gets the lambda the command already computed
     calls = []

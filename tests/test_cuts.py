@@ -1,9 +1,11 @@
 import math
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
+from curvlab import cuts
 from curvlab.cuts import (
     CutCertificate,
     _max_flow,
@@ -25,7 +27,7 @@ from curvlab.generators import (
     triangular,
 )
 from curvlab.graph import GraphError, from_edge_list, is_connected
-from conftest import random_graph
+from conftest import amply_corpus, random_graph
 
 
 def brute_set_cut(g, source, sink):
@@ -334,3 +336,90 @@ def test_classify_witnesses_pinned():
     g = cycle_graph(4)
     witness = classify_min_cuts(g, edge_connectivity(g))
     assert (sorted(witness.side_L), witness.cut_edges) == ([0, 1], ((0, 3), (1, 2)))
+
+
+def cliques_joined(m, matching, labels=None):
+    """Two copies of K_m, on 0..m-1 and m..2m-1, joined by the edges
+    (i, m + j) of `matching`; `labels` renames vertex v to labels[v]."""
+    edges = [(u, v) for part in (range(m), range(m, 2 * m)) for u, v in combinations(part, 2)]
+    edges += [(i, m + j) for i, j in matching]
+    name = labels or list(range(2 * m))
+    return from_edge_list(2 * m, [(name[u], name[v]) for u, v in edges])
+
+
+def test_classify_decides_as_the_restricted_search():
+    # classification answers None exactly when the exhaustive restricted
+    # search below lambda + 1 finds nothing
+    graphs = [g for _, g in connected_graphs_upto(7) if g.n >= 4]
+    graphs += list(amply_corpus().values()) + [beta1_counterexample()]
+    graphs += [cliques_joined(m, [(i, i) for i in range(j)]) for m in (3, 4, 5, 6) for j in (m - 1, m)]
+    graphs += [cliques_joined(5, [(0, 1), (1, 0), (2, 3), (3, 2)])]
+    checked = non_star = 0
+    for g in graphs:
+        lam, cert = edge_connectivity(g)
+        if lam != min(g.degree(v) for v in range(g.n)):
+            continue
+        expected = restricted_edge_connectivity(g, below=lam + 1)[1]
+        assert (classify_min_cuts(g, (lam, cert)) is None) == (expected is None), g.adjacency
+        # the decision itself, whose false yes the witness search would hide
+        assert cuts._non_star_cut_exists(g, lam) == (expected is not None), g.adjacency
+        checked += 1
+        non_star += expected is not None
+    assert (checked, non_star) == (1011, 202)
+
+
+def sink_families(g, side):
+    """The families of the sink-family decision able to find the cut (side,
+    rest), by definition: 1 when a side has delta vertices, 2 when the
+    anchor edge lies in one side and the other contains a closed
+    neighbourhood, 3 when the anchor edge crosses."""
+    delta = min(g.degree(v) for v in range(g.n))
+    a, b = g.edges()[0]
+    rest = set(range(g.n)) - side
+    found = set()
+    if delta in (len(side), len(rest)):
+        found.add(1)
+    if (a in side) != (b in side):
+        found.add(3)
+    else:
+        far = rest if a in side else side
+        if any({t, *g.adjacency[t]} <= far for t in far):
+            found.add(2)
+    return found
+
+
+@pytest.mark.parametrize(
+    "family, g",
+    [
+        # a triangle hung on K_5 by one edge per vertex
+        (1, from_edge_list(8, list(combinations(range(5), 2)) + [(5, 6), (5, 7), (6, 7), (2, 5), (3, 6), (4, 7)])),
+        # two K_5 joined by four matching edges, vertex 0 unmatched
+        (2, cliques_joined(5, [(1, 1), (2, 2), (3, 3), (4, 4)])),
+        # the same graph relabelled so that the anchor edge (0, 1) is a matching edge
+        (3, cliques_joined(5, [(0, 0), (1, 1), (2, 2), (3, 3)], labels=[0, 2, 3, 4, 5, 1, 6, 7, 8, 9])),
+    ],
+)
+def test_each_sink_family_alone_finds_a_cut(family, g):
+    lam, cuts_found = min_cut_bruteforce(g)
+    assert lam == min(g.degree(v) for v in range(g.n))
+    non_star = [set(c.side_L) for c in cuts_found if 2 <= len(c.side_L) <= g.n - 2]
+    assert non_star and set().union(*(sink_families(g, side) for side in non_star)) == {family}
+    witness = classify_min_cuts(g, edge_connectivity(g))
+    assert witness.value == lam and set(witness.side_L) in [*non_star, *(set(range(g.n)) - s for s in non_star)]
+
+
+def test_classification_flow_count_on_hypercube7(monkeypatch):
+    # one flow per closed-neighbourhood sink plus (delta - 1)^2 at the anchor's
+    # ends; the sweep over every disjoint edge made 471
+    calls = []
+    original = cuts._max_flow
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    g = hypercube(7)
+    connectivity = edge_connectivity(g)
+    monkeypatch.setattr(cuts, "_max_flow", counted)
+    assert classify_min_cuts(g, connectivity) is None
+    assert len(calls) <= g.n + (7 - 1) ** 2

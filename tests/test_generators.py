@@ -8,7 +8,8 @@ from curvlab.generators import (
     generate,
     parse_family_spec,
 )
-from curvlab.graph import Graph, GraphError, NeighborOracle, girth, is_connected
+from curvlab.curvature import bakry_emery_curvature
+from curvlab.graph import Graph, GraphError, NeighborOracle, ball, girth, is_connected
 
 
 def test_hypercube3():
@@ -71,6 +72,32 @@ def test_line_times_complete_degree():
 def test_integer_line_oracle():
     o = generate("line")
     assert sorted(o.neighbors(0)) == [-1, 1]
+
+
+@pytest.mark.parametrize(
+    "spec, vertex",
+    [
+        ("zxk:3", (0, -1)),
+        ("zxk:3", (0, 3)),
+        ("zxk:3", (0, 5)),
+        ("zxk:3", (0,)),
+        ("zxk:3", (0, 1, 2)),
+        ("zxk:3", (0.0, 1)),
+        ("zxk:3", (True, 1)),
+        ("zxk:3", 0),
+        ("line", "-1"),
+        ("line", 1.5),
+        ("line", True),
+        ("line", (0,)),
+    ],
+)
+def test_oracles_reject_a_non_vertex(spec, vertex):
+    # before, zxk:3 listed neighbours of (0, -1) that do not list it back and
+    # raised IndexError at (0, 5); line answered for any value with a `-`
+    o = generate(spec)
+    for query in (ball, bakry_emery_curvature):
+        with pytest.raises(GraphError, match=f"is not a vertex of {'the integer line' if spec == 'line' else spec}"):
+            query(o, vertex)
 
 
 def test_oracle_symmetry_sampled():
