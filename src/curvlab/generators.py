@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .formats import parse_integer
-from .graph import Graph, GraphError, NeighborOracle, from_edge_list
+from .graph import MAX_ORDER, Graph, GraphError, NeighborOracle, check_order, from_edge_list
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     _require(n >= 1, f"complete needs n >= 1, got {n}")
-    return from_edge_list(n, list(combinations(range(n), 2)))
+    return from_edge_list(n, combinations(range(n), 2))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
@@ -176,26 +176,31 @@ def _require(cond: bool, msg: str) -> None:
         raise GraphError(msg)
 
 
-# kind -> (constructor, number of integer parameters); "cartesian_product",
-# whose parameters are two factor specs, is the one kind handled apart
+# kind -> (constructor, number of integer parameters, order as a function of
+# the parameters or None for an infinite family); "cartesian_product", whose
+# parameters are two factor specs, is the one kind handled apart
 _FAMILIES = {
-    "path": (path_graph, 1),
-    "cycle": (cycle_graph, 1),
-    "complete": (complete_graph, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "hypercube": (hypercube, 1),
-    "petersen": (petersen, 0),
-    "triangular": (triangular, 1),
-    "hamming2": (hamming2, 1),
-    "paley": (paley, 1),
-    "beta1_counterexample": (beta1_counterexample, 0),
-    "integer_line": (integer_line, 0),
-    "line_times_complete": (line_times_complete, 1),
+    "path": (path_graph, 1, lambda n: n),
+    "cycle": (cycle_graph, 1, lambda n: n),
+    "complete": (complete_graph, 1, lambda n: n),
+    "complete_bipartite": (complete_bipartite, 2, lambda m, n: m + n),
+    # capped at 2^64, far above MAX_ORDER, so that a huge d builds no huge int
+    "hypercube": (hypercube, 1, lambda d: 2 ** min(d, 64)),
+    "petersen": (petersen, 0, lambda: 10),
+    "triangular": (triangular, 1, lambda n: n * (n - 1) // 2),
+    "hamming2": (hamming2, 1, lambda q: q * q),
+    "paley": (paley, 1, lambda q: q),
+    "beta1_counterexample": (beta1_counterexample, 0, lambda: 20),
+    "integer_line": (integer_line, 0, None),
+    "line_times_complete": (line_times_complete, 1, None),
 }
 
 
 def generate(spec: FamilySpec | str):
-    """Materialize a family spec: Graph for finite, NeighborOracle for infinite."""
+    """Materialize a family spec: Graph for finite, NeighborOracle for infinite.
+
+    A spec whose graph would be above MAX_ORDER is refused before it is built.
+    """
     if isinstance(spec, str):
         spec = parse_family_spec(spec)
     if spec.kind == "cartesian_product":
@@ -204,11 +209,18 @@ def generate(spec: FamilySpec | str):
         parts = [generate(s) for s in spec.args]
         if not all(isinstance(p, Graph) for p in parts):
             raise GraphError("cartesian_product supports finite factors only")
+        check_order(parts[0].n * parts[1].n)
         return cartesian_product(*parts)
     if spec.kind not in _FAMILIES:
         raise GraphError(f"unknown family kind {spec.kind!r}")
     _check_arity(spec.kind, len(spec.args))
-    return _FAMILIES[spec.kind][0](*spec.args)
+    build, _, order = _FAMILIES[spec.kind]
+    if order is not None and order(*spec.args) > MAX_ORDER:
+        args = ",".join(map(str, spec.args))
+        raise GraphError(
+            f"{spec.kind}:{args} has more vertices than the maximum order MAX_ORDER = {MAX_ORDER}"
+        )
+    return build(*spec.args)
 
 
 def _check_arity(kind: str, got: int) -> None:

@@ -20,6 +20,18 @@ class GraphError(ValueError):
     """Raised for malformed graph constructions or out-of-contract queries."""
 
 
+# The largest vertex count of a graph curvlab builds.  A cycle this long
+# takes about 120 MiB as a Graph; a file or a generator spec that names a
+# larger order is refused before anything is allocated per vertex.
+MAX_ORDER = 1 << 18
+
+
+def check_order(n: int) -> None:
+    """Raise GraphError when a graph of order n would be above MAX_ORDER."""
+    if n > MAX_ORDER:
+        raise GraphError(f"graph order {n} is above the maximum order MAX_ORDER = {MAX_ORDER}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Finite simple undirected graph.
@@ -53,10 +65,12 @@ class Graph:
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge list, deduplicating and symmetrizing.
 
-    Raises GraphError for self-loops or endpoints outside [0, n).
+    Raises GraphError for self-loops, endpoints outside [0, n) or an order
+    n above MAX_ORDER, which is checked before `edges` is read.
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
+    check_order(n)
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:

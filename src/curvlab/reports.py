@@ -2,55 +2,88 @@
 
 Field order is fixed so identical scans serialize byte-identically; see
 README for the JSON schema.  Every JSON byte the package writes, a
-command's payload, a report or a CSV `detail` cell, comes from one dump
-(`_dump`: sorted keys, NaN refused), and `emit_report` writes a report to
-stdout or a file through one path.
+command's payload, a report or a CSV `detail` cell, comes from one direct
+encoder (`_dump`: sorted keys, NaN refused), and `emit_report` writes a
+report to stdout or a file through one path.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import sys
 from contextlib import nullcontext
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .theorems import TheoremVerdict
 
 CSV_HEADER = ("theorem", "graph", "applicable", "holds", "detail")
-
-
-def _plain(value):
-    """Recursively convert evidence values to JSON-safe structures: a
-    dataclass becomes a dict of its fields, a frozenset a sorted list and an
-    infinity the string "inf" or "-inf"."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    return value
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _dump(value, indent: int | None = 2) -> str:
-    """The one JSON encoding of every writer: sorted keys, and a NaN raises
-    ValueError instead of being written as invalid JSON."""
-    return json.dumps(value, allow_nan=False, indent=indent, sort_keys=True)
+    """The JSON text of `value`, byte for byte what `json.dumps(plain,
+    indent=indent, sort_keys=True, allow_nan=False)` writes for its plain
+    copy: a dataclass becomes a dict of its fields, a dict's keys go through
+    str() (the last of two keys equal under str() wins), a frozenset becomes
+    a sorted list, a tuple a list and an infinity the string "inf" or
+    "-inf".  A NaN raises ValueError instead of being written as invalid
+    JSON.
+
+    `json.dumps` with an indent runs its pure-Python encoder, which holds
+    every token of the text in one list; here each container joins its own
+    children's strings, which C encodes: strings by json's
+    `encode_basestring_ascii`, numbers by `int.__repr__` and `float.__repr__`.
+    """
+    return _encode(value, "" if indent is None else "\n", " " * (indent or 0))
+
+
+def _encode(value, nl: str, pad: str) -> str:
+    """`value` encoded on a line that starts with `nl`, a newline and the
+    line's indentation ("" when the text is one line), with `pad` added to
+    the indentation per level."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            raise ValueError(f"NaN is not JSON: {value!r}")
+        if math.isinf(value):
+            return '"inf"' if value > 0 else '"-inf"'
+        return float.__repr__(value)
+    inner = nl and nl + pad
+    if isinstance(value, dict):
+        plain = {str(k): v for k, v in value.items()}
+        parts = [
+            f"{encode_basestring_ascii(k)}: {_encode(plain[k], inner, pad)}" for k in sorted(plain)
+        ]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple, frozenset)):
+        items = sorted(value) if isinstance(value, frozenset) else value
+        parts = [_encode(v, inner, pad) for v in items]
+        brackets = "[]"
+    elif is_dataclass(value) and not isinstance(value, type):
+        return _encode({f.name: getattr(value, f.name) for f in fields(value)}, nl, pad)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not parts:
+        return brackets
+    # the brackets ride on the first and last parts, so that one join builds
+    # the text and no copy of it is made
+    parts[0] = brackets[0] + inner + parts[0]
+    parts[-1] += nl + brackets[1]
+    return ("," + inner if nl else ", ").join(parts)
 
 
 def print_json(payload) -> None:
     """Write a command's payload to stdout as indented JSON with sorted keys."""
-    print(_dump(_plain(payload)))
+    print(_dump(payload))
 
 
 def render_json(verdicts: Sequence[TheoremVerdict]) -> str:
@@ -61,7 +94,7 @@ def render_json(verdicts: Sequence[TheoremVerdict]) -> str:
                 "graph": v.graph_id,
                 "applicable": v.applicable,
                 "holds": v.holds,
-                "evidence": _plain(v.evidence),
+                "evidence": v.evidence,
             }
             for v in verdicts
         ]
@@ -73,7 +106,7 @@ def render_csv(verdicts: Sequence[TheoremVerdict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for v in verdicts:
-        detail = _dump(_plain(v.evidence), indent=None)
+        detail = _dump(v.evidence, indent=None)
         writer.writerow([v.theorem, v.graph_id, v.applicable, v.holds, detail])
     return buf.getvalue()
 

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from curvlab import cli, cuts, regularity, theorems
 from curvlab.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from curvlab.formats import write_graph6
 from curvlab.generators import hamming2, petersen
+from curvlab.graph import MAX_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -611,3 +616,45 @@ def test_usage_error_exits_3(capsys, argv):
 def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, "check", "--help")
     assert code == EXIT_OK and "--source" in out
+
+
+# the child sets its own address-space limit, 2 GB as `ulimit -v 2000000`
+# would, before it imports curvlab
+_LIMITED_CLI = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2_048_000_000, 2_048_000_000))\n"
+    "from curvlab.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, content, limit",
+    [
+        (("check", "--source", "{F}"), ":~~~~~~~~\n", f"maximum order MAX_ORDER = {MAX_ORDER}"),
+        (("matching", "{F}"), "100000000000 0\n", f"maximum order MAX_ORDER = {MAX_ORDER}"),
+        (("matching", "cycle:100000000000"), None, f"maximum order MAX_ORDER = {MAX_ORDER}"),
+        (("check", "--source", "gen:hypercube:40"), None, f"maximum order MAX_ORDER = {MAX_ORDER}"),
+        (("curvature", "cycle:200000"), None, "above its limit of 268435456 entries"),
+    ],
+)
+def test_oversized_input_is_refused_before_allocation(tmp_path, argv, content, limit):
+    # each of these died of a MemoryError traceback (exit 1) under a 2 GB
+    # address-space limit: a sparse6 header or an edge-list header of order
+    # 6.9e10 and 1e11, generator specs of order 1e11 and 2^40, and the
+    # 37 GiB dense adjacency of curvature's kernel on a 200000-cycle
+    path = tmp_path / "graph.txt"
+    if content is not None:
+        path.write_text(content, encoding="ascii")
+    root = Path(__file__).resolve().parent.parent
+    pythonpath = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, *(a.replace("{F}", str(path)) for a in argv)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
+        timeout=120,
+    )
+    assert result.returncode == EXIT_INPUT, result.stderr
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and limit in result.stderr

@@ -9,7 +9,16 @@ from curvlab.generators import (
     parse_family_spec,
 )
 from curvlab.curvature import bakry_emery_curvature
-from curvlab.graph import Graph, GraphError, NeighborOracle, ball, girth, is_connected
+from curvlab.graph import (
+    MAX_ORDER,
+    Graph,
+    GraphError,
+    NeighborOracle,
+    ball,
+    from_edge_list,
+    girth,
+    is_connected,
+)
 
 
 def test_hypercube3():
@@ -220,3 +229,31 @@ def test_generate_checks_a_spec_it_is_handed(spec, message):
     with pytest.raises(GraphError) as err:
         generate(spec)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cycle:262145",
+        "hypercube:19",
+        "hypercube:100000000000000",
+        "triangular:726",
+        "hamming2:513",
+        "kbip:1,262144",
+        "paley:1000000000000000037",
+        "zxk:262145",
+        "product:path:513+path:512",
+    ],
+)
+def test_generate_refuses_a_spec_above_the_maximum_order(spec):
+    # the order is read off the spec (or a product's factors), so nothing of
+    # the size of the graph is built, and a prime test never runs
+    with pytest.raises(GraphError, match=f"maximum order MAX_ORDER = {MAX_ORDER}"):
+        generate(spec)
+
+
+def test_maximum_order_is_the_largest_accepted():
+    assert MAX_ORDER == 262144 and from_edge_list(MAX_ORDER, ()).n == MAX_ORDER
+    with pytest.raises(GraphError, match=f"graph order {MAX_ORDER + 1} is above"):
+        from_edge_list(MAX_ORDER + 1, ())
+    assert generate(f"kbip:1,{MAX_ORDER - 1}").n == MAX_ORDER

@@ -3,8 +3,9 @@ the package imports nothing but the standard library and numpy, no package
 module imports another's underscore names, every function, class and method
 of the package is named somewhere, every module-level name the package
 assigns is read somewhere, every defaulted parameter of the package is
-passed by some call and left out by another, and the package calls
-json.dump or json.dumps in one place."""
+passed by some call and left out by another, the package calls json.dump
+or json.dumps nowhere, and only its report writer imports json's
+encoder."""
 
 from __future__ import annotations
 
@@ -408,12 +409,43 @@ def test_json_dump_calls_are_found():
     assert json_dump_calls("import pickle\npickle.dumps(1)\n") == []
 
 
-def test_one_json_dump_serves_the_package():
-    # reports._dump sorts keys and refuses NaN; a writer that called json
-    # itself could drop either
-    found = [
-        (str(path.relative_to(ROOT)), owner)
-        for path in PACKAGE
-        for _, owner in json_dump_calls(path.read_text(encoding="utf-8"))
+def json_encoder_imports(source: str) -> list[int]:
+    """Lines of every import of `json.encoder` or of a name from it."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(a.name == "json.encoder" for a in node.names))
+        or (
+            isinstance(node, ast.ImportFrom)
+            and (
+                node.module == "json.encoder"
+                or (node.module == "json" and any(a.name == "encoder" for a in node.names))
+            )
+        )
     ]
-    assert found == [("src/curvlab/reports.py", "_dump")]
+
+
+def test_json_encoder_imports_are_found():
+    source = (
+        "import json\nimport json.encoder\nfrom json.encoder import encode_basestring\n"
+        "from json import encoder as e, loads\nfrom json import dumps\nimport encoder\n"
+    )
+    assert json_encoder_imports(source) == [2, 3, 4]
+
+
+def test_one_json_dump_serves_the_package():
+    # reports._dump is the one JSON writer and calls no json function; its
+    # sorted keys and refused NaN are held against json.dumps by
+    # test_reports, and a writer that called json itself could drop either
+    dumping = [
+        str(path.relative_to(ROOT))
+        for path in PACKAGE
+        if json_dump_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert dumping == []
+    encoding = [
+        str(path.relative_to(ROOT))
+        for path in PACKAGE
+        if json_encoder_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert encoding == ["src/curvlab/reports.py"]
