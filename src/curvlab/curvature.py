@@ -39,7 +39,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .graph import Graph, GraphError, NeighborOracle, ball
+from .graph import MAX_ADJACENCY_ENTRIES, Graph, GraphError, NeighborOracle, ball
 
 DEFAULT_EIG_TOL = 1e-10
 # the width to which bakry_emery_curvature_bisect brackets K
@@ -48,9 +48,6 @@ BISECT_TOL = 1e-9
 # Centres are stacked in batches whose arrays hold at most this many entries
 # (512 KiB of floats), so the kernel's temporaries stay bounded on any graph.
 _BATCH_ENTRIES = 1 << 16
-# graph_curvature stacks the adjacencies of its graphs in one bool array of
-# at most this many entries (256 MiB); beyond it the kernel is refused.
-_MAX_ADJACENCY_ENTRIES = 1 << 28
 
 
 class FormError(GraphError):
@@ -82,12 +79,12 @@ def _adjacency(graphs: list[Graph]) -> np.ndarray:
     """The 0/1 adjacencies of finite graphs as one (graphs, w, w) bool array,
     w the largest order; a smaller graph is padded with isolated vertices.
     Raises GraphError when the array would hold more than
-    `_MAX_ADJACENCY_ENTRIES` entries."""
+    `MAX_ADJACENCY_ENTRIES` entries."""
     w = max((g.n for g in graphs), default=0)
-    if len(graphs) * w * w > _MAX_ADJACENCY_ENTRIES:
+    if len(graphs) * w * w > MAX_ADJACENCY_ENTRIES:
         raise GraphError(
             f"curvature needs a {len(graphs)} x {w} x {w} adjacency array, above its limit "
-            f"of {_MAX_ADJACENCY_ENTRIES} entries"
+            f"of {MAX_ADJACENCY_ENTRIES} entries"
         )
     adj = np.zeros((len(graphs), w, w), dtype=bool)
     for i, g in enumerate(graphs):

@@ -2,21 +2,19 @@
 
 The global minimum cut uses Stoer-Wagner with unit weights and lowest-index
 tie-breaking, so certificates are reproducible.  Restricted edge
-connectivity (both cut sides of size at least two) runs unit-capacity
-max-flows between vertex sets on the graph itself, capped at the best cut
-so far; the pair enumeration is reduced to a provably sufficient family,
-see `restricted_edge_connectivity`.
+connectivity (both cut sides of size at least two) scans non-adjacent
+vertex pairs, then runs unit-capacity max-flows between vertex sets on the
+graph itself, capped at the best cut so far, over one fixed order of
+(source, sink) pairs, `_restricted_pairs`: the anchor edge to every edge
+disjoint from it, then edges at the anchor's two ends.
 
-Star-cut classification asks a narrower question: when lambda equals the
-minimum degree delta, is there a cut of value delta with both sides of
-size at least two?  A side Y of size k with at most delta cut edges has
-k = 1 or k >= delta, so such a side is one of three sink families: a
-delta-clique N[t] - {w}, found by a direct scan; a side strictly larger
-than delta, which contains a whole closed neighbourhood N[t] and is found
-by one flow from the anchor edge to N[t] per vertex t; or a side that the
-anchor edge crosses, found by flows between edges at the anchor's two
-ends.  Only when the answer is yes does the full restricted search run,
-to produce the witness.  See `_non_star_cut_exists`.
+Star-cut classification asks, when lambda equals the minimum degree delta,
+for a minimum cut with both sides of size at least two.  It walks the same
+pair order with every flow capped at lambda + 1 and stops at the first cut
+of value lambda, which is the restricted search's own certificate.  A
+decision from the side-size lemma, `_non_star_cut_exists`, tells first
+whether a flow from the anchor edge can reach lambda at all; when it
+cannot, only the crossing pairs are walked.
 """
 
 from __future__ import annotations
@@ -168,66 +166,66 @@ def _max_flow(g: Graph, source: set[int], sink: set[int], limit: float = math.in
     return limit, None
 
 
-def restricted_edge_connectivity(g: Graph, below=math.inf) -> tuple[float, CutCertificate | None]:
+def _restricted_pairs(g: Graph, disjoint: bool = True):
+    """The (source, sink) vertex sets of the restricted search's flows in
+    order, with the anchor edge (a, b) = g's first edge: {a, b} to each edge
+    disjoint from it unless `disjoint` is false, then the crossing pairs,
+    an edge at a and one at b, not (a, b), that share no vertex.  The
+    source's iteration order seeds `_max_flow`, so it fixes certificates."""
+    edges = g.edges()
+    a, b = edges[0]
+    if disjoint:
+        for f in edges:
+            if a not in f and b not in f:
+                yield {a, b}, set(f)
+    for fa in ((a, c) for c in g.adjacency[a] if c != b):
+        for fb in ((b, c) for c in g.adjacency[b] if c != a):
+            if not set(fa) & set(fb):
+                yield set(fa), set(fb)
+
+
+def restricted_edge_connectivity(g: Graph) -> tuple[int, CutCertificate]:
     """Minimum cut of a connected graph over bipartitions with both sides of
-    size at least two; a disconnected graph raises GraphError.
+    size at least two, with a certificate; a disconnected graph or one with
+    fewer than four vertices raises GraphError.
 
     A minimum such cut has each side either connected (hence containing an
     edge, and an edge at any prescribed crossing vertex) or equal to a
-    non-adjacent vertex pair, whose cut value is the degree sum.  It is
-    therefore enough to run max-flows from a fixed anchor edge to every
-    disjoint edge, between edges at the two endpoints of the anchor, and
-    to scan non-adjacent pairs directly.  Each flow stops at the best cut
-    so far, which starts at `below`: a minimum under `below` is returned
-    as it would be without the bound, and none gives (inf, None).
+    non-adjacent vertex pair, whose cut value is the degree sum.  So it is
+    enough to scan non-adjacent pairs, then run a max-flow per pair of
+    `_restricted_pairs` capped at the best cut so far; only a strictly
+    smaller cut replaces the best.  With n >= 4 there is a non-adjacent
+    pair or, in a complete graph, an edge disjoint from the anchor.
     """
     if g.n < 4:
         raise GraphError(f"restricted edge connectivity needs n >= 4, got {g.n}")
     if not is_connected(g):
         raise GraphError("restricted edge connectivity requires a connected graph")
 
-    best: float = below
-    best_side: set[int] | None = None
-
-    def consider(value, side):
-        nonlocal best, best_side
-        if value < best:
-            best, best_side = value, side
-
+    best, best_side = math.inf, None
     # sides that are a non-adjacent vertex pair
     for u in range(g.n):
         for w in range(u + 1, g.n):
-            if w not in g.adjacency[u]:
-                consider(g.degree(u) + g.degree(w), {u, w})
-
-    edges = g.edges()  # not empty: g is connected with n >= 4
-    a, b = edges[0]
-    for f in edges:
-        if a in f or b in f:
-            continue
-        consider(*_max_flow(g, {a, b}, set(f), best))
-    for fa in ((a, c) for c in g.adjacency[a] if c != b):
-        for fb in ((b, c) for c in g.adjacency[b] if c != a):
-            if set(fa) & set(fb):
-                continue
-            consider(*_max_flow(g, set(fa), set(fb), best))
-
-    if best_side is None:
-        return math.inf, None
-    return int(best), _certificate(g, best_side)
+            if w not in g.adjacency[u] and g.degree(u) + g.degree(w) < best:
+                best, best_side = g.degree(u) + g.degree(w), {u, w}
+    for source, sink in _restricted_pairs(g):
+        value, side = _max_flow(g, source, sink, best)
+        if value < best:
+            best, best_side = value, side
+    return best, _certificate(g, best_side)
 
 
 def _non_star_cut_exists(g: Graph, delta: int) -> bool:
-    """Whether g, connected with n >= 4 and edge connectivity equal to its
-    minimum degree delta, has a cut of value <= delta with both sides of
-    size at least two.
+    """For g connected with n >= 4 and edge connectivity equal to its
+    minimum degree delta.  False: no cut of value <= delta with both sides
+    of size at least two keeps the anchor edge (a, b), g's first edge, in
+    one side.  True: a cut of value delta with both sides that large exists.
 
     Side-size lemma: let Y be a side with |Y| = k and |dY| <= delta.  Each
     vertex of Y has at most k - 1 neighbours in Y, so at least
     delta - k + 1 cut edges, and k (delta - k + 1) <= |dY| <= delta, that
     is (k - 1)(delta - k) <= 0: k = 1 or k >= delta.  So both sides of a
-    sought cut have size >= delta.  With the anchor edge (a, b), the
-    first edge of g, one of three cases holds.
+    sought cut have size >= delta, and one of two cases holds.
 
     1. A side Y has k = delta >= 2.  The bound above is then tight: Y is
        a clique of degree-delta vertices with one cut edge each, so
@@ -235,20 +233,15 @@ def _non_star_cut_exists(g: Graph, delta: int) -> bool:
        set is a clique iff every non-adjacent pair inside N(t) contains
        w; the scan below tests this for each t of degree delta, and the
        other side has n - delta >= 2 vertices.  No flow is needed.
-    2. The anchor lies in one side and the other side Y has k > delta.
-       At most delta vertices of Y meet a cut edge, so some t in Y meets
-       none and N[t] lies inside Y, while a, b do not.  The flow from
-       {a, b} to N[t] is then at most delta.  Conversely a flow of value
-       <= delta between {a, b} and a disjoint N[t], which has at least
-       two vertices, gives a cut with both sides of size >= 2.
-    3. The anchor crosses the cut, with a in Y and b outside.  Both sides
-       are connected: the parts of a disconnected side would each cost
-       at least lambda = delta.  So a has a neighbour c in Y and b a
-       neighbour c' outside, and the flow between the disjoint edges
-       (a, c) and (b, c') is at most delta.  Flows between edges at a
-       and edges at b that share no vertex cover this case.
+    2. The side Y without the anchor has k > delta.  At most delta
+       vertices of Y meet a cut edge, so some t in Y meets none and N[t]
+       lies inside Y, while a, b do not.  The flow from {a, b} to N[t] is
+       then at most delta.  Conversely a flow of value <= delta between
+       {a, b} and a disjoint N[t], which has at least two vertices, gives
+       a cut with both sides of size >= 2.
 
-    Every flow stops at delta + 1, where no cut of value <= delta exists.
+    A cut that the anchor crosses is left to the crossing pairs of
+    `_restricted_pairs`.  Every flow stops at delta + 1.
     """
     adj = g.adjacency
     if delta >= 2 and g.n - delta >= 2:
@@ -269,28 +262,28 @@ def _non_star_cut_exists(g: Graph, delta: int) -> bool:
         if a not in sink and b not in sink:
             if _max_flow(g, {a, b}, sink, delta + 1)[0] <= delta:
                 return True
-    for c in adj[a]:
-        for d in adj[b]:
-            if c != b and d not in (a, c):
-                if _max_flow(g, {a, c}, {b, d}, delta + 1)[0] <= delta:
-                    return True
     return False
 
 
 def classify_min_cuts(g: Graph, connectivity: tuple) -> CutCertificate | None:
     """A minimum cut with both sides of size at least two, or None when
-    every minimum cut isolates a single vertex.
+    every minimum cut isolates a single vertex.  `connectivity` is g's
+    `edge_connectivity` result.
 
     For n <= 3 every bipartition has a singleton side, so there is none.
     When lambda is below the minimum degree delta the given certificate
-    is already non-star.  When lambda = delta, `_non_star_cut_exists`
-    decides the question from the side-size lemma (a side with at most
-    delta cut edges has one vertex or at least delta) and its three sink
-    families: delta-cliques N[t] - {w}, closed neighbourhoods N[t] inside
-    a larger side, and edges at the two ends of a crossing anchor.  A
-    yes is followed by `restricted_edge_connectivity` below lambda + 1,
-    whose search order fixes the witness returned.  `connectivity` is
-    g's `edge_connectivity` result.
+    is already non-star.  When lambda = delta the answer is the
+    certificate of `restricted_edge_connectivity` if its value is lambda,
+    else None, found by one sweep over `_restricted_pairs` that stops at
+    its first flow of value lambda:
+
+    - a non-adjacent pair side costs 2 delta > lambda, so never wins;
+    - every restricted cut costs >= lambda and only a smaller one
+      replaces the best, so the search keeps its first flow of value lambda;
+    - under any cap above lambda such a flow makes the same augmentations
+      and ends at the same residual side, so lambda + 1 is cap enough;
+    - when `_non_star_cut_exists` says no, every flow to an edge disjoint
+      from the anchor exceeds delta, so only the crossing pairs are walked.
     """
     if g.n < 2:
         raise GraphError("cut classification needs at least two vertices")
@@ -303,8 +296,8 @@ def classify_min_cuts(g: Graph, connectivity: tuple) -> CutCertificate | None:
     if lam < delta:
         # certificate cannot be a star: a singleton side would cost >= delta
         return cert
-    if not _non_star_cut_exists(g, delta):
-        return None
-    # lam_r >= lam always, so the search below lam + 1 returns a restricted
-    # cut of value lam: the first in its own order, as before the decision
-    return restricted_edge_connectivity(g, below=lam + 1)[1]
+    for source, sink in _restricted_pairs(g, disjoint=_non_star_cut_exists(g, delta)):
+        value, side = _max_flow(g, source, sink, lam + 1)
+        if value <= lam:
+            return _certificate(g, side)
+    return None

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .formats import parse_integer
-from .graph import MAX_ORDER, Graph, GraphError, NeighborOracle, check_order, from_edge_list
+from .graph import MAX_EDGES, MAX_ORDER, Graph, GraphError, NeighborOracle, from_edge_list
 
 
 @dataclass(frozen=True)
@@ -176,51 +176,71 @@ def _require(cond: bool, msg: str) -> None:
         raise GraphError(msg)
 
 
-# kind -> (constructor, number of integer parameters, order as a function of
-# the parameters or None for an infinite family); "cartesian_product", whose
-# parameters are two factor specs, is the one kind handled apart
+# kind -> (constructor, number of integer parameters, size): size maps the
+# parameters to the vertex and edge counts of the finite graph that the
+# constructor builds, which for zxk:k is its K_k factor; "cartesian_product",
+# whose parameters are two factor specs, is the one kind handled apart
 _FAMILIES = {
-    "path": (path_graph, 1, lambda n: n),
-    "cycle": (cycle_graph, 1, lambda n: n),
-    "complete": (complete_graph, 1, lambda n: n),
-    "complete_bipartite": (complete_bipartite, 2, lambda m, n: m + n),
+    "path": (path_graph, 1, lambda n: (n, n - 1)),
+    "cycle": (cycle_graph, 1, lambda n: (n, n)),
+    "complete": (complete_graph, 1, lambda n: (n, n * (n - 1) // 2)),
+    "complete_bipartite": (complete_bipartite, 2, lambda m, n: (m + n, m * n)),
     # capped at 2^64, far above MAX_ORDER, so that a huge d builds no huge int
-    "hypercube": (hypercube, 1, lambda d: 2 ** min(d, 64)),
-    "petersen": (petersen, 0, lambda: 10),
-    "triangular": (triangular, 1, lambda n: n * (n - 1) // 2),
-    "hamming2": (hamming2, 1, lambda q: q * q),
-    "paley": (paley, 1, lambda q: q),
-    "beta1_counterexample": (beta1_counterexample, 0, lambda: 20),
-    "integer_line": (integer_line, 0, None),
-    "line_times_complete": (line_times_complete, 1, None),
+    "hypercube": (hypercube, 1, lambda d: (2 ** min(d, 64), d * 2 ** (min(d, 64) - 1))),
+    "petersen": (petersen, 0, lambda: (10, 15)),
+    "triangular": (triangular, 1, lambda n: (n * (n - 1) // 2, n * (n - 1) * (n - 2) // 2)),
+    "hamming2": (hamming2, 1, lambda q: (q * q, q * q * (q - 1))),
+    "paley": (paley, 1, lambda q: (q, q * (q - 1) // 4)),
+    "beta1_counterexample": (beta1_counterexample, 0, lambda: (20, 30)),
+    "integer_line": (integer_line, 0, lambda: (0, 0)),
+    "line_times_complete": (line_times_complete, 1, lambda k: (k, k * (k - 1) // 2)),
 }
+
+
+def _size(spec: FamilySpec) -> tuple[int, int]:
+    """The vertex and edge counts of what `generate` builds for a spec, read
+    off its parameters; a product's come from its factors' specs."""
+    if spec.kind == "cartesian_product":
+        if len(spec.args) != 2 or not all(isinstance(s, FamilySpec) for s in spec.args):
+            raise GraphError("cartesian_product takes two factor FamilySpecs")
+        (n1, m1), (n2, m2) = map(_size, spec.args)
+        return n1 * n2, m1 * n2 + m2 * n1
+    if spec.kind not in _FAMILIES:
+        raise GraphError(f"unknown family kind {spec.kind!r}")
+    _check_arity(spec.kind, len(spec.args))
+    return _FAMILIES[spec.kind][2](*spec.args)
+
+
+def _spelling(spec: FamilySpec) -> str:
+    """The spec as `parse_family_spec` reads it, with canonical family names."""
+    if spec.kind == "cartesian_product":
+        return "product:" + "+".join(map(_spelling, spec.args))
+    return f"{spec.kind}:{','.join(map(str, spec.args))}" if spec.args else spec.kind
 
 
 def generate(spec: FamilySpec | str):
     """Materialize a family spec: Graph for finite, NeighborOracle for infinite.
 
-    A spec whose graph would be above MAX_ORDER is refused before it is built.
+    A spec that would build more than MAX_ORDER vertices or MAX_EDGES edges
+    is refused before anything is built.
     """
     if isinstance(spec, str):
         spec = parse_family_spec(spec)
+    n, m = _size(spec)
+    if n > MAX_ORDER:
+        raise GraphError(
+            f"{_spelling(spec)} builds more vertices than the maximum order MAX_ORDER = {MAX_ORDER}"
+        )
+    if m > MAX_EDGES:
+        raise GraphError(
+            f"{_spelling(spec)} builds more edges than the maximum size MAX_EDGES = {MAX_EDGES}"
+        )
     if spec.kind == "cartesian_product":
-        if len(spec.args) != 2 or not all(isinstance(s, FamilySpec) for s in spec.args):
-            raise GraphError("cartesian_product takes two factor FamilySpecs")
         parts = [generate(s) for s in spec.args]
         if not all(isinstance(p, Graph) for p in parts):
             raise GraphError("cartesian_product supports finite factors only")
-        check_order(parts[0].n * parts[1].n)
         return cartesian_product(*parts)
-    if spec.kind not in _FAMILIES:
-        raise GraphError(f"unknown family kind {spec.kind!r}")
-    _check_arity(spec.kind, len(spec.args))
-    build, _, order = _FAMILIES[spec.kind]
-    if order is not None and order(*spec.args) > MAX_ORDER:
-        args = ",".join(map(str, spec.args))
-        raise GraphError(
-            f"{spec.kind}:{args} has more vertices than the maximum order MAX_ORDER = {MAX_ORDER}"
-        )
-    return build(*spec.args)
+    return _FAMILIES[spec.kind][0](*spec.args)
 
 
 def _check_arity(kind: str, got: int) -> None:

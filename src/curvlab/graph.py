@@ -24,12 +24,14 @@ class GraphError(ValueError):
 # takes about 120 MiB as a Graph; a file or a generator spec that names a
 # larger order is refused before anything is allocated per vertex.
 MAX_ORDER = 1 << 18
-
-
-def check_order(n: int) -> None:
-    """Raise GraphError when a graph of order n would be above MAX_ORDER."""
-    if n > MAX_ORDER:
-        raise GraphError(f"graph order {n} is above the maximum order MAX_ORDER = {MAX_ORDER}")
+# The largest edge count of a graph that a generator spec builds, checked by
+# `generators.generate` before it builds anything: hypercube:18 has
+# 2,359,296 edges, and building K_2897, 4,194,856 edges, just above it,
+# peaked near 460 MiB of resident memory under CPython 3.11.
+MAX_EDGES = 1 << 22
+# The largest dense adjacency array built, in entries (256 MiB of bools):
+# `ball` for one 2-ball and `curvature.graph_curvature` for its stack.
+MAX_ADJACENCY_ENTRIES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,8 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
-    check_order(n)
+    if n > MAX_ORDER:
+        raise GraphError(f"graph order {n} is above the maximum order MAX_ORDER = {MAX_ORDER}")
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:
@@ -132,6 +135,8 @@ def ball(o: Graph | NeighborOracle, x: Hashable) -> tuple[np.ndarray, BallMap]:
 
     The center maps to index 0, sphere-1 vertices next (sorted), sphere-2
     last (sorted); this ordering is the basis contract for curvature forms.
+    Raises GraphError when the array would hold more than
+    MAX_ADJACENCY_ENTRIES entries.
     """
     n1 = sorted(set(o.neighbors(x)) - {x})
     n2 = sorted({z for y in n1 for z in o.neighbors(y)} - set(n1) - {x})
@@ -139,6 +144,11 @@ def ball(o: Graph | NeighborOracle, x: Hashable) -> tuple[np.ndarray, BallMap]:
     ordered = [v for sph in spheres for v in sph]
     index = {v: i for i, v in enumerate(ordered)}
     size = len(ordered)
+    if size * size > MAX_ADJACENCY_ENTRIES:
+        raise GraphError(
+            f"the 2-ball of {x!r} needs a {size} x {size} adjacency array, above its limit "
+            f"of {MAX_ADJACENCY_ENTRIES} entries"
+        )
     cells = []
     for i, v in enumerate(ordered):
         for w in o.neighbors(v):

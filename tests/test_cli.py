@@ -13,7 +13,7 @@ from curvlab import cli, cuts, regularity, theorems
 from curvlab.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from curvlab.formats import write_graph6
 from curvlab.generators import hamming2, petersen
-from curvlab.graph import MAX_ORDER
+from curvlab.graph import MAX_EDGES, MAX_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -636,13 +636,19 @@ _LIMITED_CLI = (
         (("matching", "cycle:100000000000"), None, f"maximum order MAX_ORDER = {MAX_ORDER}"),
         (("check", "--source", "gen:hypercube:40"), None, f"maximum order MAX_ORDER = {MAX_ORDER}"),
         (("curvature", "cycle:200000"), None, "above its limit of 268435456 entries"),
+        (("curvature", "kbip:1,200000", "--vertex", "0"), None, "above its limit of 268435456 entries"),
+        (("matching", "complete:200000"), None, f"maximum size MAX_EDGES = {MAX_EDGES}"),
+        (("matching", "hamming2:500"), None, f"maximum size MAX_EDGES = {MAX_EDGES}"),
+        (("curvature", "zxk:200000"), None, f"maximum size MAX_EDGES = {MAX_EDGES}"),
     ],
 )
 def test_oversized_input_is_refused_before_allocation(tmp_path, argv, content, limit):
     # each of these died of a MemoryError traceback (exit 1) under a 2 GB
     # address-space limit: a sparse6 header or an edge-list header of order
-    # 6.9e10 and 1e11, generator specs of order 1e11 and 2^40, and the
-    # 37 GiB dense adjacency of curvature's kernel on a 200000-cycle
+    # 6.9e10 and 1e11, generator specs of order 1e11 and 2^40, the 37 GiB
+    # dense adjacency of curvature's kernel on a 200000-cycle and of the
+    # 2-ball of a 200000-leaf star's centre, and specs of about 2e10, 1.2e8
+    # and 2e10 edges (zxk:k builds its K_k factor)
     path = tmp_path / "graph.txt"
     if content is not None:
         path.write_text(content, encoding="ascii")

@@ -1,5 +1,5 @@
-import math
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -190,6 +190,9 @@ def test_restricted_needs_four_vertices():
 
 
 def test_restricted_vs_bruteforce_random():
+    for g in (g for n in (4, 5, 6) for g in all_graphs(n) if not is_connected(g)):
+        with pytest.raises(GraphError, match="requires a connected graph"):
+            restricted_edge_connectivity(g)
     rng = random.Random(202)
     for _ in range(400):
         g = random_graph(rng, rng.randint(4, 9), rng.choice([0.15, 0.35, 0.55, 0.8]))
@@ -200,9 +203,8 @@ def test_restricted_vs_bruteforce_random():
         lam_r, cert = restricted_edge_connectivity(g)
         expected = brute_restricted(g)
         assert lam_r == expected, (g.adjacency, lam_r, expected)
-        if cert is not None:
-            assert cert.verify(g)
-            assert len(cert.side_L) >= 2 and g.n - len(cert.side_L) >= 2
+        assert cert.verify(g)
+        assert len(cert.side_L) >= 2 and g.n - len(cert.side_L) >= 2
 
 
 def test_restricted_star_graph():
@@ -259,20 +261,6 @@ def test_max_flow_vs_bruteforce_set_cut():
         assert _max_flow(g, source, sink, value + 1) == (value, minimal)
         limit = rng.randint(0, value)
         assert _max_flow(g, source, sink, limit) == (limit, None)
-
-
-def test_restricted_below_bound_exhaustive():
-    connected = [g for _, g in connected_graphs_upto(7) if g.n >= 4]
-    disconnected = [g for n in (4, 5, 6) for g in all_graphs(n) if not is_connected(g)]
-    for g in disconnected:
-        with pytest.raises(GraphError, match="requires a connected graph"):
-            restricted_edge_connectivity(g, below=edge_connectivity(g)[0] + 1)
-    for g in connected:
-        lam_r, cert = restricted_edge_connectivity(g)
-        lam = edge_connectivity(g)[0]
-        for below in (lam, lam + 1, math.inf):
-            expected = (lam_r, cert) if lam_r < below else (math.inf, None)
-            assert restricted_edge_connectivity(g, below=below) == expected, (g.adjacency, below)
 
 
 @pytest.mark.parametrize(
@@ -347,32 +335,59 @@ def cliques_joined(m, matching, labels=None):
     return from_edge_list(2 * m, [(name[u], name[v]) for u, v in edges])
 
 
-def test_classify_decides_as_the_restricted_search():
-    # classification answers None exactly when the exhaustive restricted
-    # search below lambda + 1 finds nothing
+def lambda_equals_delta_graphs():
+    """Connected graphs with n >= 4 and lambda = delta: n <= 7 exhaustive,
+    the amply corpus, beta1 and two cliques joined by matchings."""
     graphs = [g for _, g in connected_graphs_upto(7) if g.n >= 4]
     graphs += list(amply_corpus().values()) + [beta1_counterexample()]
     graphs += [cliques_joined(m, [(i, i) for i in range(j)]) for m in (3, 4, 5, 6) for j in (m - 1, m)]
     graphs += [cliques_joined(5, [(0, 1), (1, 0), (2, 3), (3, 2)])]
-    checked = non_star = 0
     for g in graphs:
         lam, cert = edge_connectivity(g)
-        if lam != min(g.degree(v) for v in range(g.n)):
-            continue
-        expected = restricted_edge_connectivity(g, below=lam + 1)[1]
-        assert (classify_min_cuts(g, (lam, cert)) is None) == (expected is None), g.adjacency
-        # the decision itself, whose false yes the witness search would hide
-        assert cuts._non_star_cut_exists(g, lam) == (expected is not None), g.adjacency
+        if lam == min(g.degree(v) for v in range(g.n)):
+            yield g, (lam, cert)
+
+
+def test_classify_decides_as_the_restricted_search():
+    # classification returns the exhaustive restricted search's certificate
+    # when its value is lambda, and None otherwise
+    checked = non_star = 0
+    for g, connectivity in lambda_equals_delta_graphs():
+        lam_r, cert_r = restricted_edge_connectivity(g)
+        expected = cert_r if lam_r == connectivity[0] else None
+        assert classify_min_cuts(g, connectivity) == expected, g.adjacency
         checked += 1
         non_star += expected is not None
     assert (checked, non_star) == (1011, 202)
 
 
+def test_non_star_decision_is_one_sided():
+    # no: no non-star minimum cut keeps the anchor edge in one side; yes:
+    # some non-star minimum cut exists.  A cut that the anchor crosses is
+    # the sweep's to find, so a no may hide one.
+    outcomes = Counter()
+    for g, (lam, _) in lambda_equals_delta_graphs():
+        if g.n > 20:
+            continue
+        value, min_cuts = min_cut_bruteforce(g)
+        a, b = g.edges()[0]
+        non_star = [c.side_L for c in min_cuts if 2 <= len(c.side_L) <= g.n - 2]
+        decision = cuts._non_star_cut_exists(g, lam)
+        assert value == lam, g.adjacency
+        if decision:
+            assert non_star, g.adjacency
+        else:
+            assert all((a in side) != (b in side) for side in non_star), g.adjacency
+        outcomes[decision, bool(non_star)] += 1
+    # one graph, of order 7, has non-star minimum cuts that all cross its anchor
+    assert outcomes == {(False, False): 805, (False, True): 1, (True, True): 201}
+
+
 def sink_families(g, side):
-    """The families of the sink-family decision able to find the cut (side,
-    rest), by definition: 1 when a side has delta vertices, 2 when the
-    anchor edge lies in one side and the other contains a closed
-    neighbourhood, 3 when the anchor edge crosses."""
+    """The sink families able to find the cut (side, rest), by definition:
+    the decision's 1 when a side has delta vertices and 2 when the anchor
+    edge lies in one side and the other contains a closed neighbourhood,
+    and the sweep's crossing pairs, 3, when the anchor edge crosses."""
     delta = min(g.degree(v) for v in range(g.n))
     a, b = g.edges()[0]
     rest = set(range(g.n)) - side
@@ -423,3 +438,21 @@ def test_classification_flow_count_on_hypercube7(monkeypatch):
     monkeypatch.setattr(cuts, "_max_flow", counted)
     assert classify_min_cuts(g, connectivity) is None
     assert len(calls) <= g.n + (7 - 1) ** 2
+
+
+def test_classification_flow_count_up_to_seven_vertices(monkeypatch):
+    # one sweep that stops at its first cut of value lambda; deciding first
+    # and then running the whole restricted search made 5,771 flows here
+    graphs = [g for _, g in connected_graphs_upto(7) if g.n >= 4]
+    connectivity = [edge_connectivity(g) for g in graphs]
+    calls = []
+    original = cuts._max_flow
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cuts, "_max_flow", counted)
+    for g, c in zip(graphs, connectivity):
+        classify_min_cuts(g, c)
+    assert len(graphs) == 992 and len(calls) <= 4874

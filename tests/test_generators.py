@@ -2,14 +2,17 @@ import hashlib
 
 import pytest
 
+from curvlab import generators
 from curvlab.generators import (
     FamilySpec,
     beta1_counterexample,
+    complete_graph,
     generate,
     parse_family_spec,
 )
 from curvlab.curvature import bakry_emery_curvature
 from curvlab.graph import (
+    MAX_EDGES,
     MAX_ORDER,
     Graph,
     GraphError,
@@ -250,6 +253,39 @@ def test_generate_refuses_a_spec_above_the_maximum_order(spec):
     # the size of the graph is built, and a prime test never runs
     with pytest.raises(GraphError, match=f"maximum order MAX_ORDER = {MAX_ORDER}"):
         generate(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "path:7", "cycle:9", "complete:6", "kbip:3,5", "hypercube:5", "petersen",
+        "triangular:6", "hamming2:4", "paley:13", "beta1", "product:cycle:5+complete:3",
+        "product:hypercube:2+product:path:3+petersen",
+    ],
+)
+def test_size_read_off_a_spec_is_the_built_graphs(spec):
+    g = generate(spec)
+    assert generators._size(parse_family_spec(spec)) == (g.n, g.m)
+
+
+def test_size_of_an_infinite_family_is_what_it_builds():
+    assert generators._size(parse_family_spec("line")) == (0, 0)
+    assert generators._size(parse_family_spec("zxk:7")) == (7, complete_graph(7).m)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["complete:2897", "kbip:2048,2049", "hamming2:500", "zxk:200000", "product:complete:1024+complete:9"],
+)
+def test_generate_refuses_a_spec_above_the_maximum_size(spec):
+    with pytest.raises(GraphError, match=f"maximum size MAX_EDGES = {MAX_EDGES}"):
+        generate(spec)
+
+
+def test_maximum_size_admits_the_largest_hypercube():
+    assert MAX_EDGES == 4194304
+    assert generators._size(parse_family_spec("hypercube:18")) == (MAX_ORDER, 2359296)
+    assert generators._size(parse_family_spec("kbip:2048,2048")) == (4096, MAX_EDGES)
 
 
 def test_maximum_order_is_the_largest_accepted():
