@@ -1,20 +1,52 @@
 """Edge-connectivity, minimum-cut certificates, and star-cut classification.
 
 The global minimum cut uses Stoer-Wagner with unit weights and lowest-index
-tie-breaking, so certificates are reproducible.  Restricted edge
-connectivity (both cut sides of size at least two) scans non-adjacent
-vertex pairs, then runs unit-capacity max-flows between vertex sets on the
-graph itself, capped at the best cut so far, over one fixed order of
-(source, sink) pairs, `_restricted_pairs`: the anchor edge to every edge
-disjoint from it, then edges at the anchor's two ends.
+tie-breaking, so certificates are reproducible.  Its value lambda is found
+first by dominating-set flows (Matula, "Determining edge connectivity in
+O(nm)", FOCS 1987), and the phases stop at the first one whose cut is
+lambda, the cut a full run keeps.  Restricted edge connectivity (both cut
+sides of size at least two) scans non-adjacent vertex pairs, then runs
+unit-capacity max-flows between vertex sets on the graph itself, capped at
+the best cut so far, over one fixed order of (source, sink) pairs,
+`_restricted_pairs`: the anchor edge to every edge disjoint from it, then
+edges at the anchor's two ends.
 
 Star-cut classification asks, when lambda equals the minimum degree delta,
 for a minimum cut with both sides of size at least two.  It walks the same
 pair order with every flow capped at lambda + 1 and stops at the first cut
-of value lambda, which is the restricted search's own certificate.  A
-decision from the side-size lemma, `_non_star_cut_exists`, tells first
-whether a flow from the anchor edge can reach lambda at all; when it
-cannot, only the crossing pairs are walked.
+of value lambda, which is the restricted search's own certificate.  The
+side-size lemma first decides whether a flow from the anchor edge can reach
+lambda at all; when it cannot, only the crossing pairs are walked, or a
+third vertex settles that there is no such cut with fewer flows.
+
+Side-size lemma: let Y be a side with |Y| = k and |dY| <= delta.  Each
+vertex of Y has at most k - 1 neighbours in Y, so at least delta - k + 1
+cut edges, and k (delta - k + 1) <= |dY| <= delta, that is
+(k - 1)(delta - k) <= 0: k = 1 or k >= delta.  With k = delta the bound is
+tight (case 1, `_delta_clique_side`).  With k > delta at most |dY| <= delta
+vertices of Y meet a cut edge, so some t in Y meets none and the closed
+neighbourhood N[t] lies inside Y (case 2).
+
+- Exact lambda (`edge_connectivity`): D is a dominating set built in
+  index order, and each vertex that joins it after the first runs a flow
+  to the vertices before it.  A cut of value below delta has k > delta on
+  both sides (a single vertex costs at least delta, and k = delta makes
+  the bound tight at delta), so each side holds some N[t] and hence a
+  vertex of D.  The first vertex of D on the side opposite D's first
+  vertex has a flow to the vertices before it, all on the other side, of
+  at most that cut.  Every flow is at least lambda, so lambda is the
+  minimum of delta and the flows.
+- Anchor pair (Esfahanian and Hakimi, "On computing a conditional
+  edge-connectivity of a graph", IPL 1988): a cut of value delta with both
+  sides larger than delta that keeps a and b on one side has some N[t]
+  on the other, so the flow from {a, b} to an N[t] that misses both is at
+  most delta (`_non_star_cut_exists`).  Conversely such a flow gives a cut
+  with both sides of size at least two.
+- Vertex triple (`classify_min_cuts`): of any three vertices a, b, c two
+  lie on one side of every bipartition.  A cut that separates a from b
+  keeps c with one of them, so when no delta-clique side exists and no
+  such cut keeps {a, b} together, the pairs {a, c} and {b, c} decide
+  every remaining one.
 """
 
 from __future__ import annotations
@@ -60,6 +92,20 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate | None]:
 
     Single-vertex graphs return 0 with no certificate (no bipartition
     exists); disconnected graphs return 0 with vertex 0's component as side_L.
+
+    lambda is found first by dominating-set flows (Matula): walking the
+    vertices in index order, each vertex v that no vertex of the set D built
+    so far dominates runs one flow from {v} to D, capped at the least value
+    so far, and joins D; lambda is the minimum of delta and those flows.
+    Each flow is at least lambda.  A cut of value below delta has both
+    sides larger than delta (the side-size lemma), so each side holds a
+    whole closed neighbourhood N[t] and, D dominating, a vertex of D; the
+    first vertex of D on the side opposite D's first vertex then has a
+    flow to the vertices of D before it no larger than that cut.
+
+    The Stoer-Wagner phases then stop at the first phase whose cut equals
+    lambda.  A full run replaces its best cut only by a strictly smaller
+    one, so it keeps that phase's cut too, and the certificate is the same.
     """
     if g.n == 0:
         raise GraphError("edge connectivity of the empty graph is undefined")
@@ -68,6 +114,15 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate | None]:
     component = reachable(g, 0)
     if len(component) < g.n:
         return 0, _certificate(g, component)
+    lam = min(g.degree(v) for v in range(g.n))
+    dominating: set[int] = set()
+    dominated: set[int] = set()
+    for v in range(g.n):
+        if v not in dominated:
+            if dominating:
+                lam = min(lam, _max_flow(g, {v}, dominating, lam)[0])
+            dominating.add(v)
+            dominated.update(g.adjacency[v], (v,))
     # Stoer-Wagner with unit weights; supernodes carry their merged members.
     members = {v: [v] for v in range(g.n)}
     weight = {v: dict.fromkeys(g.adjacency[v], 1) for v in range(g.n)}
@@ -94,6 +149,8 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate | None]:
                     heapq.heappush(heap, (-w[u], u))
         if best_value is None or cut_of_phase < best_value:
             best_value, best_side = cut_of_phase, set(members[t])
+            if best_value == lam:
+                break
         # merge t into s
         members[s].extend(members.pop(t))
         for u, c in weight.pop(t).items():
@@ -215,54 +272,49 @@ def restricted_edge_connectivity(g: Graph) -> tuple[int, CutCertificate]:
     return best, _certificate(g, best_side)
 
 
-def _non_star_cut_exists(g: Graph, delta: int) -> bool:
-    """For g connected with n >= 4 and edge connectivity equal to its
-    minimum degree delta.  False: no cut of value <= delta with both sides
-    of size at least two keeps the anchor edge (a, b), g's first edge, in
-    one side.  True: a cut of value delta with both sides that large exists.
-
-    Side-size lemma: let Y be a side with |Y| = k and |dY| <= delta.  Each
-    vertex of Y has at most k - 1 neighbours in Y, so at least
-    delta - k + 1 cut edges, and k (delta - k + 1) <= |dY| <= delta, that
-    is (k - 1)(delta - k) <= 0: k = 1 or k >= delta.  So both sides of a
-    sought cut have size >= delta, and one of two cases holds.
-
-    1. A side Y has k = delta >= 2.  The bound above is then tight: Y is
-       a clique of degree-delta vertices with one cut edge each, so
-       Y = N[t] - {w} for any t in Y and its outside neighbour w.  Such a
-       set is a clique iff every non-adjacent pair inside N(t) contains
-       w; the scan below tests this for each t of degree delta, and the
-       other side has n - delta >= 2 vertices.  No flow is needed.
-    2. The side Y without the anchor has k > delta.  At most delta
-       vertices of Y meet a cut edge, so some t in Y meets none and N[t]
-       lies inside Y, while a, b do not.  The flow from {a, b} to N[t] is
-       then at most delta.  Conversely a flow of value <= delta between
-       {a, b} and a disjoint N[t], which has at least two vertices, gives
-       a cut with both sides of size >= 2.
-
-    A cut that the anchor crosses is left to the crossing pairs of
-    `_restricted_pairs`.  Every flow stops at delta + 1.
+def _delta_clique_side(g: Graph, delta: int) -> bool:
+    """Whether a cut of value delta has a side of exactly delta >= 2
+    vertices and another of at least two: case 1 of the side-size lemma
+    (module docstring).  Such a side is a clique of degree-delta vertices
+    with one cut edge each, so Y = N[t] - {w} for any t in Y and its
+    outside neighbour w, and N[t] - {w} is a clique iff every non-adjacent
+    pair inside N(t) contains w.  The scan tests this for each t of degree
+    delta; no flow is needed.
     """
     adj = g.adjacency
-    if delta >= 2 and g.n - delta >= 2:
-        for t in range(g.n):
-            # w must be the one neighbour of t whose degree may exceed delta
-            irregular = [u for u in adj[t] if len(adj[u]) != delta]
-            if len(adj[t]) != delta or len(irregular) > 1:
-                continue
-            inner = set(adj[t])
-            # missing[u]: how many of the other vertices of N(t) u misses
-            missing = {u: delta - 1 - len(inner.intersection(adj[u])) for u in adj[t]}
-            non_edges = sum(missing.values()) // 2
-            if any(missing[w] == non_edges for w in irregular or adj[t]):
-                return True
-    a, b = g.edges()[0]
+    if delta < 2 or g.n - delta < 2:
+        return False
     for t in range(g.n):
-        sink = {t, *adj[t]}
-        if a not in sink and b not in sink:
-            if _max_flow(g, {a, b}, sink, delta + 1)[0] <= delta:
-                return True
+        # w must be the one neighbour of t whose degree may exceed delta
+        irregular = [u for u in adj[t] if len(adj[u]) != delta]
+        if len(adj[t]) != delta or len(irregular) > 1:
+            continue
+        inner = set(adj[t])
+        # missing[u]: how many of the other vertices of N(t) u misses
+        missing = {u: delta - 1 - len(inner.intersection(adj[u])) for u in adj[t]}
+        non_edges = sum(missing.values()) // 2
+        if any(missing[w] == non_edges for w in irregular or adj[t]):
+            return True
     return False
+
+
+def _non_star_cut_exists(g: Graph, delta: int, a: int, b: int) -> bool:
+    """Whether the flow from {a, b} to some closed neighbourhood N[t] that
+    misses both is at most delta, for distinct vertices a, b of g, with
+    every flow stopped at delta + 1.
+
+    True: a cut of value <= delta with both sides of size at least two
+    exists, since N[t] has at least two vertices.  False: no cut of value
+    <= delta has a and b on one side and more than delta vertices on the
+    other, case 2 of the side-size lemma (module docstring).
+    """
+    adj = g.adjacency
+    near = {a, b, *adj[a], *adj[b]}
+    return any(
+        _max_flow(g, {a, b}, {t, *adj[t]}, delta + 1)[0] <= delta
+        for t in range(g.n)
+        if t not in near
+    )
 
 
 def classify_min_cuts(g: Graph, connectivity: tuple) -> CutCertificate | None:
@@ -282,8 +334,17 @@ def classify_min_cuts(g: Graph, connectivity: tuple) -> CutCertificate | None:
       replaces the best, so the search keeps its first flow of value lambda;
     - under any cap above lambda such a flow makes the same augmentations
       and ends at the same residual side, so lambda + 1 is cap enough;
-    - when `_non_star_cut_exists` says no, every flow to an edge disjoint
-      from the anchor exceeds delta, so only the crossing pairs are walked.
+    - when neither `_delta_clique_side` nor `_non_star_cut_exists` for the
+      anchor edge (a, b) says yes, every non-star minimum cut separates a
+      from b, so every flow to an edge disjoint from the anchor exceeds
+      delta and only the crossing pairs are walked.
+
+    In that last case a third vertex c, the lowest common neighbour of a
+    and b or else the lowest other vertex, lies on a's or on b's side of
+    every such cut, so `_non_star_cut_exists` for {a, c} and for {b, c}
+    decides whether one exists.  Those flows run instead of the crossing
+    pairs when they are fewer, counted before any flow runs; on a yes the
+    crossing pairs are walked for the witness all the same.
     """
     if g.n < 2:
         raise GraphError("cut classification needs at least two vertices")
@@ -296,7 +357,19 @@ def classify_min_cuts(g: Graph, connectivity: tuple) -> CutCertificate | None:
     if lam < delta:
         # certificate cannot be a star: a singleton side would cost >= delta
         return cert
-    for source, sink in _restricted_pairs(g, disjoint=_non_star_cut_exists(g, delta)):
+    a, b = g.edges()[0]
+    anchor_side = _delta_clique_side(g, delta) or _non_star_cut_exists(g, delta, a, b)
+    if not anchor_side:
+        adj = g.adjacency
+        common = set(adj[a]).intersection(adj[b])
+        c = min(common) if common else next(v for v in range(g.n) if v not in (a, b))
+        crossing = (len(adj[a]) - 1) * (len(adj[b]) - 1) - len(common)
+        # N[t] misses u and c iff t lies outside N[u] and N[c]
+        near_c = {c, *adj[c]}
+        triple = sum(g.n - len(near_c.union(adj[u], (u,))) for u in (a, b))
+        if triple < crossing and not any(_non_star_cut_exists(g, delta, u, c) for u in (a, b)):
+            return None
+    for source, sink in _restricted_pairs(g, disjoint=anchor_side):
         value, side = _max_flow(g, source, sink, lam + 1)
         if value <= lam:
             return _certificate(g, side)

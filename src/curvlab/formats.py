@@ -4,13 +4,17 @@ graph6 encodes the upper triangle of the adjacency matrix column by column
 in 6-bit printable chunks; sparse6 (lines starting with ':') encodes an
 edge stream.  A line may start with one ">>graph6<<" or ">>sparse6<<"
 header, which must name the line's own format.
+
+A graph6 or sparse6 line, or an edge-list header, that names more than
+`graph.MAX_EDGES` edges is refused before any edge list or adjacency set
+is built.
 """
 
 from __future__ import annotations
 
 import re
 
-from .graph import Graph, GraphError, from_edge_list
+from .graph import MAX_EDGES, Graph, GraphError, from_edge_list
 
 GRAPH6_HEADER = ">>graph6<<"
 SPARSE6_HEADER = ">>sparse6<<"
@@ -115,6 +119,10 @@ def parse_graph6(text: str) -> Graph:
         )
     if any(bits[npairs:]):
         raise FormatError("nonzero padding bits in graph6 payload")
+    if npairs > MAX_EDGES and (m := sum(bits)) > MAX_EDGES:
+        raise FormatError(
+            f"graph6 line names {m} edges, more than the maximum size MAX_EDGES = {MAX_EDGES}"
+        )
     edges = []
     k = 0
     for v in range(1, n):
@@ -128,8 +136,16 @@ def parse_graph6(text: str) -> Graph:
 def _parse_sparse6(line: str) -> Graph:
     data = line[1:].encode("ascii")
     n, pos = _decode_size(data, 0)
-    bits = _bits_of(data, pos)
     k = max(1, (n - 1).bit_length())
+    # each record takes 1 + k bits, and at most n of them add no edge: n - 1
+    # that raise v to x, and one that ends the stream
+    records = 6 * (len(data) - pos) // (1 + k)
+    if records - n > MAX_EDGES:
+        raise FormatError(
+            f"sparse6 line names at least {records - n} edges, "
+            f"more than the maximum size MAX_EDGES = {MAX_EDGES}"
+        )
+    bits = _bits_of(data, pos)
     edges = set()
     v = 0
     i = 0
@@ -154,6 +170,10 @@ def _parse_sparse6(line: str) -> Graph:
             if (x, v) in edges:
                 raise FormatError(f"parallel edge ({x}, {v}) in sparse6 line")
             edges.add((x, v))
+    if len(edges) > MAX_EDGES:
+        raise FormatError(
+            f"sparse6 line names {len(edges)} edges, more than the maximum size MAX_EDGES = {MAX_EDGES}"
+        )
     return from_edge_list(n, sorted(edges))
 
 
@@ -218,6 +238,10 @@ def parse_edge_list(text: str) -> Graph:
     n, m, rest = values[0], values[1], values[2:]
     if m < 0:
         raise FormatError(f"edge count must be non-negative, got {m}")
+    if m > MAX_EDGES:
+        raise FormatError(
+            f"edge-list header names {m} edges, more than the maximum size MAX_EDGES = {MAX_EDGES}"
+        )
     if len(rest) % 2:
         raise FormatError(
             f"odd number of endpoint tokens ({len(rest)}); each edge needs two"

@@ -24,8 +24,9 @@ class GraphError(ValueError):
 # takes about 120 MiB as a Graph; a file or a generator spec that names a
 # larger order is refused before anything is allocated per vertex.
 MAX_ORDER = 1 << 18
-# The largest edge count of a graph that a generator spec builds, checked by
-# `generators.generate` before it builds anything: hypercube:18 has
+# The largest edge count of a graph that a generator spec or a file builds,
+# checked by `generators.generate` before it builds anything and by the
+# `formats` readers before any adjacency set is built: hypercube:18 has
 # 2,359,296 edges, and building K_2897, 4,194,856 edges, just above it,
 # peaked near 460 MiB of resident memory under CPython 3.11.
 MAX_EDGES = 1 << 22

@@ -640,6 +640,21 @@ _LIMITED_CLI = (
         (("matching", "complete:200000"), None, f"maximum size MAX_EDGES = {MAX_EDGES}"),
         (("matching", "hamming2:500"), None, f"maximum size MAX_EDGES = {MAX_EDGES}"),
         (("curvature", "zxk:200000"), None, f"maximum size MAX_EDGES = {MAX_EDGES}"),
+        # K_2898 in graph6: order 2898 is "~?lQ", then 4,197,753 one-bits
+        pytest.param(
+            ("check", "--source", "{F}"),
+            "~?lQ" + "~" * 699_625 + "w\n",
+            f"maximum size MAX_EDGES = {MAX_EDGES}",
+            id="graph6-K2898",
+        ),
+        # 4.2e6 sparse6 records on two vertices
+        pytest.param(
+            ("matching", "{F}"),
+            ":A" + "~" * 1_400_000 + "\n",
+            f"maximum size MAX_EDGES = {MAX_EDGES}",
+            id="sparse6-records",
+        ),
+        (("matching", "{F}"), "4096 4194305\n", f"maximum size MAX_EDGES = {MAX_EDGES}"),
     ],
 )
 def test_oversized_input_is_refused_before_allocation(tmp_path, argv, content, limit):
@@ -648,7 +663,8 @@ def test_oversized_input_is_refused_before_allocation(tmp_path, argv, content, l
     # 6.9e10 and 1e11, generator specs of order 1e11 and 2^40, the 37 GiB
     # dense adjacency of curvature's kernel on a 200000-cycle and of the
     # 2-ball of a 200000-leaf star's centre, and specs of about 2e10, 1.2e8
-    # and 2e10 edges (zxk:k builds its K_k factor)
+    # and 2e10 edges (zxk:k builds its K_k factor); file graphs of more than
+    # MAX_EDGES edges are refused before their adjacency sets are built
     path = tmp_path / "graph.txt"
     if content is not None:
         path.write_text(content, encoding="ascii")

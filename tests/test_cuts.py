@@ -3,6 +3,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from curvlab import cuts
@@ -275,6 +276,81 @@ def test_edge_connectivity_of_large_amply_regular_graphs(g, d):
     assert lam == d and cert.verify(g)
 
 
+def counted_flows(monkeypatch):
+    """The list that every later `_max_flow` call appends its arguments to."""
+    calls = []
+    original = cuts._max_flow
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cuts, "_max_flow", counted)
+    return calls
+
+
+def networkx_lambda(g):
+    return nx.edge_connectivity(nx.Graph(g.edges()))
+
+
+def two_blocks(rng, n):
+    """Two random dense blocks joined by a few random edges, vertices
+    shuffled: lambda is often below delta with both sides large."""
+    m = rng.randint(4, n - 4)
+    p = rng.choice([0.7, 0.85, 1.0])
+    name = rng.sample(range(n), n)
+    edges = {
+        (name[u], name[v])
+        for part in (range(m), range(m, n))
+        for u, v in combinations(part, 2)
+        if rng.random() < p
+    }
+    edges |= {(name[rng.randrange(m)], name[rng.randrange(m, n)]) for _ in range(rng.randint(1, 6))}
+    return from_edge_list(n, [tuple(sorted(e)) for e in edges])
+
+
+def test_lambda_matches_networkx_on_random_graphs():
+    # lambda is decided by dominating-set flows before Stoer-Wagner runs
+    rng = random.Random(505)
+    checked = below_delta = 0
+    while checked < 200:
+        n = rng.randint(9, 40)
+        if checked % 2:
+            g = random_graph(rng, n, rng.choice([2.5 / n, 4 / n, 0.3, 0.6]))
+        else:
+            g = two_blocks(rng, n)
+        if not is_connected(g):
+            continue
+        lam, cert = edge_connectivity(g)
+        assert lam == networkx_lambda(g) and cert.verify(g), g.adjacency
+        checked += 1
+        below_delta += lam < min(g.degree(v) for v in range(n))
+    assert below_delta > 40
+
+
+@pytest.mark.parametrize("m", [6, 9, 13])
+def test_lambda_below_delta_with_two_large_sides(m):
+    # two cliques joined by j < m - 1 edges have lambda = j < delta = m - 1,
+    # and only flows between dominating vertices on both sides see it;
+    # the relabellings move the dominating set's first vertices around
+    rng = random.Random(m)
+    for j in (1, 2, m - 3, m - 2):
+        matching = [(i, (i * 5) % m) for i in range(j)]
+        for labels in (None, rng.sample(range(2 * m), 2 * m), [v // 2 + (v % 2) * m for v in range(2 * m)]):
+            g = cliques_joined(m, matching, labels)
+            lam, cert = edge_connectivity(g)
+            assert lam == j == networkx_lambda(g) and cert.verify(g)
+            assert classify_min_cuts(g, (lam, cert)) == cert
+
+
+def test_lambda_flow_count_on_hypercube7(monkeypatch):
+    # one flow per vertex that joins the dominating set after the first;
+    # Stoer-Wagner runs no flow, and its first phase already cuts lambda
+    calls = counted_flows(monkeypatch)
+    assert edge_connectivity(hypercube(7))[0] == 7
+    assert len(calls) <= 63
+
+
 @pytest.mark.parametrize("k", range(3, 7))
 def test_restricted_edge_connectivity_of_hypercubes(k):
     lam_r, cert = restricted_edge_connectivity(hypercube(k))
@@ -362,25 +438,60 @@ def test_classify_decides_as_the_restricted_search():
 
 
 def test_non_star_decision_is_one_sided():
-    # no: no non-star minimum cut keeps the anchor edge in one side; yes:
-    # some non-star minimum cut exists.  A cut that the anchor crosses is
-    # the sweep's to find, so a no may hide one.
+    # for any vertex pair {u, w}, no: every non-star minimum cut separates u
+    # from w or has exactly delta vertices on the side without them, which
+    # the delta-clique scan finds; yes: some non-star minimum cut exists.
+    # A cut that the anchor crosses is the sweep's to find, so the anchor's
+    # no may hide one.
     outcomes = Counter()
+    pairs = 0
     for g, (lam, _) in lambda_equals_delta_graphs():
         if g.n > 20:
             continue
         value, min_cuts = min_cut_bruteforce(g)
-        a, b = g.edges()[0]
-        non_star = [c.side_L for c in min_cuts if 2 <= len(c.side_L) <= g.n - 2]
-        decision = cuts._non_star_cut_exists(g, lam)
         assert value == lam, g.adjacency
-        if decision:
-            assert non_star, g.adjacency
-        else:
-            assert all((a in side) != (b in side) for side in non_star), g.adjacency
+        non_star = [c.side_L for c in min_cuts if 2 <= len(c.side_L) <= g.n - 2]
+        clique_side = cuts._delta_clique_side(g, lam)
+        for u, w in combinations(range(g.n), 2) if g.n <= 16 else [(0, g.n - 1), (1, g.n // 2)]:
+            pairs += 1
+            if cuts._non_star_cut_exists(g, lam, u, w):
+                assert non_star, g.adjacency
+                continue
+            for side in non_star:
+                far = side if u not in side else set(range(g.n)) - side
+                assert (u in side) != (w in side) or (len(far) == lam and clique_side), (g.adjacency, u, w)
+        a, b = g.edges()[0]
+        decision = clique_side or cuts._non_star_cut_exists(g, lam, a, b)
         outcomes[decision, bool(non_star)] += 1
     # one graph, of order 7, has non-star minimum cuts that all cross its anchor
     assert outcomes == {(False, False): 805, (False, True): 1, (True, True): 201}
+    assert pairs == 20704
+
+
+@pytest.mark.parametrize(
+    "labels, side, pair",
+    [
+        ([0, 2, 3, 4, 5, 1, 6, 7, 8, 9], [0, 2, 3, 4, 5], (0, 2)),
+        ([0, 3, 4, 5, 6, 1, 2, 7, 8, 9], [0, 3, 4, 5, 6], (1, 2)),
+    ],
+)
+def test_triple_decides_a_cut_that_separates_the_anchor(monkeypatch, labels, side, pair):
+    # two K_5 joined by four matching edges, relabelled so that the anchor
+    # edge (0, 1) is a matching edge: the one non-star minimum cut separates
+    # 0 from 1, and c = 2 (0 and 1 share no neighbour) sides with 0, then 1
+    g = cliques_joined(5, [(0, 0), (1, 1), (2, 2), (3, 3)], labels=labels)
+    lam, min_cuts = min_cut_bruteforce(g)
+    assert [sorted(c.side_L) for c in min_cuts if 2 <= len(c.side_L) <= g.n - 2] == [side]
+    assert not cuts._delta_clique_side(g, lam)
+    assert not cuts._non_star_cut_exists(g, lam, 0, 1)
+    assert [cuts._non_star_cut_exists(g, lam, u, 2) for u in (0, 1)] == [pair == (0, 2), pair == (1, 2)]
+    connectivity, restricted = edge_connectivity(g), restricted_edge_connectivity(g)
+    calls = counted_flows(monkeypatch)
+    witness = classify_min_cuts(g, connectivity)
+    assert witness == restricted[1] and witness.value == lam
+    # the anchor's closed-neighbourhood sinks all meet N[0] or N[1], so the
+    # first flow is the deciding pair's, before the crossing pairs
+    assert sorted(calls[0][1]) == list(pair)
 
 
 def sink_families(g, side):
@@ -426,33 +537,30 @@ def test_each_sink_family_alone_finds_a_cut(family, g):
 def test_classification_flow_count_on_hypercube7(monkeypatch):
     # one flow per closed-neighbourhood sink plus (delta - 1)^2 at the anchor's
     # ends; the sweep over every disjoint edge made 471
-    calls = []
-    original = cuts._max_flow
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
     g = hypercube(7)
     connectivity = edge_connectivity(g)
-    monkeypatch.setattr(cuts, "_max_flow", counted)
+    calls = counted_flows(monkeypatch)
     assert classify_min_cuts(g, connectivity) is None
     assert len(calls) <= g.n + (7 - 1) ** 2
 
 
+def test_classification_flow_count_on_triangular9(monkeypatch):
+    # the anchor's 15 closed-neighbourhood flows and 15 for each pair of the
+    # triple replace 169 crossing flows: 177 flows before the triple rule
+    g = triangular(9)
+    connectivity = edge_connectivity(g)
+    calls = counted_flows(monkeypatch)
+    assert classify_min_cuts(g, connectivity) is None
+    assert len(calls) <= 45
+
+
 def test_classification_flow_count_up_to_seven_vertices(monkeypatch):
-    # one sweep that stops at its first cut of value lambda; deciding first
-    # and then running the whole restricted search made 5,771 flows here
+    # one sweep that stops at its first cut of value lambda, with the triple
+    # rule; without it the sweep made 4,874 flows here, and deciding first
+    # and then running the whole restricted search made 5,771
     graphs = [g for _, g in connected_graphs_upto(7) if g.n >= 4]
     connectivity = [edge_connectivity(g) for g in graphs]
-    calls = []
-    original = cuts._max_flow
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(cuts, "_max_flow", counted)
+    calls = counted_flows(monkeypatch)
     for g, c in zip(graphs, connectivity):
         classify_min_cuts(g, c)
-    assert len(graphs) == 992 and len(calls) <= 4874
+    assert len(graphs) == 992 and len(calls) <= 3058

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvlab import formats
 from curvlab.enumeration import all_graphs
 from curvlab.formats import (
     FormatError,
@@ -271,3 +272,20 @@ def test_edge_list_errors_name_the_fault(text, message):
     with pytest.raises(FormatError) as err:
         parse_edge_list(text)
     assert str(err.value) == message
+
+
+def test_edge_counts_above_max_edges_are_refused(monkeypatch):
+    # the bound at a small MAX_EDGES: K_5 has 10 edges, which a graph6 line,
+    # a sparse6 line and an edge-list header each name
+    k5 = complete_graph(5)
+    lines = (
+        (parse_graph6, write_graph6(k5)),
+        (parse_graph6, nx.to_sparse6_bytes(nx.complete_graph(5), header=False).decode().strip()),
+        (parse_edge_list, write_edge_list(k5)),
+    )
+    monkeypatch.setattr(formats, "MAX_EDGES", 9)
+    for parse, text in lines:
+        with pytest.raises(FormatError, match="names 10 edges, more than the maximum size MAX_EDGES = 9"):
+            parse(text)
+    monkeypatch.setattr(formats, "MAX_EDGES", 10)
+    assert all(parse(text).edges() == k5.edges() for parse, text in lines)
