@@ -12,6 +12,7 @@ is built.
 
 from __future__ import annotations
 
+import binascii
 import re
 
 from .graph import MAX_EDGES, Graph, GraphError, from_edge_list
@@ -78,14 +79,24 @@ def _encode_size(n: int) -> bytes:
     return bytes([126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)])
 
 
-def _bits_of(data: bytes, pos: int) -> list[int]:
-    bits = []
-    for b in data[pos:]:
-        if not (63 <= b <= 126):
-            raise FormatError(f"non-printable byte {b} in payload")
-        v = b - 63
-        bits.extend((v >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    return bits
+# graph6 payload bytes 63..126 carry the six bits 0..63; as the base64
+# digits of those values they decode to the same bits packed into bytes
+_PAYLOAD_BYTES = bytes(range(63, 127))
+_AS_BASE64 = bytes.maketrans(
+    _PAYLOAD_BYTES, b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+)
+
+
+def _payload(data: bytes, pos: int) -> tuple[int, int]:
+    """The bytes from `pos` on read as one integer, six bits a byte with the
+    first byte's highest bit first, and its number of bits."""
+    payload = data[pos:]
+    bad = payload.translate(None, _PAYLOAD_BYTES)
+    if bad:
+        raise FormatError(f"non-printable byte {bad[0]} in payload")
+    pad = -len(payload) % 4
+    packed = binascii.a2b_base64(payload.translate(_AS_BASE64) + b"A" * pad)
+    return int.from_bytes(packed, "big") >> 6 * pad, 6 * len(payload)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -111,25 +122,29 @@ def parse_graph6(text: str) -> Graph:
         return _parse_sparse6(line)
     data = line.encode("ascii")
     n, pos = _decode_size(data, 0)
-    bits = _bits_of(data, pos)
+    value, nbits = _payload(data, pos)
     npairs = n * (n - 1) // 2
-    if len(bits) < npairs or len(bits) >= npairs + 6:
+    if nbits < npairs or nbits >= npairs + 6:
         raise FormatError(
-            f"graph6 payload has {len(bits)} bits, expected {npairs} (+<6 padding)"
+            f"graph6 payload has {nbits} bits, expected {npairs} (+<6 padding)"
         )
-    if any(bits[npairs:]):
+    if value & ((1 << (nbits - npairs)) - 1):
         raise FormatError("nonzero padding bits in graph6 payload")
-    if npairs > MAX_EDGES and (m := sum(bits)) > MAX_EDGES:
+    if (m := value.bit_count()) > MAX_EDGES:
         raise FormatError(
             f"graph6 line names {m} edges, more than the maximum size MAX_EDGES = {MAX_EDGES}"
         )
+    # a 1 above the top bit keeps the leading zeros in bin(); the pairs
+    # (u, v), u < v, of column v follow those of the columns before it
+    bits = bin(value | 1 << nbits)[3:]
     edges = []
     k = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
+        u = bits.find("1", k, k + v)
+        while u >= 0:
+            edges.append((u - k, v))
+            u = bits.find("1", u + 1, k + v)
+        k += v
     return from_edge_list(n, edges)
 
 
@@ -145,21 +160,20 @@ def _parse_sparse6(line: str) -> Graph:
             f"sparse6 line names at least {records - n} edges, "
             f"more than the maximum size MAX_EDGES = {MAX_EDGES}"
         )
-    bits = _bits_of(data, pos)
+    value, nbits = _payload(data, pos)
+    bits = bin(value | 1 << nbits)[3:]
     edges = set()
     v = 0
     i = 0
     while i + k < len(bits):
-        start, b = i, bits[i]
-        x = 0
-        for j in range(i + 1, i + 1 + k):
-            x = (x << 1) | bits[j]
+        start = i
+        x = int(bits[i + 1 : i + 1 + k], 2)
         i += 1 + k
-        if b:
+        if bits[start] == "1":
             v += 1
         if v >= n or x >= n:
             # only the 1-bits that pad the last byte may end the stream early
-            if len(bits) - start >= 6 or not all(bits[start:]):
+            if len(bits) - start >= 6 or "0" in bits[start:]:
                 raise FormatError(f"sparse6 data after the end of the edge stream at bit {start}")
             break
         if x > v:

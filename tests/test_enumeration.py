@@ -7,7 +7,10 @@ import pytest
 
 from curvlab.enumeration import (
     _extensions,
+    _masks,
+    _pruned_masks,
     _refine,
+    _rows,
     all_graphs,
     connected_graphs,
     connected_graphs_upto,
@@ -92,6 +95,30 @@ def test_extension_candidate_count():
     assert sum(len(_extensions(g)) for g in all_graphs(6)) == 2690
 
 
+def test_orbit_pruned_candidate_count():
+    assert sum(len(_pruned_masks(_rows(g))) for g in all_graphs(6)) == 1401
+
+
+def _permuted_mask(p, mask):
+    return sum(1 << p[v] for v in range(len(p)) if mask >> v & 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pruned_masks_are_the_orbit_minima(n):
+    # the automorphisms come from trying all n! relabellings: a mask is
+    # dropped exactly when one of them maps it to a smaller mask
+    for g in all_graphs(n):
+        rows = _rows(g)
+        automorphisms = [
+            p
+            for p in permutations(range(n))
+            if all(_permuted_mask(p, rows[v]) == rows[p[v]] for v in range(n))
+        ]
+        assert _pruned_masks(rows) == [
+            m for m in _masks(rows) if all(_permuted_mask(p, m) >= m for p in automorphisms)
+        ]
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_degree_rule_against_brute_force_canonical_forms(n):
     reps = all_graphs(n)
@@ -133,7 +160,7 @@ def test_is_isomorphic_separates_wl_equivalent_pair():
     # isomorphic; the backtracking stage must separate them
     c6 = cycle_graph(6)
     two_c3 = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert _refine(c6)[1] == _refine(two_c3)[1]
+    assert _refine(_rows(c6))[1] == _refine(_rows(two_c3))[1]
     assert not is_isomorphic(c6, two_c3)
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -289,3 +290,34 @@ def test_edge_counts_above_max_edges_are_refused(monkeypatch):
             parse(text)
     monkeypatch.setattr(formats, "MAX_EDGES", 10)
     assert all(parse(text).edges() == k5.edges() for parse, text in lines)
+
+
+def test_graph6_edge_count_is_refused_before_the_pairs_are_read():
+    # K_2898: order 2898 is "~?lQ", then 4,197,753 one-bits in 699,626
+    # bytes; reading the payload as six list entries a byte peaked at 35 MiB
+    line = "~?lQ" + "~" * 699_625 + "w"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="names 4197753 edges, more than the maximum size"):
+            parse_graph6(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(line)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("A`", "nonzero padding bits in graph6 payload"),
+        ("Ba", "nonzero padding bits in graph6 payload"),
+        ("B!_", "non-printable byte 33 in payload"),
+        ("C~\x7f", "non-printable byte 127 in payload"),
+        ("C", "graph6 payload has 0 bits, expected 6 (+<6 padding)"),
+        ("A__", "graph6 payload has 12 bits, expected 1 (+<6 padding)"),
+    ],
+)
+def test_graph6_payload_faults_are_named(line, message):
+    with pytest.raises(FormatError) as err:
+        parse_graph6(line)
+    assert str(err.value) == message
