@@ -39,7 +39,7 @@ from .regularity import (
     lemma1_gap,
     local_graph_spectrum,
 )
-from .reports import emit_report
+from .reports import Report, emit_report, render
 from .theorems import (
     TheoremVerdict,
     beta1_search,

@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+import tempfile
 
 from .curvature import bakry_emery_curvature, graph_curvature
 from .cuts import classify_min_cuts, edge_connectivity
@@ -21,7 +22,7 @@ from .generators import generate, parse_family_spec
 from .graph import Graph, GraphError, NeighborOracle
 from .matching import maximum_matching
 from .regularity import detect_regularity
-from .reports import RENDERERS, emit_report, print_json
+from .reports import FORMATS, Report, emit_report, print_json
 from .theorems import THEOREM_IDS, beta1_search, conjecture_scan, corpus, scan
 
 EXIT_OK = 0
@@ -117,19 +118,26 @@ def cmd_check(args) -> int:
     ids = THEOREM_IDS
     if args.theorems is not None:  # '' names one theorem id, '', which scan rejects
         ids = tuple(t.strip() for t in args.theorems.split(","))
-    verdicts, violations = [], []
-    total_graphs = applicable = held = 0
-    for _, graph_verdicts in scan(graphs, ids):
-        total_graphs += 1
-        for v in graph_verdicts:
-            applicable += v.applicable
-            held += bool(v.applicable and v.holds)
-            if v.violated:
-                violations.append(v)
-        verdicts += graph_verdicts
-    emit_report(verdicts, args.format, args.out)
+    violations = []
+    total_graphs = verdicts = applicable = held = 0
+    # the report is spooled as the scan goes and reaches its destination only
+    # once the scan has ended, so a scan that fails writes nothing; the
+    # escaped bytes of an undecodable file name in a graph id pass the spool,
+    # and the destination accepts or refuses them as it would without it
+    with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogateescape") as spool:
+        report = Report(args.format, spool, args.out)
+        for _, graph_verdicts in scan(graphs, ids):
+            total_graphs += 1
+            verdicts += len(graph_verdicts)
+            for v in graph_verdicts:
+                applicable += v.applicable
+                held += bool(v.applicable and v.holds)
+                if v.violated:
+                    violations.append(v)
+            emit_report(report, graph_verdicts)
+        emit_report(report)
     print(
-        f"\nchecked {len(verdicts)} verdicts on {total_graphs} graphs: "
+        f"\nchecked {verdicts} verdicts on {total_graphs} graphs: "
         f"{applicable} applicable, {held} held, {len(violations)} violations",
         file=sys.stderr,
     )
@@ -186,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run theorem checkers over a corpus")
     p.add_argument("--source", required=True, help="file path, gen:spec;spec, or exhaustive:N")
     p.add_argument("--theorems", help=f"comma list from {','.join(THEOREM_IDS)}")
-    p.add_argument("--format", default="json", choices=RENDERERS)
+    p.add_argument("--format", default="json", choices=FORMATS)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(fn=cmd_check)
 

@@ -227,8 +227,11 @@ def _restricted_pairs(g: Graph, disjoint: bool = True):
     """The (source, sink) vertex sets of the restricted search's flows in
     order, with the anchor edge (a, b) = g's first edge: {a, b} to each edge
     disjoint from it unless `disjoint` is false, then the crossing pairs,
-    an edge at a and one at b, not (a, b), that share no vertex.  The
-    source's iteration order seeds `_max_flow`, so it fixes certificates."""
+    an edge at a and one at b, not (a, b), that share no vertex.  The pair
+    order fixes certificates, since a search keeps the first pair with its
+    least flow; the order inside a source set does not: below its cap,
+    `_max_flow` returns the unique minimal source side of a minimum cut,
+    whatever order it augments in."""
     edges = g.edges()
     a, b = edges[0]
     if disjoint:

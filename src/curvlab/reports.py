@@ -3,8 +3,9 @@
 Field order is fixed so identical scans serialize byte-identically; see
 README for the JSON schema.  Every JSON byte the package writes, a
 command's payload, a report or a CSV `detail` cell, comes from one direct
-encoder (`_dump`: sorted keys, NaN refused), and `emit_report` writes a
-report to stdout or a file through one path.
+encoder (`_dump`: sorted keys, NaN refused).  A `Report` encodes a verdict
+report a graph at a time, and `emit_report` writes it, through a spool,
+to stdout or a file.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import shutil
 import sys
 from contextlib import nullcontext
 from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import IO, Sequence
 
 from .theorems import TheoremVerdict
 
@@ -86,60 +88,105 @@ def print_json(payload) -> None:
     print(_dump(payload))
 
 
-def render_json(verdicts: Sequence[TheoremVerdict]) -> str:
-    return _dump(
-        [
-            {
-                "theorem": v.theorem,
-                "graph": v.graph_id,
-                "applicable": v.applicable,
-                "holds": v.holds,
-                "evidence": v.evidence,
-            }
-            for v in verdicts
+# the report formats `curvlab check --format` offers
+FORMATS = ("json", "csv", "markdown")
+
+
+class Report:
+    """One verdict report, encoded a graph at a time.
+
+    `add` returns the text of some verdicts and `end` the text that closes
+    the report; in the order of the calls their texts make the whole report,
+    which ends in one newline, however the verdicts are split between the
+    calls.  JSON holds back its last record until it knows whether a comma
+    follows, CSV encodes its rows as they come, and markdown, whose tables
+    are grouped by checker id, keeps one table row per verdict and writes
+    the tables at the end.
+
+    `emit_report` writes the texts to `spool`, and its closing call copies
+    the spool to `out` (a path, or stdout when None), so output is written
+    only once the whole report is.
+    """
+
+    def __init__(self, fmt: str, spool: IO[str] | None = None, out: str | None = None):
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown report format {fmt!r}")
+        self.fmt, self.spool, self.out = fmt, spool, out
+        self.held: str | None = None  # json: the last record so far
+        self.header = False  # csv: whether the header is written
+        self.rows: dict[str, list[str]] = {}  # markdown: table rows by checker id
+
+    def add(self, verdicts: Sequence[TheoremVerdict]) -> str:
+        """The text of `verdicts`, the report's next ones."""
+        if self.fmt == "json":
+            records = [] if self.held is None else [self.held]
+            records += map(_record, verdicts)
+            if not records:
+                return ""
+            opening = "[\n" if self.held is None else ""
+            self.held = records.pop()
+            return opening + "".join(f"  {r},\n" for r in records)
+        if self.fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            if not self.header:
+                writer.writerow(CSV_HEADER)
+                self.header = True
+            for v in verdicts:
+                detail = _dump(v.evidence, indent=None)
+                writer.writerow([v.theorem, v.graph_id, v.applicable, v.holds, detail])
+            return buf.getvalue()
+        for v in verdicts:
+            self.rows.setdefault(v.theorem, []).append(
+                f"| {v.graph_id} | {v.applicable} | {v.holds} |"
+            )
+        return ""
+
+    def end(self) -> str:
+        """The text that closes the report."""
+        if self.fmt == "json":
+            return "[]\n" if self.held is None else f"  {self.held}\n]\n"
+        if self.fmt == "csv":
+            return "" if self.header else self.add(())
+        tables = [
+            f"## {tid}\n\n| graph | applicable | holds |\n| --- | --- | --- |\n"
+            + "".join(f"{row}\n" for row in self.rows[tid])
+            for tid in sorted(self.rows)
         ]
+        return "\n".join(tables) or "\n"
+
+
+def _record(v: TheoremVerdict) -> str:
+    """The JSON record of `v` in a report's list: the text `_encode` writes
+    for {"theorem", "graph", "applicable", "holds", "evidence"}, its fixed
+    keys spelled here in sorted order and each value encoded by `_encode`
+    (about 0.6 of the time `_encode` of the dict takes)."""
+    nl = "\n    "
+    return (
+        f'{{{nl}"applicable": {_encode(v.applicable, nl, "  ")},'
+        f'{nl}"evidence": {_encode(v.evidence, nl, "  ")},'
+        f'{nl}"graph": {_encode(v.graph_id, nl, "  ")},'
+        f'{nl}"holds": {_encode(v.holds, nl, "  ")},'
+        f'{nl}"theorem": {_encode(v.theorem, nl, "  ")}\n  }}'
     )
 
 
-def render_csv(verdicts: Sequence[TheoremVerdict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for v in verdicts:
-        detail = _dump(v.evidence, indent=None)
-        writer.writerow([v.theorem, v.graph_id, v.applicable, v.holds, detail])
-    return buf.getvalue()
+def render(verdicts: Sequence[TheoremVerdict], fmt: str = "json") -> str:
+    """The whole report of `verdicts` in one string, as `emit_report` writes it."""
+    report = Report(fmt)
+    return report.add(verdicts) + report.end()
 
 
-def render_markdown(verdicts: Sequence[TheoremVerdict]) -> str:
-    by_theorem: dict[str, list[TheoremVerdict]] = {}
-    for v in verdicts:
-        by_theorem.setdefault(v.theorem, []).append(v)
-    lines = []
-    for tid in sorted(by_theorem):
-        lines.append(f"## {tid}")
-        lines.append("")
-        lines.append("| graph | applicable | holds |")
-        lines.append("| --- | --- | --- |")
-        for v in by_theorem[tid]:
-            lines.append(f"| {v.graph_id} | {v.applicable} | {v.holds} |")
-        lines.append("")
-    return "\n".join(lines)
-
-
-# report format -> renderer; `curvlab check --format` offers these keys
-RENDERERS = {"json": render_json, "csv": render_csv, "markdown": render_markdown}
-
-
-def emit_report(verdicts: Sequence[TheoremVerdict], fmt: str, out: str | None) -> str:
-    """Render verdicts in the requested format and write them, ending in
-    one newline, to `out` (a path, or stdout when None).  Returns the
-    rendered text."""
-    if fmt not in RENDERERS:
-        raise ValueError(f"unknown report format {fmt!r}")
-    text = RENDERERS[fmt](verdicts)
-    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+def emit_report(report: Report, verdicts: Sequence[TheoremVerdict] | None = None) -> str:
+    """Write the text of one graph's verdicts to the report's spool, or,
+    called without verdicts, the text that closes the report, and then copy
+    the spool to the report's destination.  Returns the text written to the
+    spool."""
+    text = report.end() if verdicts is None else report.add(verdicts)
+    report.spool.write(text)
+    if verdicts is None:
+        report.spool.seek(0)
+        out = report.out
+        with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
+            shutil.copyfileobj(report.spool, fh)
     return text

@@ -131,7 +131,10 @@ def check_theorem(
     on the same graph; without it they are computed here.  Disconnected
     graphs are never applicable; evidence carries the quantities the
     conclusion was decided on (curvature values, cut certificates,
-    matchings, witnesses) so it can be re-verified.
+    matchings, witnesses) so it can be re-verified.  T1.3 and T1.4 check
+    their cut certificates against lambda before deciding; a failed check
+    fails the verdict, and its evidence names the check under
+    "failed_check".
     """
     if theorem_id not in THEOREM_IDS:
         raise GraphError(f"unknown theorem id {theorem_id!r}")
@@ -146,9 +149,11 @@ def check_theorem(
             return verdict(False, None, {"K": kmin, "reason": "negative curvature"})
         lam, cert = facts.connectivity
         delta = min(g.degree(v) for v in range(g.n))
-        return verdict(
-            True, lam >= delta - 1, {"K": kmin, "lambda": lam, "delta": delta, "cut": cert}
-        )
+        evidence = {"K": kmin, "lambda": lam, "delta": delta, "cut": cert}
+        failed = _failed_cut_check(g, lam, cert)
+        if failed:
+            return verdict(True, False, {**evidence, "failed_check": failed})
+        return verdict(True, lam >= delta - 1, evidence)
 
     if theorem_id == "T2.4":
         return verdict(*bcn_check(g, facts.regularity))
@@ -177,12 +182,16 @@ def check_theorem(
         lam, cert = facts.connectivity
         quadrangle = g.n == 4 and reg.d == 2
         evidence = {"lambda": lam, "d": reg.d, "cut": cert, "quadrangle": quadrangle}
-        if lam != reg.d or quadrangle:
-            return verdict(True, lam == reg.d, evidence)
-        witness = classify_min_cuts(g, facts.connectivity)
-        evidence["stars_only"] = witness is None
-        evidence["non_star_cut"] = witness
-        return verdict(True, witness is None, evidence)
+        failed = _failed_cut_check(g, lam, cert)
+        if not failed and lam == reg.d and not quadrangle:
+            witness = classify_min_cuts(g, facts.connectivity)
+            evidence["stars_only"] = witness is None
+            evidence["non_star_cut"] = witness
+            failed = witness and _failed_witness_check(g, lam, witness)
+        if failed:
+            return verdict(True, False, {**evidence, "failed_check": failed})
+        # the cuts are classified when lambda = d, except on the quadrangle
+        return verdict(True, evidence.get("stars_only", lam == reg.d), evidence)
 
     if theorem_id == "C1.6":
         if not reg.is_amply_regular or reg.beta < 2 or g.n % 2 != 0:
@@ -199,6 +208,25 @@ def check_theorem(
         formula = arg_curvature_formula(reg.d, reg.alpha, reg.beta, local_graph_spectrum(g, x))
         worst = max(worst, abs(formula - ks[x]))
     return verdict(True, worst <= 1e-8, {"max_abs_difference": worst})
+
+
+def _failed_cut_check(g: Graph, lam: int, cut: CutCertificate | None) -> str | None:
+    """The check that `cut`, the certificate of g's edge-connectivity `lam`,
+    fails, or None: a certificate exists unless g has one vertex, and its
+    value is lambda."""
+    if cut is None:
+        return None if g.n == 1 else "cut certificate missing"
+    return None if cut.value == lam else "cut certificate value != lambda"
+
+
+def _failed_witness_check(g: Graph, lam: int, witness: CutCertificate) -> str | None:
+    """The check that T1.4's non-star `witness` fails, or None: its value is
+    lambda and each of its sides has at least two vertices."""
+    if witness.value != lam:
+        return "non-star cut value != lambda"
+    if not 2 <= len(witness.side_L) <= g.n - 2:
+        return "non-star cut side of fewer than 2 vertices"
+    return None
 
 
 def corpus(text: str) -> Iterator[tuple[str, Graph]]:

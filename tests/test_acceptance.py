@@ -38,7 +38,7 @@ from curvlab.regularity import (
     lemma1_gap,
     local_graph_spectrum,
 )
-from curvlab.reports import render_json
+from curvlab.reports import render
 from curvlab.theorems import beta1_search, corpus, scan
 from conftest import amply_corpus, mixed_corpus, partition_minima, random_graph
 
@@ -361,7 +361,7 @@ def test_criterion_11_formats_and_determinism():
 
     text = "gen:petersen;hypercube:4;paley:13;cycle:4"
     renders = {
-        render_json([v for _, vs in scan(corpus(text), ("T1.3", "T1.4", "T2.5")) for v in vs])
+        render([v for _, vs in scan(corpus(text), ("T1.3", "T1.4", "T2.5")) for v in vs])
         for _ in range(3)
     }
     ok = bad == 0 and len(renders) == 1

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from curvlab.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from curvlab.formats import write_graph6
 from curvlab.generators import hamming2, petersen
 from curvlab.graph import MAX_EDGES, MAX_ORDER
+from curvlab.reports import FORMATS
 
 
 def run_cli(capsys, *argv):
@@ -290,6 +292,42 @@ def test_check_counts_a_violation_and_exits_2(capsys, monkeypatch):
     assert err.count("VIOLATION") == 1 and "VIOLATION T1.2 on petersen: {" in err
 
 
+@pytest.mark.parametrize(
+    "wrong, check",
+    [
+        (lambda lam, cert: (lam + 1, cert), "cut certificate value != lambda"),
+        (lambda lam, cert: (lam, None), "cut certificate missing"),
+    ],
+    ids=["lambda+1", "no certificate"],
+)
+def test_check_fails_a_cut_certificate_that_is_not_lambda(capsys, monkeypatch, wrong, check):
+    # lambda one too high still meets T1.3's bound on the cube, so only the
+    # check of the certificate against lambda makes it a violation
+    edge_connectivity = theorems.edge_connectivity
+    monkeypatch.setattr(theorems, "edge_connectivity", lambda g: wrong(*edge_connectivity(g)))
+    argv = ("check", "--source", "gen:hypercube:3", "--theorems", "T1.3,T1.4")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_VIOLATION
+    assert [(r["holds"], r["evidence"]["failed_check"]) for r in json.loads(out)] == [
+        (False, check),
+        (False, check),
+    ]
+    assert err.count(f"'failed_check': '{check}'") == 2
+
+
+@pytest.mark.parametrize(
+    "side, check",
+    [({0}, "non-star cut side of fewer than 2 vertices"), ({0, 1}, "non-star cut value != lambda")],
+    ids=["star", "value 4"],
+)
+def test_check_fails_a_non_star_witness_that_is_not_one(capsys, monkeypatch, side, check):
+    # on the cube lambda = d = 3: {0} is a star, and {0, 1} costs 4
+    monkeypatch.setattr(theorems, "classify_min_cuts", lambda g, lc: cuts._certificate(g, side))
+    code, out, _ = run_cli(capsys, "check", "--source", "gen:hypercube:3", "--theorems", "T1.4")
+    [record] = json.loads(out)
+    assert code == EXIT_VIOLATION and record["evidence"]["failed_check"] == check
+
+
 def test_check_reports_a_t24_violation(capsys, monkeypatch):
     # T2.4 is a theorem, so only a patched diamond search reaches the
     # branch that reports a violation
@@ -406,6 +444,42 @@ def test_check_report_pinned(capsys, tmp_path, source, digest):
         code, _, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, fmt
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("source", ["gen:cycle:5;nonsense:3", "gen:cycle:5;cycle:300;nonsense:3"])
+def test_check_that_fails_in_the_scan_writes_nothing(capsys, monkeypatch, tmp_path, fmt, source):
+    # the unknown family is found by the scan; with cycle:300 the scan has
+    # already written cycle:5's text, which must reach neither stdout nor
+    # --out, whether or not --out exists
+    written = []
+    emit_report = cli.emit_report
+    monkeypatch.setattr(cli, "emit_report", lambda *a: written.append(emit_report(*a)))
+    report = tmp_path / "report"
+    for out, before in ((None, None), (report, None), (report, b"an earlier report\n")):
+        if before is not None:
+            report.write_bytes(before)
+        argv = ("check", "--source", source, "--format", fmt)
+        code, stdout, err = run_cli(capsys, *argv, *(() if out is None else ("--out", str(out))))
+        assert code == EXIT_INPUT and stdout == ""
+        assert "error: unknown graph family 'nonsense'" in err
+        assert (report.read_bytes() if report.exists() else None) == before
+    assert len(written) == (3 if "cycle:300" in source else 0)
+
+
+def test_check_peak_memory_is_below_the_report_size(capsys, tmp_path):
+    # the report is written as the scan goes, so a check keeps neither the
+    # verdicts nor the text: traced, exhaustive:7 peaked at 6.98 MiB against
+    # its 1.30 MiB report when it kept both, and at 0.75 MiB streamed
+    out = tmp_path / "report.json"
+    assert run_cli(capsys, "check", "--source", "exhaustive:3", "--out", str(out))[0] == EXIT_OK
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "check", "--source", "exhaustive:7", "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and peak < out.stat().st_size
 
 
 @pytest.mark.parametrize("source", ["gen:", "gen:;", "gen: ;"])

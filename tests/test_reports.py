@@ -1,7 +1,9 @@
 import json
 import math
+import tempfile
 import tracemalloc
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,24 +11,20 @@ import pytest
 from conftest import mixed_corpus
 from curvlab import cli
 from curvlab.generators import cycle_graph, petersen
-from curvlab.reports import (
-    _dump,
-    emit_report,
-    print_json,
-    render_csv,
-    render_json,
-    render_markdown,
-)
+from curvlab.reports import FORMATS, Report, _dump, emit_report, print_json, render
 from curvlab.theorems import THEOREM_IDS, TheoremVerdict, check_theorem, corpus, scan
 
 
 def test_empty_json():
-    assert render_json([]) == "[]"
+    # an empty report ends in one newline like any other
+    assert render([]) == "[]\n"
+    assert render([], "csv") == "theorem,graph,applicable,holds,detail\n"
+    assert render([], "markdown") == "\n"
 
 
 def test_single_verdict_csv():
     v = check_theorem(cycle_graph(4), "T1.4", "C4")
-    text = render_csv([v])
+    text = render([v], "csv")
     lines = text.strip().splitlines()
     assert lines[0] == "theorem,graph,applicable,holds,detail"
     assert len(lines) == 2
@@ -39,7 +37,7 @@ def test_markdown_one_table_per_theorem():
         check_theorem(petersen(), "T1.4", "petersen"),
         check_theorem(petersen(), "T1.3", "petersen"),
     ]
-    text = render_markdown(verdicts)
+    text = render(verdicts, "markdown")
     assert text.count("## T1.4") == 1
     assert text.count("## T1.3") == 1
     assert "| C4 | True | True |" in text
@@ -47,38 +45,47 @@ def test_markdown_one_table_per_theorem():
 
 def test_json_is_valid_and_stable():
     verdicts = [check_theorem(petersen(), "T2.5", "petersen")]
-    text = render_json(verdicts)
+    text = render(verdicts)
     payload = json.loads(text)
     assert payload[0]["theorem"] == "T2.5"
     assert payload[0]["holds"] is True
-    assert render_json(verdicts) == text
+    assert render(verdicts) == text
 
 
 def test_evidence_serializes_certificates():
     v = check_theorem(cycle_graph(4), "T1.3", "C4")
-    record = json.loads(render_json([v]))[0]
+    record = json.loads(render([v]))[0]
     cut = record["evidence"]["cut"]
     assert cut["value"] == 2
     assert isinstance(cut["side_L"], list)
 
 
 def test_emit_report_to_file(capsys, tmp_path):
-    # to a file or to stdout, the bytes written are the returned text and one
-    # final newline, added only when the text lacks it (the json report)
-    verdicts = [check_theorem(cycle_graph(4), "T1.4", "C4")]
-    for fmt in ("json", "csv", "markdown"):
-        out = tmp_path / f"report.{fmt}"
-        text = emit_report(verdicts, fmt, str(out))
-        assert text.endswith("\n") == (fmt != "json")
-        written = (text if text.endswith("\n") else text + "\n").encode()
-        assert out.read_bytes() == written and capsys.readouterr().out == ""
-        assert emit_report(verdicts, fmt, None) == text
-        assert capsys.readouterr().out.encode() == written
+    # a graph at a time into the spool, then to a file or to stdout only by
+    # the closing call: the bytes written are the texts returned, in order,
+    # and the same text as the whole report in one string; every json and
+    # csv text that is not empty ends in a newline
+    graphs = [("C4", cycle_graph(4)), ("C5", cycle_graph(5)), ("petersen", petersen())]
+    verdicts = [v for _, vs in scan(graphs, ("T1.3", "T1.4")) for v in vs]
+    per_graph = [verdicts[:2], verdicts[2:3], verdicts[3:]]
+    for fmt in FORMATS:
+        whole = render(verdicts, fmt)
+        for out in (tmp_path / f"report.{fmt}", None):
+            with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+                report = Report(fmt, spool, None if out is None else str(out))
+                texts = [emit_report(report, part) for part in per_graph]
+                assert out is None or not out.exists()
+                assert capsys.readouterr().out == ""
+                texts.append(emit_report(report))
+            assert "".join(texts) == whole
+            assert all(t.endswith("\n") for t in texts if t or fmt == "json")
+            written = capsys.readouterr().out if out is None else out.read_text(encoding="utf-8")
+            assert written == whole
 
 
-def test_emit_report_rejects_unknown_format(tmp_path):
+def test_emit_report_rejects_unknown_format():
     with pytest.raises(ValueError):
-        emit_report([], "xml", str(tmp_path / "x"))
+        Report("xml")
 
 
 def test_nan_is_never_written(capsys):
@@ -86,7 +93,7 @@ def test_nan_is_never_written(capsys):
     # however deep it sits
     for evidence in ({"K": math.nan}, {"K": [1.0, (np.float64("nan"),)]}, {"K": {"x": -math.nan}}):
         v = TheoremVerdict("T1.3", "g", True, True, evidence)
-        for write, arg in ((print_json, evidence), (render_json, [v]), (render_csv, [v])):
+        for write, arg in ((print_json, evidence), (render, [v]), (partial(render, fmt="csv"), [v])):
             with pytest.raises(ValueError):
                 write(arg)
     assert capsys.readouterr().out == ""
@@ -144,9 +151,9 @@ def test_encoder_matches_json_on_every_record(exhaustive6):
     for verdicts in (exhaustive6, named):
         for record in records(verdicts):
             assert_dumps_like_json(record)
-        assert render_json(verdicts) == json.dumps(
+        assert render(verdicts) == json.dumps(
             plain(records(verdicts)), indent=2, sort_keys=True, allow_nan=False
-        )
+        ) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -221,7 +228,7 @@ def test_render_json_peak_memory_is_a_small_multiple_of_the_text(exhaustive6):
     # encoder that joins each container's own strings
     tracemalloc.start()
     try:
-        text = render_json(exhaustive6)
+        text = render(exhaustive6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

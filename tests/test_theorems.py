@@ -22,7 +22,7 @@ from curvlab.theorems import (
     conjecture_scan,
     scan,
 )
-from curvlab.reports import render_json
+from curvlab.reports import render
 
 
 def scanned(text, theorem_ids=THEOREM_IDS):
@@ -130,7 +130,7 @@ def test_scan_exhaustive_small_clean():
 
 def test_scan_deterministic_across_runs():
     text = "gen:petersen;hypercube:3;cycle:4;paley:13"
-    out = [render_json(scanned(text, ("T1.3", "T2.5", "T1.4"))[1]) for _ in range(2)]
+    out = [render(scanned(text, ("T1.3", "T2.5", "T1.4"))[1]) for _ in range(2)]
     assert out[0] == out[1]
 
 
@@ -144,7 +144,7 @@ def test_scan_shared_facts_match_checkers_alone(text):
     _, verdicts = scanned(text)
     graphs = theorems.corpus(text)
     alone = [check_theorem(g, tid, gid) for gid, g in graphs for tid in THEOREM_IDS]
-    assert render_json(verdicts) == render_json(alone)
+    assert render(verdicts) == render(alone)
 
 
 def test_scan_computes_each_fact_once_per_graph(monkeypatch):
@@ -280,7 +280,7 @@ def test_scan_with_one_curvature_checker_fills_whole_chunks(tid, corpus, monkeyp
     total, verdicts = scanned(str(path), (tid,))
     applicable = sum(v.applicable for v in verdicts)
     assert total == len(graphs) and 0 < len(calls) < applicable
-    assert render_json(verdicts) == render_json([v for v in everything if v.theorem == tid])
+    assert render(verdicts) == render([v for v in everything if v.theorem == tid])
 
 
 def test_scan_frees_facts_without_the_cycle_collector():
