@@ -3,8 +3,9 @@ corpus scans, and counterexample searches.
 
 Graph specs are either a path to a graph6/sparse6 or edge-list file, or a
 generator string such as "hypercube:4", "paley:13", "zxk:3" (the integer
-line times K_3).  Exit codes: 0 clean, 2 a proved statement failed on some
-graph (an implementation bug), 3 bad input or a usage error.
+line times K_3).  Exit codes: 0 clean, 1 a scan worker process ended
+without its results, 2 a proved statement failed on some graph (an
+implementation bug), 3 bad input or a usage error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 
 from .curvature import bakry_emery_curvature, graph_curvature
 from .cuts import classify_min_cuts, edge_connectivity
@@ -22,10 +24,12 @@ from .generators import generate, parse_family_spec
 from .graph import Graph, GraphError, NeighborOracle
 from .matching import maximum_matching
 from .regularity import detect_regularity
-from .reports import FORMATS, Report, emit_report, print_json
-from .theorems import THEOREM_IDS, beta1_search, conjecture_scan, corpus, scan
+from .reports import FORMATS, Report, emit_report, encode, print_json
+from .theorems import THEOREM_IDS, beta1_search, conjecture_scan, corpus, scan_chunks
+from .workers import WorkerError
 
 EXIT_OK = 0
+EXIT_WORKER = 1
 EXIT_VIOLATION = 2
 EXIT_INPUT = 3
 
@@ -118,7 +122,7 @@ def cmd_check(args) -> int:
     ids = THEOREM_IDS
     if args.theorems is not None:  # '' names one theorem id, '', which scan rejects
         ids = tuple(t.strip() for t in args.theorems.split(","))
-    violations = []
+    violations: list[str] = []
     total_graphs = verdicts = applicable = held = 0
     # the report is spooled as the scan goes and reaches its destination only
     # once the scan has ended, so a scan that fails writes nothing; the
@@ -126,24 +130,42 @@ def cmd_check(args) -> int:
     # and the destination accepts or refuses them as it would without it
     with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogateescape") as spool:
         report = Report(args.format, spool, args.out)
-        for _, graph_verdicts in scan(graphs, ids):
-            total_graphs += 1
-            verdicts += len(graph_verdicts)
-            for v in graph_verdicts:
-                applicable += v.applicable
-                held += bool(v.applicable and v.holds)
-                if v.violated:
-                    violations.append(v)
-            emit_report(report, graph_verdicts)
+
+        def take(chunk: list[tuple[list, int, int, list[str]]]) -> None:
+            nonlocal total_graphs, verdicts, applicable, held
+            for rows, graph_applicable, graph_held, lines in chunk:
+                emit_report(report, rows)
+                total_graphs += 1
+                verdicts += len(rows)
+                applicable += graph_applicable
+                held += graph_held
+                violations.extend(lines)
+
+        scan_chunks(graphs, ids, partial(_checked_chunk, args.format), take)
         emit_report(report)
     print(
         f"\nchecked {verdicts} verdicts on {total_graphs} graphs: "
         f"{applicable} applicable, {held} held, {len(violations)} violations",
         file=sys.stderr,
     )
-    for v in violations:
-        print(f"VIOLATION {v.theorem} on {v.graph_id}: {v.evidence}", file=sys.stderr)
+    for line in violations:
+        print(line, file=sys.stderr)
     return EXIT_VIOLATION if violations else EXIT_OK
+
+
+def _checked_chunk(fmt: str, pairs) -> list[tuple[list, int, int, list[str]]]:
+    """What `cmd_check` keeps of each graph of a chunk's scan, made in the
+    process that scans the chunk: its report rows in format `fmt`, its
+    applicable and held counts and its VIOLATION lines."""
+    out = []
+    for _, verdicts in pairs:
+        applicable = sum(v.applicable for v in verdicts)
+        held = sum(bool(v.applicable and v.holds) for v in verdicts)
+        lines = [
+            f"VIOLATION {v.theorem} on {v.graph_id}: {v.evidence}" for v in verdicts if v.violated
+        ]
+        out.append((encode(verdicts, fmt), applicable, held, lines))
+    return out
 
 
 def cmd_conjecture(args) -> int:
@@ -231,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

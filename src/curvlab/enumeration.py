@@ -319,7 +319,15 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
 
 
 def connected_graphs_upto(max_n: int):
-    """Yield (label, graph) for all connected graphs with 1 <= n <= max_n."""
-    for n in range(1, max_n + 1):
+    """Yield (label, graph) for all connected graphs with 1 <= n <= max_n.
+
+    Every level is built before the first graph is yielded, so processes
+    forked after that (`workers.for_each`) share the levels rather than
+    building them again.
+    """
+    orders = range(1, max_n + 1)
+    if orders:
+        _level(orders[-1])
+    for n in orders:
         for i, g in enumerate(connected_graphs(n)):
             yield f"n{n}#{i}", g

@@ -47,10 +47,6 @@ class RegularityClass:
         return self.kind == "amply_regular"
 
 
-def _common_neighbors(g: Graph, u: int, v: int) -> int:
-    return len(set(g.adjacency[u]) & set(g.adjacency[v]))
-
-
 def detect_regularity(g: Graph) -> RegularityClass:
     if g.n == 0:
         return RegularityClass("regular", n=0, d=0)
@@ -63,9 +59,11 @@ def detect_regularity(g: Graph) -> RegularityClass:
             )
     if g.m == 0:
         return RegularityClass("regular", n=g.n, d=0, diagnostic="empty graph")
+    # common neighbours are counted on adjacency bitmasks
+    masks = [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
     alpha = None
     for u, v in g.edges():
-        c = _common_neighbors(g, u, v)
+        c = (masks[u] & masks[v]).bit_count()
         if alpha is None:
             alpha = c
         elif c != alpha:
@@ -87,7 +85,7 @@ def detect_regularity(g: Graph) -> RegularityClass:
         for z in dist2:
             if z < x:
                 continue
-            c = _common_neighbors(g, x, z)
+            c = (masks[x] & masks[z]).bit_count()
             if beta is None:
                 beta = c
             elif c != beta:
@@ -109,15 +107,26 @@ def detect_regularity(g: Graph) -> RegularityClass:
     return RegularityClass("amply_regular", n=g.n, d=d, alpha=alpha, beta=beta)
 
 
-def local_graph_spectrum(g: Graph, x: int) -> list[float]:
-    """Eigenvalues (ascending) of the adjacency matrix of the subgraph
-    induced by the neighbors of x."""
-    nbrs = g.adjacency[x]
-    if not nbrs:
-        raise GraphError(f"vertex {x} is isolated; local graph is empty")
-    rows = [set(g.adjacency[u]) for u in nbrs]
-    a = np.array([[float(v in row) for v in nbrs] for row in rows])
-    return [float(t) for t in np.linalg.eigvalsh(a)]
+def local_graph_spectrum(g: Graph) -> list[list[float]]:
+    """The eigenvalues (ascending) of the adjacency matrix of each vertex's
+    local graph, the subgraph induced by its neighbours in the order of
+    `g.adjacency`, one list per vertex; g must be regular of degree >= 1.
+
+    One `eigvalsh` call solves the (n, d, d) stack of local adjacency
+    matrices, gathered from g's n x n adjacency, each matrix as a call of
+    its own would.
+    """
+    if g.n == 0:
+        return []
+    d = len(g.adjacency[0])
+    if any(len(nbrs) != d for nbrs in g.adjacency):
+        raise GraphError("local spectra are taken of a regular graph only")
+    if d == 0:
+        raise GraphError("the vertices are isolated; their local graphs are empty")
+    nbrs = np.array(g.adjacency)
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    adj.flat[(np.arange(g.n)[:, None] * g.n + nbrs).ravel()] = True
+    return np.linalg.eigvalsh(adj[nbrs[:, :, None], nbrs[:, None, :]].astype(float)).tolist()
 
 
 def arg_curvature_formula(

@@ -3,9 +3,9 @@
 Field order is fixed so identical scans serialize byte-identically; see
 README for the JSON schema.  Every JSON byte the package writes, a
 command's payload, a report or a CSV `detail` cell, comes from one direct
-encoder (`_dump`: sorted keys, NaN refused).  A `Report` encodes a verdict
-report a graph at a time, and `emit_report` writes it, through a spool,
-to stdout or a file.
+encoder (`_dump`: sorted keys, NaN refused).  `encode` turns verdicts into
+report rows, a `Report` puts the rows together a graph at a time, and
+`emit_report` writes the report, through a spool, to stdout or a file.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import IO, Sequence
 
 from .theorems import TheoremVerdict
 
-CSV_HEADER = ("theorem", "graph", "applicable", "holds", "detail")
+CSV_HEADER = "theorem,graph,applicable,holds,detail\n"
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
@@ -92,16 +92,37 @@ def print_json(payload) -> None:
 FORMATS = ("json", "csv", "markdown")
 
 
-class Report:
-    """One verdict report, encoded a graph at a time.
+def encode(verdicts: Sequence[TheoremVerdict], fmt: str) -> list[tuple[str, str]]:
+    """Each verdict's checker id and its text in a report of format `fmt`:
+    a JSON record, a CSV line or a markdown table row.  `Report.add` places
+    them in the report; the encoding can run in another process."""
+    if fmt == "json":
+        return [(v.theorem, _record(v)) for v in verdicts]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        rows = []
+        for v in verdicts:
+            detail = _dump(v.evidence, indent=None)
+            writer.writerow([v.theorem, v.graph_id, v.applicable, v.holds, detail])
+            rows.append((v.theorem, buf.getvalue()))
+            buf.seek(0)
+            buf.truncate()
+        return rows
+    return [(v.theorem, f"| {v.graph_id} | {v.applicable} | {v.holds} |") for v in verdicts]
 
-    `add` returns the text of some verdicts and `end` the text that closes
-    the report; in the order of the calls their texts make the whole report,
-    which ends in one newline, however the verdicts are split between the
-    calls.  JSON holds back its last record until it knows whether a comma
-    follows, CSV encodes its rows as they come, and markdown, whose tables
-    are grouped by checker id, keeps one table row per verdict and writes
-    the tables at the end.
+
+class Report:
+    """One verdict report, put together a graph at a time.
+
+    `add` places the rows `encode` made of some verdicts and returns the
+    text they add, and `end` returns the text that closes the report; in
+    the order of the calls their texts make the whole report, which ends
+    in one newline, however the verdicts are split between the calls.
+    JSON holds back its last record until it knows whether a comma
+    follows, CSV writes its lines as they come, and markdown, whose tables
+    are grouped by checker id, keeps its rows and writes the tables at the
+    end.
 
     `emit_report` writes the texts to `spool`, and its closing call copies
     the spool to `out` (a path, or stdout when None), so output is written
@@ -116,30 +137,23 @@ class Report:
         self.header = False  # csv: whether the header is written
         self.rows: dict[str, list[str]] = {}  # markdown: table rows by checker id
 
-    def add(self, verdicts: Sequence[TheoremVerdict]) -> str:
-        """The text of `verdicts`, the report's next ones."""
+    def add(self, rows: Sequence[tuple[str, str]]) -> str:
+        """The text of `rows`, the (checker id, text) pairs of the report's
+        next verdicts."""
         if self.fmt == "json":
             records = [] if self.held is None else [self.held]
-            records += map(_record, verdicts)
+            records += [text for _, text in rows]
             if not records:
                 return ""
             opening = "[\n" if self.held is None else ""
             self.held = records.pop()
             return opening + "".join(f"  {r},\n" for r in records)
         if self.fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            if not self.header:
-                writer.writerow(CSV_HEADER)
-                self.header = True
-            for v in verdicts:
-                detail = _dump(v.evidence, indent=None)
-                writer.writerow([v.theorem, v.graph_id, v.applicable, v.holds, detail])
-            return buf.getvalue()
-        for v in verdicts:
-            self.rows.setdefault(v.theorem, []).append(
-                f"| {v.graph_id} | {v.applicable} | {v.holds} |"
-            )
+            header = "" if self.header else CSV_HEADER
+            self.header = True
+            return header + "".join(text for _, text in rows)
+        for theorem, text in rows:
+            self.rows.setdefault(theorem, []).append(text)
         return ""
 
     def end(self) -> str:
@@ -174,17 +188,17 @@ def _record(v: TheoremVerdict) -> str:
 def render(verdicts: Sequence[TheoremVerdict], fmt: str = "json") -> str:
     """The whole report of `verdicts` in one string, as `emit_report` writes it."""
     report = Report(fmt)
-    return report.add(verdicts) + report.end()
+    return report.add(encode(verdicts, fmt)) + report.end()
 
 
-def emit_report(report: Report, verdicts: Sequence[TheoremVerdict] | None = None) -> str:
-    """Write the text of one graph's verdicts to the report's spool, or,
-    called without verdicts, the text that closes the report, and then copy
-    the spool to the report's destination.  Returns the text written to the
-    spool."""
-    text = report.end() if verdicts is None else report.add(verdicts)
+def emit_report(report: Report, rows: Sequence[tuple[str, str]] | None = None) -> str:
+    """Write the text of one graph's rows (see `encode`) to the report's
+    spool, or, called without rows, the text that closes the report, and
+    then copy the spool to the report's destination.  Returns the text
+    written to the spool."""
+    text = report.end() if rows is None else report.add(rows)
     report.spool.write(text)
-    if verdicts is None:
+    if rows is None:
         report.spool.seek(0)
         out = report.out
         with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:

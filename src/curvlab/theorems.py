@@ -8,8 +8,10 @@ reports it with full evidence.  A corpus scan (`scan`) reads the
 (gid, Graph) pairs of a `corpus` and yields each graph with its verdicts
 as it goes; it shares one `GraphFacts` between the checkers on a graph and
 fills the curvature of a chunk of graphs with one kernel call on the
-chunk's list of connected graphs.  `curvlab check` and `conjecture_scan`
-both count what the scan yields.
+chunk's list of connected graphs.  `scan_chunks` runs the same scan on
+every usable CPU, a chunk per process at a time, and hands on a summary
+of each chunk in corpus order; `curvlab check` and `conjecture_scan`
+count what those summaries hold.
 
 Checker ids:
   T1.1  regular + even order + nonnegative curvature  => perfect matching
@@ -27,7 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .cuts import CutCertificate, classify_min_cuts, edge_connectivity
 # the benchmark's traced run wraps bakry_emery_curvature under this module's name
@@ -44,6 +46,9 @@ from .regularity import (
     detect_regularity,
     local_graph_spectrum,
 )
+from .workers import for_each
+
+R = TypeVar("R")
 
 CURVATURE_TOL = 1e-8
 THEOREM_IDS = ("T1.1", "T1.2", "T1.3", "T1.4", "C1.6", "T2.4", "T2.5")
@@ -204,8 +209,8 @@ def check_theorem(
         return verdict(False, None, {"reason": "not amply regular"})
     _, ks = facts.curvature
     worst = 0.0
-    for x in range(g.n):
-        formula = arg_curvature_formula(reg.d, reg.alpha, reg.beta, local_graph_spectrum(g, x))
+    for x, spectrum in enumerate(local_graph_spectrum(g)):
+        formula = arg_curvature_formula(reg.d, reg.alpha, reg.beta, spectrum)
         worst = max(worst, abs(formula - ks[x]))
     return verdict(True, worst <= 1e-8, {"max_abs_difference": worst})
 
@@ -269,21 +274,43 @@ def _read_file(path: str) -> Iterator[tuple[str, Graph]]:
         yield f"{os.path.basename(path)}:{lineno}", g
 
 
+def _chunks(graphs: Iterable[tuple[str, Graph]]) -> Iterator[list[tuple[str, Graph]]]:
+    """The (gid, Graph) pairs in runs of up to `_CHUNK_VERTICES` vertices in
+    all, in the order given; a larger graph makes a run of its own.  A run
+    is yielded once the graph that closes it has been read."""
+    chunk: list[tuple[str, Graph]] = []
+    size = 0
+    for gid, g in graphs:
+        if chunk and size + g.n > _CHUNK_VERTICES:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append((gid, g))
+        size += g.n
+    if chunk:
+        yield chunk
+
+
 def _with_facts(graphs: Iterable[tuple[str, Graph]]) -> Iterator[tuple[str, Graph, GraphFacts]]:
     """(gid, g, facts) for each graph, in the order given.
 
-    Graphs are read ahead up to `_CHUNK_VERTICES` vertices, and the facts of
-    the connected ones share a `_Chunk`, so the first curvature read of a
-    chunk fills them all with one kernel call.
+    The facts of the connected graphs of one run of `_chunks` share a
+    `_Chunk`, so the first curvature read of a chunk fills them all with
+    one kernel call.
     """
-    chunk, buffered, size = _Chunk(), [], 0
-    for gid, g in graphs:
-        if size + g.n > _CHUNK_VERTICES:
-            yield from buffered
-            chunk, buffered, size = _Chunk(), [], 0
-        buffered.append((gid, g, GraphFacts(g, chunk)))
-        size += g.n
-    yield from buffered
+    for pairs in _chunks(graphs):
+        chunk = _Chunk()
+        yield from [(gid, g, GraphFacts(g, chunk)) for gid, g in pairs]
+
+
+def _checked_ids(theorem_ids: Sequence[str]) -> tuple[str, ...]:
+    """The ids as a tuple, once each is known to be a checker's, and given once."""
+    theorem_ids = tuple(theorem_ids)
+    for i, tid in enumerate(theorem_ids):
+        if tid not in THEOREM_IDS:
+            raise GraphError(f"unknown theorem id {tid!r}")
+        if tid in theorem_ids[:i]:
+            raise GraphError(f"theorem id {tid!r} is given more than once")
+    return theorem_ids
 
 
 def scan(
@@ -298,16 +325,32 @@ def scan(
     whole chunk (`_with_facts`).  A chunk's verdicts are yielded once the
     graph that closes it has been read, and before any later graph is.
     """
-    theorem_ids = tuple(theorem_ids)
-    for i, tid in enumerate(theorem_ids):
-        if tid not in THEOREM_IDS:
-            raise GraphError(f"unknown theorem id {tid!r}")
-        if tid in theorem_ids[:i]:
-            raise GraphError(f"theorem id {tid!r} is given more than once")
+    theorem_ids = _checked_ids(theorem_ids)
     return (
         (g, [check_theorem(g, tid, gid, facts) for tid in theorem_ids])
         for gid, g, facts in _with_facts(graphs)
     )
+
+
+def scan_chunks(
+    graphs: Iterable[tuple[str, Graph]],
+    theorem_ids: Sequence[str],
+    summarize: Callable[[Iterator[tuple[Graph, list[TheoremVerdict]]]], R],
+    take: Callable[[R], None],
+) -> None:
+    """`scan` on every usable CPU: `summarize` each chunk's scan, the
+    (graph, verdicts) pairs of its graphs, and pass the summaries to `take`
+    in corpus order.
+
+    The ids are checked before the first graph is read.  The chunks are
+    those `scan` forms, and `workers.for_each` spreads them over the CPUs:
+    `summarize` runs in the process that owns the chunk and returns what
+    `marshal` can write, and `take` runs in this one.  A corpus is walked
+    in every worker process, so it must come out the same each time it is
+    read; the corpora of `corpus` do.
+    """
+    theorem_ids = _checked_ids(theorem_ids)
+    for_each(_chunks(graphs), lambda pairs: summarize(scan(pairs, theorem_ids)), take)
 
 
 def conjecture_scan(max_n: int) -> dict:
@@ -322,23 +365,37 @@ def conjecture_scan(max_n: int) -> dict:
     """
     if not 1 <= max_n <= MAX_ENUMERATION_N:
         raise GraphError(f"conjecture scan needs max_n in 1..{MAX_ENUMERATION_N}, got {max_n}")
-    table, boundary = {}, []
+    table: dict[str, int] = {}
+    boundary = []
+
+    def take(rows: list[tuple[str, int, int, int]]) -> None:
+        for gid, n, delta, lam in rows:
+            key = f"delta={delta},lambda={lam}"
+            table[key] = table.get(key, 0) + 1
+            if lam == delta - 1:
+                boundary.append({"graph": gid, "n": n, "delta": delta, "lambda": lam})
+
     # a single vertex has lambda = 0 by convention: trivial
     graphs = ((gid, g) for gid, g in connected_graphs_upto(max_n) if g.n >= 2)
-    for g, [t13] in scan(graphs, ("T1.3",)):
-        if not t13.applicable:
-            continue
-        delta, lam = t13.evidence["delta"], t13.evidence["lambda"]
-        key = f"delta={delta},lambda={lam}"
-        table[key] = table.get(key, 0) + 1
-        if lam == delta - 1:
-            boundary.append({"graph": t13.graph_id, "n": g.n, "delta": delta, "lambda": lam})
+    scan_chunks(graphs, ("T1.3",), _t13_rows, take)
     return {
         "max_n": max_n,
         "nonnegative_curvature_graphs": sum(table.values()),
         "table": table,
         "boundary_cases": boundary,
     }
+
+
+def _t13_rows(
+    pairs: Iterator[tuple[Graph, list[TheoremVerdict]]],
+) -> list[tuple[str, int, int, int]]:
+    """(gid, n, delta, lambda) of each graph whose one verdict, T1.3's, is
+    applicable: what `conjecture_scan` tabulates."""
+    return [
+        (t13.graph_id, g.n, t13.evidence["delta"], t13.evidence["lambda"])
+        for g, [t13] in pairs
+        if t13.applicable
+    ]
 
 
 def beta1_search() -> list[dict]:

@@ -91,10 +91,8 @@ def test_criterion_02_closed_form_cross_check():
     for name, g in sorted(amply_corpus().items()):
         reg = detect_regularity(g)
         assert reg.is_amply_regular, name
-        for x in range(g.n):
-            formula = arg_curvature_formula(
-                reg.d, reg.alpha, reg.beta, local_graph_spectrum(g, x)
-            )
+        for x, spectrum in enumerate(local_graph_spectrum(g)):
+            formula = arg_curvature_formula(reg.d, reg.alpha, reg.beta, spectrum)
             diff = abs(formula - bakry_emery_curvature(g, x).K)
             if diff > worst:
                 worst, where = diff, f"{name}:{x}"

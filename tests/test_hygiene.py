@@ -4,13 +4,16 @@ module imports another's underscore names, every function, class and method
 of the package is named somewhere, every module-level name the package
 assigns is read somewhere, every defaulted parameter of the package is
 passed by some call and left out by another, the package calls json.dump
-or json.dumps nowhere, and only its report writer imports json's
-encoder."""
+or json.dumps nowhere, only its report writer imports json's encoder,
+it forks in one place and imports no thread or process pool, and
+importing its command line loads no process machinery."""
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -449,3 +452,79 @@ def test_one_json_dump_serves_the_package():
         if json_encoder_imports(path.read_text(encoding="utf-8"))
     ]
     assert encoding == ["src/curvlab/reports.py"]
+
+
+def fork_calls(source: str) -> list[int]:
+    """Lines of every call of `os.fork` or of a bare `fork` in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            forks = func.attr == "fork" and getattr(func.value, "id", None) == "os"
+        else:
+            forks = getattr(func, "id", None) == "fork"
+        if forks:
+            found.append(node.lineno)
+    return found
+
+
+def pool_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of every import of a module that runs work on a pool
+    of threads or processes."""
+    pools = {"multiprocessing", "concurrent", "threading", "_thread", "subprocess"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.split(".")[0] in pools]
+    return found
+
+
+def test_fork_calls_and_pool_imports_are_found():
+    source = (
+        "import os\nfrom os import fork\nimport threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\nfrom .workers import for_each\n"
+        "pid = os.fork()\nfork()\nos.forkpty()\n"
+    )
+    assert fork_calls(source) == [6, 7]
+    assert pool_imports(source) == [(3, "threading"), (4, "concurrent.futures")]
+
+
+def test_one_fork_and_no_pool_in_the_package():
+    # a scan runs on several CPUs only through the forked workers of
+    # curvlab.workers; a thread pool gained nothing, since the scan holds
+    # the interpreter lock
+    forks = [
+        f"{path.relative_to(ROOT)}:{lineno}"
+        for path in PACKAGE
+        for lineno in fork_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert len(forks) == 1 and forks[0].startswith("src/curvlab/workers.py:")
+    pools = [
+        f"{path.relative_to(ROOT)}:{lineno}: {name}"
+        for path in PACKAGE
+        for lineno, name in pool_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert pools == []
+
+
+def test_cli_import_loads_no_process_machinery():
+    # `curvlab check --help` imports curvlab.cli and nothing more, and the
+    # benchmark times it as start-up; the workers load signal only to fork
+    modules = ("multiprocessing", "concurrent.futures", "subprocess", "selectors", "signal")
+    code = "import sys, curvlab.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *modules],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

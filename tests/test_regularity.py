@@ -3,6 +3,7 @@ import random
 from collections import deque
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
 
 from curvlab.curvature import bakry_emery_curvature, graph_curvature
@@ -112,11 +113,28 @@ def test_parameters_reverify_by_distance_matrix(corpus):
 
 
 def test_local_spectrum_examples():
-    assert local_graph_spectrum(cycle_graph(4), 0) == pytest.approx([0.0, 0.0])
-    assert local_graph_spectrum(complete_graph(4), 1) == pytest.approx([-1.0, -1.0, 2.0])
-    assert local_graph_spectrum(petersen(), 5) == pytest.approx([0.0, 0.0, 0.0])
+    assert local_graph_spectrum(cycle_graph(4))[0] == pytest.approx([0.0, 0.0])
+    assert local_graph_spectrum(complete_graph(4))[1] == pytest.approx([-1.0, -1.0, 2.0])
+    assert local_graph_spectrum(petersen())[5] == pytest.approx([0.0, 0.0, 0.0])
+    assert local_graph_spectrum(from_edge_list(0, [])) == []
     with pytest.raises(GraphError):
-        local_graph_spectrum(from_edge_list(2, []), 0)
+        local_graph_spectrum(from_edge_list(2, []))
+    with pytest.raises(GraphError):
+        local_graph_spectrum(from_edge_list(3, [(0, 1), (1, 2)]))
+
+
+def test_stacked_local_spectra_equal_one_solve_per_vertex(amply):
+    # the stacked solve must give each vertex's spectrum bit for bit as its
+    # own eigvalsh call on the local adjacency matrix built from sets
+    for name, g in sorted(amply.items()):
+        spectra = local_graph_spectrum(g)
+        assert len(spectra) == g.n, name
+        for x, spectrum in enumerate(spectra):
+            nbrs = g.adjacency[x]
+            rows = [set(g.adjacency[u]) for u in nbrs]
+            a = np.array([[float(v in row) for v in nbrs] for row in rows])
+            alone = np.linalg.eigvalsh(a)
+            assert np.array(spectrum).tobytes() == alone.tobytes(), (name, x)
 
 
 def test_formula_examples():
@@ -133,10 +151,8 @@ def test_formula_matches_eigensolver_everywhere(amply):
     for name, g in sorted(amply.items()):
         reg = detect_regularity(g)
         assert reg.is_amply_regular, name
-        for x in range(g.n):
-            formula = arg_curvature_formula(
-                reg.d, reg.alpha, reg.beta, local_graph_spectrum(g, x)
-            )
+        for x, spectrum in enumerate(local_graph_spectrum(g)):
+            formula = arg_curvature_formula(reg.d, reg.alpha, reg.beta, spectrum)
             assert abs(formula - bakry_emery_curvature(g, x).K) <= 1e-8, (name, x)
 
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import mixed_corpus
 from curvlab import cli
 from curvlab.generators import cycle_graph, petersen
-from curvlab.reports import FORMATS, Report, _dump, emit_report, print_json, render
+from curvlab.reports import FORMATS, Report, _dump, emit_report, encode, print_json, render
 from curvlab.theorems import THEOREM_IDS, TheoremVerdict, check_theorem, corpus, scan
 
 
@@ -73,7 +73,7 @@ def test_emit_report_to_file(capsys, tmp_path):
         for out in (tmp_path / f"report.{fmt}", None):
             with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
                 report = Report(fmt, spool, None if out is None else str(out))
-                texts = [emit_report(report, part) for part in per_graph]
+                texts = [emit_report(report, encode(part, fmt)) for part in per_graph]
                 assert out is None or not out.exists()
                 assert capsys.readouterr().out == ""
                 texts.append(emit_report(report))
