@@ -6,6 +6,11 @@ generator string such as "hypercube:4", "paley:13", "zxk:3" (the integer
 line times K_3).  Exit codes: 0 clean, 1 a scan worker process ended
 without its results, 2 a proved statement failed on some graph (an
 implementation bug), 3 bad input or a usage error.
+
+A command imports the modules it runs when it runs.  At module level are
+only what the parser needs and `emit_report` and `print_json`, so `--help`,
+a usage error and the commands that read no curvature (`connectivity`,
+`matching`, `regularity`) run without loading numpy or the checkers.
 """
 
 from __future__ import annotations
@@ -14,19 +19,11 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from functools import partial
 
-from .curvature import bakry_emery_curvature, graph_curvature
-from .cuts import classify_min_cuts, edge_connectivity
 from .formats import FormatError, iter_graph6_file, parse_edge_list, parse_integer, parse_real
-from .generators import generate, parse_family_spec
 from .graph import Graph, GraphError, NeighborOracle
-from .matching import maximum_matching
-from .regularity import detect_regularity
-from .reports import FORMATS, Report, emit_report, encode, print_json
-from .theorems import THEOREM_IDS, beta1_search, conjecture_scan, corpus, scan_chunks
-from .workers import WorkerError
+from .reports import FORMATS, THEOREM_IDS, Report, emit_report, encode, print_json
 
 EXIT_OK = 0
 EXIT_WORKER = 1
@@ -35,28 +32,39 @@ EXIT_INPUT = 3
 
 
 def _load_graph_spec(text: str) -> Graph | NeighborOracle:
-    """A path to a graph file or a generator string.  Of a graph6/sparse6
-    file only the first graph, its first non-blank line, is read."""
-    if os.path.exists(text):
-        # a non-ASCII byte survives decoding, so the parser can name its line
-        with open(text, "r", encoding="ascii", errors="surrogateescape") as fh:
-            content = fh.read()
-        lines = content.splitlines()
-        # the lines up to the first non-blank one, which holds the graph
+    """A path to a graph file or a generator string.  A file is read up to
+    its first non-blank line; an edge list, whose first non-blank line
+    starts with a digit, is then read whole, and of a graph6/sparse6 file
+    only that line, its first graph, is parsed."""
+    if not os.path.exists(text):
+        from .generators import generate, parse_family_spec
+
+        return generate(parse_family_spec(text))
+    # a non-ASCII byte survives decoding, so the parser can name its line
+    with open(text, "r", encoding="ascii", errors="surrogateescape") as fh:
+        read = []
+        for raw in fh:
+            read.append(raw)
+            if raw.strip():
+                break
+        # the lines up to the first non-blank one, which holds the graph,
+        # as str.splitlines splits them: \v, \f and \x1c-\x1e end a line too
+        lines = "".join(read).splitlines()
         head = lines[: next((i + 1 for i, line in enumerate(lines) if line.strip()), 0)]
         if head and head[-1].strip()[0].isdigit():
-            return parse_edge_list(content)
-        graphs = iter_graph6_file(head)
-        if not graphs:
-            raise FormatError(f"no graphs in {text}")
-        return graphs[0][1]
-    return generate(parse_family_spec(text))
+            return parse_edge_list("".join(read) + fh.read())
+    graphs = iter_graph6_file(head)
+    if not graphs:
+        raise FormatError(f"no graphs in {text}")
+    return graphs[0][1]
 
 
 def _parse_vertex(text: str | None, g: Graph | NeighborOracle, spec: str):
     """A vertex of g given as text: an integer in 0..n-1 for a finite graph,
     an integer for `line` and a pair i,c with 0 <= c < k for `zxk:k`.  An
     infinite family's vertex defaults to 0 or (0, 0)."""
+    from .generators import parse_family_spec
+
     if isinstance(g, Graph):
         arity, bound, form = 1, g.n, f"an integer in 0..{g.n - 1}"
     elif parse_family_spec(spec).kind == "integer_line":
@@ -74,6 +82,8 @@ def _parse_vertex(text: str | None, g: Graph | NeighborOracle, spec: str):
 
 
 def cmd_curvature(args) -> int:
+    from .curvature import bakry_emery_curvature, graph_curvature
+
     g = _load_graph_spec(args.graph)
     dim = args.dimension
     if isinstance(g, Graph) and args.vertex is None:
@@ -88,6 +98,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_connectivity(args) -> int:
+    from .cuts import classify_min_cuts, edge_connectivity
+
     g = _require_finite(_load_graph_spec(args.graph))
     lam, cert = edge_connectivity(g)
     payload = {
@@ -105,6 +117,8 @@ def cmd_connectivity(args) -> int:
 
 
 def cmd_matching(args) -> int:
+    from .matching import maximum_matching
+
     g = _require_finite(_load_graph_spec(args.graph))
     m = maximum_matching(g)
     print_json({"size": m.size, "perfect": m.is_perfect, "edges": list(m.edges)})
@@ -112,12 +126,18 @@ def cmd_matching(args) -> int:
 
 
 def cmd_regularity(args) -> int:
+    from .regularity import detect_regularity
+
     g = _require_finite(_load_graph_spec(args.graph))
     print_json(detect_regularity(g))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
+    import tempfile
+
+    from .theorems import corpus, scan_chunks
+
     graphs = corpus(args.source)
     ids = THEOREM_IDS
     if args.theorems is not None:  # '' names one theorem id, '', which scan rejects
@@ -169,11 +189,15 @@ def _checked_chunk(fmt: str, pairs) -> list[tuple[list, int, int, list[str]]]:
 
 
 def cmd_conjecture(args) -> int:
+    from .theorems import conjecture_scan
+
     print_json(conjecture_scan(args.max_n))
     return EXIT_OK
 
 
 def cmd_beta1(args) -> int:
+    from .theorems import beta1_search
+
     del args
     print_json(beta1_search())
     return EXIT_OK
@@ -253,7 +277,13 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except WorkerError as exc:
+    except RuntimeError as exc:
+        # a scan raises WorkerError; `workers` and the pickle it imports
+        # stay out of the start-up that `check --help` times
+        from .workers import WorkerError
+
+        if not isinstance(exc, WorkerError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORKER
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GraphError(ValueError):
@@ -139,6 +140,8 @@ def ball(o: Graph | NeighborOracle, x: Hashable) -> tuple[np.ndarray, BallMap]:
     Raises GraphError when the array would hold more than
     MAX_ADJACENCY_ENTRIES entries.
     """
+    import numpy as np  # here, so that the commands without curvature load no numpy
+
     n1 = sorted(set(o.neighbors(x)) - {x})
     n2 = sorted({z for y in n1 for z in o.neighbors(y)} - set(n1) - {x})
     spheres = [[x], n1, n2]

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .graph import BallMap, Graph, GraphError
 
 
@@ -123,6 +121,8 @@ def local_graph_spectrum(g: Graph) -> list[list[float]]:
         raise GraphError("local spectra are taken of a regular graph only")
     if d == 0:
         raise GraphError("the vertices are isolated; their local graphs are empty")
+    import numpy as np  # here, so that `curvlab regularity` loads no numpy
+
     nbrs = np.array(g.adjacency)
     adj = np.zeros((g.n, g.n), dtype=bool)
     adj.flat[(np.arange(g.n)[:, None] * g.n + nbrs).ravel()] = True

@@ -18,10 +18,14 @@ import sys
 from contextlib import nullcontext
 from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii
-from typing import IO, Sequence
+from typing import IO, TYPE_CHECKING, Sequence
 
-from .theorems import TheoremVerdict
+if TYPE_CHECKING:  # annotations only: loading the checkers loads numpy
+    from .theorems import TheoremVerdict
 
+# the checker ids, in the order of a scan with all of them; here rather than
+# in `theorems`, so that the command line's parser reads them without numpy
+THEOREM_IDS = ("T1.1", "T1.2", "T1.3", "T1.4", "C1.6", "T2.4", "T2.5")
 CSV_HEADER = "theorem,graph,applicable,holds,detail\n"
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 

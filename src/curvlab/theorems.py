@@ -46,12 +46,12 @@ from .regularity import (
     detect_regularity,
     local_graph_spectrum,
 )
+from .reports import THEOREM_IDS
 from .workers import for_each
 
 R = TypeVar("R")
 
 CURVATURE_TOL = 1e-8
-THEOREM_IDS = ("T1.1", "T1.2", "T1.3", "T1.4", "C1.6", "T2.4", "T2.5")
 
 # A corpus scan buffers graphs up to this many vertices in all and runs the
 # curvature kernel once on the list of their connected graphs; a larger
@@ -123,8 +123,26 @@ class GraphFacts:
         return edge_connectivity(self.g)
 
     @cached_property
+    def failed_cut_check(self) -> str | None:
+        """The check that the certificate of `connectivity` fails, or None:
+        a certificate exists unless g has one vertex, its value is lambda,
+        and `CutCertificate.verify` recomputes it from its side."""
+        lam, cut = self.connectivity
+        if cut is None:
+            return None if self.g.n == 1 else "cut certificate missing"
+        if cut.value != lam:
+            return "cut certificate value != lambda"
+        return None if cut.verify(self.g) else "cut certificate fails CutCertificate.verify"
+
+    @cached_property
     def matching(self) -> Matching:
         return maximum_matching(self.g)
+
+    @cached_property
+    def failed_matching_check(self) -> str | None:
+        """The check that `matching` fails, or None: `Matching.verify`
+        finds disjoint edges of g and the right `is_perfect`."""
+        return None if self.matching.verify(self.g) else "matching fails Matching.verify"
 
 
 def check_theorem(
@@ -136,10 +154,11 @@ def check_theorem(
     on the same graph; without it they are computed here.  Disconnected
     graphs are never applicable; evidence carries the quantities the
     conclusion was decided on (curvature values, cut certificates,
-    matchings, witnesses) so it can be re-verified.  T1.3 and T1.4 check
-    their cut certificates against lambda before deciding; a failed check
-    fails the verdict, and its evidence names the check under
-    "failed_check".
+    matchings, witnesses) so it can be re-verified.  Before deciding,
+    T1.3 and T1.4 check their cut certificate (`failed_cut_check`) and
+    T1.1, T1.2 and C1.6 their matching (`failed_matching_check`), each
+    once per graph; a failed check fails the verdict, and its evidence
+    names the check under "failed_check".
     """
     if theorem_id not in THEOREM_IDS:
         raise GraphError(f"unknown theorem id {theorem_id!r}")
@@ -155,10 +174,7 @@ def check_theorem(
         lam, cert = facts.connectivity
         delta = min(g.degree(v) for v in range(g.n))
         evidence = {"K": kmin, "lambda": lam, "delta": delta, "cut": cert}
-        failed = _failed_cut_check(g, lam, cert)
-        if failed:
-            return verdict(True, False, {**evidence, "failed_check": failed})
-        return verdict(True, lam >= delta - 1, evidence)
+        return _decided(verdict, lam >= delta - 1, evidence, facts.failed_cut_check)
 
     if theorem_id == "T2.4":
         return verdict(*bcn_check(g, facts.regularity))
@@ -179,7 +195,7 @@ def check_theorem(
                 return verdict(False, None, {"lambda": lam, "d": reg.d, "reason": reason})
             evidence = {"lambda": lam, "d": reg.d}
         evidence["matching"] = facts.matching
-        return verdict(True, facts.matching.is_perfect, evidence)
+        return _decided(verdict, facts.matching.is_perfect, evidence, facts.failed_matching_check)
 
     if theorem_id == "T1.4":
         if not reg.is_amply_regular or reg.beta < 2:
@@ -187,22 +203,21 @@ def check_theorem(
         lam, cert = facts.connectivity
         quadrangle = g.n == 4 and reg.d == 2
         evidence = {"lambda": lam, "d": reg.d, "cut": cert, "quadrangle": quadrangle}
-        failed = _failed_cut_check(g, lam, cert)
+        failed = facts.failed_cut_check
         if not failed and lam == reg.d and not quadrangle:
             witness = classify_min_cuts(g, facts.connectivity)
             evidence["stars_only"] = witness is None
             evidence["non_star_cut"] = witness
             failed = witness and _failed_witness_check(g, lam, witness)
-        if failed:
-            return verdict(True, False, {**evidence, "failed_check": failed})
         # the cuts are classified when lambda = d, except on the quadrangle
-        return verdict(True, evidence.get("stars_only", lam == reg.d), evidence)
+        return _decided(verdict, evidence.get("stars_only", lam == reg.d), evidence, failed)
 
     if theorem_id == "C1.6":
         if not reg.is_amply_regular or reg.beta < 2 or g.n % 2 != 0:
             reason = "not amply regular with beta >= 2 and even order"
             return verdict(False, None, {"reason": reason})
-        return verdict(True, facts.matching.is_perfect, {"matching": facts.matching})
+        evidence = {"matching": facts.matching}
+        return _decided(verdict, facts.matching.is_perfect, evidence, facts.failed_matching_check)
 
     # T2.5: closed-form curvature against the eigensolver, every vertex
     if not reg.is_amply_regular:
@@ -215,13 +230,15 @@ def check_theorem(
     return verdict(True, worst <= 1e-8, {"max_abs_difference": worst})
 
 
-def _failed_cut_check(g: Graph, lam: int, cut: CutCertificate | None) -> str | None:
-    """The check that `cut`, the certificate of g's edge-connectivity `lam`,
-    fails, or None: a certificate exists unless g has one vertex, and its
-    value is lambda."""
-    if cut is None:
-        return None if g.n == 1 else "cut certificate missing"
-    return None if cut.value == lam else "cut certificate value != lambda"
+def _decided(
+    verdict: Callable[..., TheoremVerdict], holds: bool, evidence: dict, failed: str | None
+) -> TheoremVerdict:
+    """The applicable verdict that `holds` on `evidence`, unless a check of
+    the evidence `failed`: then it does not hold, and the evidence names
+    the check under "failed_check"."""
+    if failed:
+        return verdict(True, False, {**evidence, "failed_check": failed})
+    return verdict(True, holds, evidence)
 
 
 def _failed_witness_check(g: Graph, lam: int, witness: CutCertificate) -> str | None:

@@ -15,6 +15,7 @@ from curvlab.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from curvlab.formats import write_graph6
 from curvlab.generators import hamming2, petersen
 from curvlab.graph import MAX_EDGES, MAX_ORDER
+from curvlab.matching import Matching
 from curvlab.reports import FORMATS
 
 
@@ -211,7 +212,7 @@ def test_connectivity_classification_runs_stoer_wagner_once(capsys, monkeypatch)
         calls.append(g.n)
         return original(g)
 
-    monkeypatch.setattr(cli, "edge_connectivity", counted)
+    # the command and classify_min_cuts both resolve it in cuts
     monkeypatch.setattr(cuts, "edge_connectivity", counted)
     code, out, _ = run_cli(capsys, "connectivity", "hypercube:4", "--classify-cuts")
     assert code == EXIT_OK and calls == [16]
@@ -312,6 +313,52 @@ def test_check_fails_a_cut_certificate_that_is_not_lambda(capsys, monkeypatch, w
         (False, check),
         (False, check),
     ]
+    assert err.count(f"'failed_check': '{check}'") == 2
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda m: Matching(((0, 7), (1, 6), (2, 5), (3, 4)), True),  # non-edges
+        lambda m: Matching(((0, 1), (1, 3), (4, 5), (6, 7)), True),  # vertex 1 twice
+        lambda m: dataclasses.replace(m, is_perfect=not m.is_perfect),
+    ],
+    ids=["non-edge", "repeated vertex", "is_perfect"],
+)
+def test_check_fails_a_matching_that_does_not_verify(capsys, monkeypatch, wrong):
+    # each wrong matching of the cube but the last claims to be perfect, so
+    # only the check of the matching against the graph makes it a violation
+    maximum_matching = theorems.maximum_matching
+    monkeypatch.setattr(theorems, "maximum_matching", lambda g: wrong(maximum_matching(g)))
+    argv = ("check", "--source", "gen:hypercube:3", "--theorems", "T1.1,T1.2,C1.6")
+    code, out, err = run_cli(capsys, *argv)
+    check = "matching fails Matching.verify"
+    assert code == EXIT_VIOLATION
+    assert [(r["holds"], r["evidence"]["failed_check"]) for r in json.loads(out)] == [
+        (False, check)
+    ] * 3
+    assert err.count(f"'failed_check': '{check}'") == 3
+
+
+def test_check_fails_a_cut_certificate_that_does_not_verify(capsys, monkeypatch):
+    # three edges of the cube that do not cross the certificate's side:
+    # its value is still lambda, so only recomputing the cut from its side
+    # makes it a violation
+    edge_connectivity = theorems.edge_connectivity
+
+    def wrong(g):
+        lam, cert = edge_connectivity(g)
+        others = tuple(e for e in g.edges() if e not in cert.cut_edges)[:lam]
+        return lam, dataclasses.replace(cert, cut_edges=others)
+
+    monkeypatch.setattr(theorems, "edge_connectivity", wrong)
+    argv = ("check", "--source", "gen:hypercube:3", "--theorems", "T1.3,T1.4")
+    code, out, err = run_cli(capsys, *argv)
+    check = "cut certificate fails CutCertificate.verify"
+    assert code == EXIT_VIOLATION
+    assert [(r["holds"], r["evidence"]["failed_check"]) for r in json.loads(out)] == [
+        (False, check)
+    ] * 2
     assert err.count(f"'failed_check': '{check}'") == 2
 
 
@@ -671,6 +718,25 @@ def test_matching_reads_only_first_graph_of_file(capsys, tmp_path):
     path.write_text("\n \n", encoding="ascii")
     code, _, err = run_cli(capsys, "matching", str(path))
     assert code == EXIT_INPUT and f"no graphs in {path}" in err
+
+
+def test_single_graph_commands_read_a_file_to_its_first_graph(capsys, tmp_path):
+    # the lines after the first graph are not read: about 8 MB of them
+    # change neither the output nor the memory the command takes
+    path = tmp_path / "long.g6"
+    line = write_graph6(petersen()) + "\n"
+    path.write_text("\n" + line, encoding="ascii")
+    expected = run_cli(capsys, "matching", str(path))
+    with path.open("a", encoding="ascii") as fh:
+        fh.write(line * (8_000_000 // len(line)))
+    tracemalloc.start()
+    try:
+        found = run_cli(capsys, "matching", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == expected and expected[0] == EXIT_OK
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize(

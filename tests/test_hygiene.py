@@ -5,8 +5,9 @@ of the package is named somewhere, every module-level name the package
 assigns is read somewhere, every defaulted parameter of the package is
 passed by some call and left out by another, the package calls json.dump
 or json.dumps nowhere, only its report writer imports json's encoder,
-it forks in one place and imports no thread or process pool, and
-importing its command line loads no process machinery."""
+it forks in one place and imports no thread or process pool, importing
+its command line loads no process machinery and no numpy, and each command
+loads only the modules it runs."""
 
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "curvlab").glob("*.py"))
@@ -514,17 +517,52 @@ def test_one_fork_and_no_pool_in_the_package():
     assert pools == []
 
 
-def test_cli_import_loads_no_process_machinery():
-    # `curvlab check --help` imports curvlab.cli and nothing more, and the
-    # benchmark times it as start-up; the workers load signal only to fork
-    modules = ("multiprocessing", "concurrent.futures", "subprocess", "selectors", "signal")
-    code = "import sys, curvlab.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
+def _loaded(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """`python -c code argv...` with the package's sources on the path."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code, *modules],
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_cli_import_loads_no_process_machinery():
+    # `curvlab check --help` imports curvlab.cli and what its parser needs,
+    # and the benchmark times it as start-up; the workers load signal only
+    # to fork, and numpy is loaded by the commands that compute curvature
+    modules = ("multiprocessing", "concurrent.futures", "subprocess", "selectors", "signal")
+    code = "import sys, curvlab.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
+    result = _loaded(code, *modules, "numpy")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# the modules that only the commands reading curvature or scanning need
+HEAVY = ("numpy", "curvlab.curvature", "curvlab.theorems", "curvlab.enumeration", "curvlab.workers")
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (("check", "--help"), ()),
+        (("check",), ()),  # a usage error: --source is missing
+        (("matching", "petersen"), ()),
+        (("connectivity", "hypercube:3", "--classify-cuts"), ()),
+        (("regularity", "hamming2:3"), ()),
+        (("curvature", "cycle:5"), ("numpy", "curvlab.curvature")),
+        (("check", "--source", "exhaustive:3"), HEAVY),
+    ],
+    ids=["help", "usage-error", "matching", "connectivity", "regularity", "curvature", "check"],
+)
+def test_each_command_loads_only_what_it_runs(argv, loads):
+    # a command imports its modules when it runs, so the commands that read
+    # no curvature start without numpy and the checkers
+    code = (
+        "import sys\nfrom curvlab.cli import main\nmain(sys.argv[1:])\n"
+        f"print([m for m in {HEAVY!r} if m in sys.modules])"
+    )
+    result = _loaded(code, *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == repr(list(loads))
