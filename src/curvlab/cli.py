@@ -11,6 +11,14 @@ A command imports the modules it runs when it runs.  At module level are
 only what the parser needs and `emit_report` and `print_json`, so `--help`,
 a usage error and the commands that read no curvature (`connectivity`,
 `matching`, `regularity`) run without loading numpy or the checkers.
+
+A curvlab process runs numpy's BLAS on one thread: it sets
+OPENBLAS_NUM_THREADS to 1 before numpy can load, unless the caller has set
+it.  A scan already runs one forked worker per usable CPU
+(`workers.for_each`), and every matrix the kernel hands BLAS is one
+vertex's form, at most about 30 x 30 on the corpora scanned, so OpenBLAS's
+thread pool gains nothing and would cost each process that loads numpy
+some 60-70 ms to start.
 """
 
 from __future__ import annotations
@@ -24,6 +32,11 @@ from functools import partial
 from .formats import FormatError, iter_graph6_file, parse_edge_list, parse_integer, parse_real
 from .graph import Graph, GraphError, NeighborOracle
 from .reports import FORMATS, THEOREM_IDS, Report, emit_report, encode, print_json
+
+# one BLAS thread: scans already run one forked worker per usable CPU
+# (`workers.for_each`), and every BLAS call is on a matrix of at most about
+# 30 x 30.  No import above loads numpy, so this precedes it in every command
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 EXIT_OK = 0
 EXIT_WORKER = 1

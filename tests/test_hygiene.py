@@ -6,8 +6,8 @@ assigns is read somewhere, every defaulted parameter of the package is
 passed by some call and left out by another, the package calls json.dump
 or json.dumps nowhere, only its report writer imports json's encoder,
 it forks in one place and imports no thread or process pool, importing
-its command line loads no process machinery and no numpy, and each command
-loads only the modules it runs."""
+its command line loads no process machinery and no numpy, each command
+loads only the modules it runs, and each runs numpy's BLAS on one thread."""
 
 from __future__ import annotations
 
@@ -502,7 +502,8 @@ def test_fork_calls_and_pool_imports_are_found():
 def test_one_fork_and_no_pool_in_the_package():
     # a scan runs on several CPUs only through the forked workers of
     # curvlab.workers; a thread pool gained nothing, since the scan holds
-    # the interpreter lock
+    # the interpreter lock.  The other pool, numpy's BLAS threads, is ruled
+    # out by test_each_command_runs_blas_on_one_thread
     forks = [
         f"{path.relative_to(ROOT)}:{lineno}"
         for path in PACKAGE
@@ -517,14 +518,16 @@ def test_one_fork_and_no_pool_in_the_package():
     assert pools == []
 
 
-def _loaded(code: str, *argv: str) -> subprocess.CompletedProcess:
-    """`python -c code argv...` with the package's sources on the path."""
+def _loaded(code: str, *argv: str, **env: str | None) -> subprocess.CompletedProcess:
+    """`python -c code argv...` with the package's sources on the path and
+    the environment variables `env` set, or removed where they are None."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    environ = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env={k: v for k, v in environ.items() if v is not None},
     )
 
 
@@ -566,3 +569,41 @@ def test_each_command_loads_only_what_it_runs(argv, loads):
     result = _loaded(code, *argv)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == repr(list(loads))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize(
+    "argv",
+    [("curvature", "petersen"), ("check", "--source", "exhaustive:3")],
+    ids=["curvature", "check"],
+)
+def test_each_command_runs_blas_on_one_thread(argv):
+    # both commands run in one process, so the count shows a BLAS thread
+    # pool if numpy started one; a scan of several chunks cannot show it,
+    # since OpenBLAS joins its threads at the fork and a small matrix never
+    # starts them again
+    code = (
+        "import os, sys\nfrom curvlab.cli import main\nmain(sys.argv[1:])\n"
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+    result = _loaded(code, *argv, OPENBLAS_NUM_THREADS=None, OMP_NUM_THREADS=None)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "--source", "exhaustive:5"), ("curvature", "hypercube:6")],
+    ids=["check", "curvature"],
+)
+def test_a_callers_blas_threads_stay_and_change_no_output(argv):
+    code = (
+        "import os, sys\nfrom curvlab.cli import main\ncode = main(sys.argv[1:])\n"
+        "print(code, os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    # the last line is main's exit code and the setting numpy saw
+    callers = _loaded(code, *argv, OPENBLAS_NUM_THREADS="2")
+    default = _loaded(code, *argv, OPENBLAS_NUM_THREADS=None)
+    assert callers.stdout.endswith("\n0 2\n"), callers.stderr
+    assert default.stdout.endswith("\n0 1\n"), default.stderr
+    assert (callers.stdout[:-4], callers.stderr) == (default.stdout[:-4], default.stderr)
