@@ -10,12 +10,18 @@ Usage: python scripts/amply_curvature_survey.py [--csv out.csv]
 
 import argparse
 import csv
+import os
 import sys
 
-from curvlab.curvature import graph_curvature
-from curvlab.generators import generate
-from curvlab.regularity import detect_regularity
-from curvlab.theorems import CURVATURE_TOL, nonnegatively_curved
+# one BLAS thread unless the caller has set it, as the curvlab command line
+# runs it: every matrix the kernel hands BLAS is one vertex's form, too small
+# for OpenBLAS's thread pool to gain anything.  It must precede numpy's import
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from curvlab.curvature import graph_curvature  # noqa: E402
+from curvlab.generators import generate  # noqa: E402
+from curvlab.regularity import detect_regularity  # noqa: E402
+from curvlab.theorems import CURVATURE_TOL, nonnegatively_curved  # noqa: E402
 
 CORPUS = [
     "cycle:4",

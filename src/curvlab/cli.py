@@ -149,7 +149,7 @@ def cmd_regularity(args) -> int:
 def cmd_check(args) -> int:
     import tempfile
 
-    from .theorems import corpus, scan_chunks
+    from .theorems import corpus, scan
 
     graphs = corpus(args.source)
     ids = THEOREM_IDS
@@ -174,7 +174,7 @@ def cmd_check(args) -> int:
                 held += graph_held
                 violations.extend(lines)
 
-        scan_chunks(graphs, ids, partial(_checked_chunk, args.format), take)
+        scan(graphs, ids, partial(_checked_chunk, args.format), take)
         emit_report(report)
     print(
         f"\nchecked {verdicts} verdicts on {total_graphs} graphs: "

@@ -5,13 +5,12 @@ graphs: an applicability test (the hypotheses) and a conclusion test.  A
 verdict that is applicable but does not hold indicates an implementation
 bug somewhere in the pipeline, never new mathematics, and the scanner
 reports it with full evidence.  A corpus scan (`scan`) reads the
-(gid, Graph) pairs of a `corpus` and yields each graph with its verdicts
-as it goes; it shares one `GraphFacts` between the checkers on a graph and
-fills the curvature of a chunk of graphs with one kernel call on the
-chunk's list of connected graphs.  `scan_chunks` runs the same scan on
-every usable CPU, a chunk per process at a time, and hands on a summary
-of each chunk in corpus order; `curvlab check` and `conjecture_scan`
-count what those summaries hold.
+(gid, Graph) pairs of a `corpus` in chunks, on every usable CPU, and hands
+a summary of each chunk's graphs and verdicts on in corpus order; it
+shares one `GraphFacts` between the checkers on a graph and fills the
+curvature of a chunk with one kernel call on the chunk's list of connected
+graphs.  `curvlab check` and `conjecture_scan` count what those summaries
+hold.
 
 Checker ids:
   T1.1  regular + even order + nonnegative curvature  => perfect matching
@@ -78,8 +77,8 @@ class TheoremVerdict:
 
 
 class _Chunk:
-    """Connected graphs buffered together (`_with_facts`), whose curvature
-    one kernel call fills on first read."""
+    """The connected graphs of one chunk of a scan, whose curvature one
+    kernel call fills on first read."""
 
     def __init__(self):
         self.graphs: list[Graph] = []
@@ -307,18 +306,6 @@ def _chunks(graphs: Iterable[tuple[str, Graph]]) -> Iterator[list[tuple[str, Gra
         yield chunk
 
 
-def _with_facts(graphs: Iterable[tuple[str, Graph]]) -> Iterator[tuple[str, Graph, GraphFacts]]:
-    """(gid, g, facts) for each graph, in the order given.
-
-    The facts of the connected graphs of one run of `_chunks` share a
-    `_Chunk`, so the first curvature read of a chunk fills them all with
-    one kernel call.
-    """
-    for pairs in _chunks(graphs):
-        chunk = _Chunk()
-        yield from [(gid, g, GraphFacts(g, chunk)) for gid, g in pairs]
-
-
 def _checked_ids(theorem_ids: Sequence[str]) -> tuple[str, ...]:
     """The ids as a tuple, once each is known to be a checker's, and given once."""
     theorem_ids = tuple(theorem_ids)
@@ -331,43 +318,43 @@ def _checked_ids(theorem_ids: Sequence[str]) -> tuple[str, ...]:
 
 
 def scan(
-    graphs: Iterable[tuple[str, Graph]], theorem_ids: Sequence[str] = THEOREM_IDS
-) -> Iterator[tuple[Graph, list[TheoremVerdict]]]:
-    """Run checkers over (gid, Graph) pairs and yield each graph with its
-    verdicts, in corpus order and in the order of `theorem_ids`.
-
-    The ids are checked before the first graph is read.  The checkers on one
-    graph share one `GraphFacts`, so each per-graph quantity is computed at
-    most once, and the first curvature read in a chunk of graphs fills the
-    whole chunk (`_with_facts`).  A chunk's verdicts are yielded once the
-    graph that closes it has been read, and before any later graph is.
-    """
-    theorem_ids = _checked_ids(theorem_ids)
-    return (
-        (g, [check_theorem(g, tid, gid, facts) for tid in theorem_ids])
-        for gid, g, facts in _with_facts(graphs)
-    )
-
-
-def scan_chunks(
     graphs: Iterable[tuple[str, Graph]],
     theorem_ids: Sequence[str],
-    summarize: Callable[[Iterator[tuple[Graph, list[TheoremVerdict]]]], R],
+    summarize: Callable[[list[tuple[Graph, list[TheoremVerdict]]]], R],
     take: Callable[[R], None],
 ) -> None:
-    """`scan` on every usable CPU: `summarize` each chunk's scan, the
-    (graph, verdicts) pairs of its graphs, and pass the summaries to `take`
-    in corpus order.
+    """Run checkers over (gid, Graph) pairs on every usable CPU: `summarize`
+    each chunk's list of (graph, verdicts) pairs, in corpus order and in the
+    order of `theorem_ids`, and pass the summaries to `take` in corpus order.
 
-    The ids are checked before the first graph is read.  The chunks are
-    those `scan` forms, and `workers.for_each` spreads them over the CPUs:
-    `summarize` runs in the process that owns the chunk and returns what
-    `marshal` can write, and `take` runs in this one.  A corpus is walked
-    in every worker process, so it must come out the same each time it is
-    read; the corpora of `corpus` do.
+    The ids are checked before the first graph is read.  `workers.for_each`
+    spreads the runs of `_chunks` over the CPUs: `summarize` runs in the
+    process that owns the chunk and returns what `pickle` can write, and
+    `take` runs in this one.  The checkers on one graph share one
+    `GraphFacts`, so each per-graph quantity is computed at most once, and
+    the first curvature read in a chunk fills the whole chunk.  A corpus is
+    walked in every worker process, so it must come out the same each time
+    it is read; the corpora of `corpus` do.
     """
     theorem_ids = _checked_ids(theorem_ids)
-    for_each(_chunks(graphs), lambda pairs: summarize(scan(pairs, theorem_ids)), take)
+    for_each(_chunks(graphs), partial(_scan_chunk, theorem_ids, summarize), take)
+
+
+def _scan_chunk(
+    theorem_ids: tuple[str, ...],
+    summarize: Callable[[list[tuple[Graph, list[TheoremVerdict]]]], R],
+    pairs: list[tuple[str, Graph]],
+) -> R:
+    """`summarize` of one chunk's (graph, verdicts) pairs.  The facts of
+    every graph join one `_Chunk` before any verdict is made."""
+    chunk = _Chunk()
+    facts = [GraphFacts(g, chunk) for _, g in pairs]
+    return summarize(
+        [
+            (g, [check_theorem(g, tid, gid, f) for tid in theorem_ids])
+            for (gid, g), f in zip(pairs, facts)
+        ]
+    )
 
 
 def conjecture_scan(max_n: int) -> dict:
@@ -394,7 +381,7 @@ def conjecture_scan(max_n: int) -> dict:
 
     # a single vertex has lambda = 0 by convention: trivial
     graphs = ((gid, g) for gid, g in connected_graphs_upto(max_n) if g.n >= 2)
-    scan_chunks(graphs, ("T1.3",), _t13_rows, take)
+    scan(graphs, ("T1.3",), _t13_rows, take)
     return {
         "max_n": max_n,
         "nonnegative_curvature_graphs": sum(table.values()),
@@ -403,9 +390,7 @@ def conjecture_scan(max_n: int) -> dict:
     }
 
 
-def _t13_rows(
-    pairs: Iterator[tuple[Graph, list[TheoremVerdict]]],
-) -> list[tuple[str, int, int, int]]:
+def _t13_rows(pairs: list[tuple[Graph, list[TheoremVerdict]]]) -> list[tuple[str, int, int, int]]:
     """(gid, n, delta, lambda) of each graph whose one verdict, T1.3's, is
     applicable: what `conjecture_scan` tabulates."""
     return [

@@ -12,21 +12,21 @@ own; so the chunks must come out the same in each process, as a corpus
 does, and a chunk should cost little to walk past.  With one worker
 nothing is forked and the same loop runs here alone.
 
-A forked worker appends each of its results, marshalled, to a spool file
-of its own and writes the record's length to its pipe; this process
-reads the pipes in chunk order and the records from the spools, so a
-worker does not wait for this one to catch up.  `take` always runs here.
-An exception that `work`, or the walk, raises in a worker travels
-pickled and is raised here in place of the result of the chunk it
-stopped at: the run fails where, and as, a loop in one process would.  A
-worker that ends without its results raises `WorkerError`.  On every way
+A forked worker appends each of its results, pickled, to a spool file of
+its own and writes the record's length to its pipe; this process reads
+the pipes in chunk order and the records from the spools, so a worker
+does not wait for this one to catch up.  `take` always runs here.  An
+exception that `work`, the walk or the pickling of a result raises in a
+worker travels pickled too, and is raised here in place of the result of
+the chunk it stopped at: the run fails where, and as, a loop in one
+process would.  A worker that ends without its results raises
+`WorkerError`.  On every way
 out, SIGTERM included, this process kills the workers still running and
 reaps them all before it returns.
 """
 
 from __future__ import annotations
 
-import marshal
 import os
 import pickle
 import sys
@@ -55,7 +55,7 @@ def usable_cpus() -> int:
 def for_each(chunks: Iterable[C], work: Callable[[C], R], take: Callable[[R], None]) -> None:
     """`take(work(chunk))` for each chunk in order, `work` spread over the
     usable CPUs (see the module docstring).  Each result of `work` must be
-    something `marshal` can write."""
+    something `pickle` can write."""
     chunks = iter(chunks)
     head: list[C] = []
     try:
@@ -123,10 +123,10 @@ class _Worker:
         size = int.from_bytes(header, "little")
         record = _read(self.spool.fileno(), size, self.offset)
         self.offset += size
-        ok, value = marshal.loads(record)
+        ok, value = pickle.loads(record)
         if ok:
             return value
-        raise pickle.loads(value)
+        raise value
 
     def reap(self) -> str:
         """Wait for the worker to end, and say how it ended."""
@@ -187,13 +187,13 @@ def _serve(chunks: Iterator[C], work: Callable[[C], R], count: int, me: int, pip
     try:
         for i, chunk in enumerate(chunks):
             if i % count == me:
-                _send(pipe, spool, marshal.dumps((True, work(chunk))))
+                _send(pipe, spool, pickle.dumps((True, work(chunk))))
     except Exception as exc:
         try:
-            payload = pickle.dumps(exc)
+            record = pickle.dumps((False, exc))
         except Exception:  # an exception that does not pickle is named instead
-            payload = pickle.dumps(WorkerError(f"{type(exc).__name__}: {exc}"))
-        _send(pipe, spool, marshal.dumps((False, payload)))
+            record = pickle.dumps((False, WorkerError(f"{type(exc).__name__}: {exc}")))
+        _send(pipe, spool, record)
 
 
 def _send(pipe: int, spool: int, record: bytes) -> None:

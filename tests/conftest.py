@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from curvlab import workers
 from curvlab.generators import (
     complete_bipartite,
     complete_graph,
@@ -22,6 +23,8 @@ from curvlab.generators import (
 )
 from curvlab.graph import Graph, ball, from_edge_list, is_connected
 from curvlab.regularity import RegularityClass
+from curvlab.reports import THEOREM_IDS
+from curvlab.theorems import scan
 
 
 def amply_corpus() -> dict[str, Graph]:
@@ -72,6 +75,14 @@ def mixed_corpus() -> dict[str, Graph]:
             corpus[f"rand{made}"] = g
             made += 1
     return corpus
+
+
+def scan_pairs(graphs, theorem_ids=THEOREM_IDS) -> list:
+    """Every (graph, verdicts) pair of a `theorems.scan` of the (gid, Graph)
+    pairs `graphs`, in corpus order."""
+    pairs = []
+    scan(graphs, theorem_ids, list, pairs.extend)
+    return pairs
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -151,3 +162,11 @@ def amply():
 @pytest.fixture(scope="session")
 def corpus():
     return mixed_corpus()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k) makes k the usable CPUs, and so the workers of a scan.  A test
+    that counts calls or objects in its own process pins one, since a forked
+    worker's are not seen here."""
+    return lambda k: monkeypatch.setattr(workers, "usable_cpus", lambda: k)

@@ -39,8 +39,8 @@ from curvlab.regularity import (
     local_graph_spectrum,
 )
 from curvlab.reports import render
-from curvlab.theorems import beta1_search, corpus, scan
-from conftest import amply_corpus, mixed_corpus, partition_minima, random_graph
+from curvlab.theorems import beta1_search, corpus
+from conftest import amply_corpus, mixed_corpus, partition_minima, random_graph, scan_pairs
 
 TOL = 1e-8
 
@@ -359,7 +359,7 @@ def test_criterion_11_formats_and_determinism():
 
     text = "gen:petersen;hypercube:4;paley:13;cycle:4"
     renders = {
-        render([v for _, vs in scan(corpus(text), ("T1.3", "T1.4", "T2.5")) for v in vs])
+        render([v for _, vs in scan_pairs(corpus(text), ("T1.3", "T1.4", "T2.5")) for v in vs])
         for _ in range(3)
     }
     ok = bad == 0 and len(renders) == 1
@@ -375,7 +375,7 @@ def test_criterion_11_formats_and_determinism():
 def test_exhaustive_scan_all_checkers_clean():
     # full-theorem sweep on <= 7 vertices: any applicable-but-failed verdict
     # is an implementation bug by construction
-    verdicts = [v for _, vs in scan(corpus("exhaustive:7")) for v in vs]
+    verdicts = [v for _, vs in scan_pairs(corpus("exhaustive:7")) for v in vs]
     violations = [v for v in verdicts if v.violated]
     ok = not violations
     report(0, ok, f"bonus sweep: {len(verdicts)} verdicts on n<=7, {len(violations)} violations")

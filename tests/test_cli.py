@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from curvlab import cli, cuts, regularity, theorems, workers
+from curvlab import cli, cuts, regularity, theorems
 from curvlab.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from curvlab.formats import write_graph6
 from curvlab.generators import hamming2, petersen
@@ -514,13 +514,13 @@ def test_check_that_fails_in_the_scan_writes_nothing(capsys, monkeypatch, tmp_pa
     assert len(written) == (3 if "cycle:300" in source else 0)
 
 
-def test_check_peak_memory_is_below_the_report_size(capsys, monkeypatch, tmp_path):
+def test_check_peak_memory_is_below_the_report_size(capsys, cpus, tmp_path):
     # the report is written as the scan goes, so a check keeps neither the
     # verdicts nor the text: traced, exhaustive:7 peaked at 6.98 MiB against
     # its 1.30 MiB report when it kept both, and at 0.75 MiB streamed; one
     # worker, so that tracemalloc sees the whole scan and no forked process
     # takes a share of it
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    cpus(1)
     out = tmp_path / "report.json"
     assert run_cli(capsys, "check", "--source", "exhaustive:3", "--out", str(out))[0] == EXIT_OK
     tracemalloc.start()

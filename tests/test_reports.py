@@ -8,11 +8,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import mixed_corpus
+from conftest import mixed_corpus, scan_pairs
 from curvlab import cli
 from curvlab.generators import cycle_graph, petersen
 from curvlab.reports import FORMATS, Report, _dump, emit_report, encode, print_json, render
-from curvlab.theorems import THEOREM_IDS, TheoremVerdict, check_theorem, corpus, scan
+from curvlab.theorems import THEOREM_IDS, TheoremVerdict, check_theorem, corpus
 
 
 def test_empty_json():
@@ -66,7 +66,7 @@ def test_emit_report_to_file(capsys, tmp_path):
     # and the same text as the whole report in one string; every json and
     # csv text that is not empty ends in a newline
     graphs = [("C4", cycle_graph(4)), ("C5", cycle_graph(5)), ("petersen", petersen())]
-    verdicts = [v for _, vs in scan(graphs, ("T1.3", "T1.4")) for v in vs]
+    verdicts = [v for _, vs in scan_pairs(graphs, ("T1.3", "T1.4")) for v in vs]
     per_graph = [verdicts[:2], verdicts[2:3], verdicts[3:]]
     for fmt in FORMATS:
         whole = render(verdicts, fmt)
@@ -143,11 +143,11 @@ def records(verdicts):
 
 @pytest.fixture(scope="module")
 def exhaustive6():
-    return [v for _, vs in scan(corpus("exhaustive:6"), THEOREM_IDS) for v in vs]
+    return [v for _, vs in scan_pairs(corpus("exhaustive:6"), THEOREM_IDS) for v in vs]
 
 
 def test_encoder_matches_json_on_every_record(exhaustive6):
-    named = [v for _, vs in scan(sorted(mixed_corpus().items()), THEOREM_IDS) for v in vs]
+    named = [v for _, vs in scan_pairs(sorted(mixed_corpus().items()), THEOREM_IDS) for v in vs]
     for verdicts in (exhaustive6, named):
         for record in records(verdicts):
             assert_dumps_like_json(record)

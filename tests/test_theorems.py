@@ -23,12 +23,13 @@ from curvlab.theorems import (
     scan,
 )
 from curvlab.reports import render
+from conftest import scan_pairs
 
 
 def scanned(text, theorem_ids=THEOREM_IDS):
     """The number of graphs a scan of a corpus (in its CLI form) yields, and
     all their verdicts in order."""
-    pairs = list(scan(theorems.corpus(text), theorem_ids))
+    pairs = scan_pairs(theorems.corpus(text), theorem_ids)
     return len(pairs), [v for _, verdicts in pairs for v in verdicts]
 
 
@@ -147,7 +148,8 @@ def test_scan_shared_facts_match_checkers_alone(text):
     assert render(verdicts) == render(alone)
 
 
-def test_scan_computes_each_fact_once_per_graph(monkeypatch):
+def test_scan_computes_each_fact_once_per_graph(cpus, monkeypatch):
+    cpus(1)
     names = ("graph_curvature", "edge_connectivity", "maximum_matching", "detect_regularity")
     # (function name, graph), one entry for each graph in a kernel call's
     # list; holding the graphs keeps their ids distinct
@@ -170,11 +172,12 @@ def test_scan_computes_each_fact_once_per_graph(monkeypatch):
     assert max(per_graph.values()) == 1
 
 
-def test_scan_uses_only_the_whole_graph_curvature_kernel(monkeypatch):
+def test_scan_uses_only_the_whole_graph_curvature_kernel(cpus, monkeypatch):
     # bakry_emery_curvature (the kernel on one 2-ball, plus the witness)
     # serves --vertex queries, oracles and witnesses, and curvature_form is
     # only the reference of the tests and the bisection; a scan runs the
     # kernel once on the whole graph and extracts no 2-ball
+    cpus(1)
     calls = []
     per_vertex = [
         (curvature, "bakry_emery_curvature"),
@@ -196,46 +199,52 @@ def test_scan_uses_only_the_whole_graph_curvature_kernel(monkeypatch):
     assert calls == []
 
 
-def _chunked_curvature_matches_per_graph(graphs, monkeypatch):
-    """Read every connected graph's curvature while its chunk is current,
-    as a scan does, and hold its (kmin, ks) byte-equal to graph_curvature on
-    the graph alone; return the vertex count of each kernel call's list,
-    which holds connected graphs only."""
-    runs = []
+def _chunked_curvature_matches_per_graph(graphs, cpus, monkeypatch):
+    """Scan with one worker and a checker, T2.4, that reads no curvature,
+    read every connected graph's curvature in its checker call, and hold its
+    (kmin, ks) byte-equal to graph_curvature on the graph alone; return the
+    vertex count of each kernel call's list, which holds connected graphs
+    only."""
+    runs, seen = [], []
 
     def counted(gs, *args, **kwargs):
         assert all(h.n > 0 and graph.is_connected(h) for h in gs)
         runs.append(sum(h.n for h in gs))
         return curvature.graph_curvature(gs, *args, **kwargs)
 
+    check = theorems.check_theorem
+
+    def reading(g, tid, gid="?", facts=None):
+        seen.append((gid, g))
+        if facts.connected:
+            kmin, ks = facts.curvature
+            [(ref_kmin, ref_ks)] = curvature.graph_curvature([g])
+            assert np.array(ks).tobytes() == np.array(ref_ks).tobytes(), gid  # signed zeros too
+            assert np.array(kmin).tobytes() == np.array(ref_kmin).tobytes(), gid
+        return check(g, tid, gid, facts)
+
+    cpus(1)
     monkeypatch.setattr(theorems, "graph_curvature", counted)
-    out = []
-    for gid, g, facts in theorems._with_facts(graphs):
-        out.append((gid, g, facts))
-        if not facts.connected:
-            continue
-        kmin, ks = facts.curvature
-        [(ref_kmin, ref_ks)] = curvature.graph_curvature([g])
-        assert np.array(ks).tobytes() == np.array(ref_ks).tobytes(), gid  # signed zeros too
-        assert np.array(kmin).tobytes() == np.array(ref_kmin).tobytes(), gid
-    assert [(gid, g) for gid, g, _ in out] == graphs  # corpus order
+    monkeypatch.setattr(theorems, "check_theorem", reading)
+    scan_pairs(graphs, ("T2.4",))
+    assert seen == graphs  # corpus order
     return runs
 
 
-def test_chunked_curvature_exhaustive7(monkeypatch):
+def test_chunked_curvature_exhaustive7(cpus, monkeypatch):
     graphs = list(connected_graphs_upto(7))
-    runs = _chunked_curvature_matches_per_graph(graphs, monkeypatch)
+    runs = _chunked_curvature_matches_per_graph(graphs, cpus, monkeypatch)
     assert sum(runs) == sum(g.n for _, g in graphs)
     assert max(runs) <= theorems._CHUNK_VERTICES and len(runs) < len(graphs) / 20
 
 
-def test_chunked_curvature_test_corpus(corpus, monkeypatch):
+def test_chunked_curvature_test_corpus(corpus, cpus, monkeypatch):
     graphs = sorted(corpus.items())
-    runs = _chunked_curvature_matches_per_graph(graphs, monkeypatch)
+    runs = _chunked_curvature_matches_per_graph(graphs, cpus, monkeypatch)
     assert max(runs) <= theorems._CHUNK_VERTICES and len(runs) < len(graphs)
 
 
-def test_chunked_curvature_file_corpus(corpus, monkeypatch, tmp_path):
+def test_chunked_curvature_file_corpus(corpus, cpus, monkeypatch, tmp_path):
     # chunks that hold an empty graph (graph6 "?"), a disconnected graph and
     # a graph larger than the chunk bound, which makes a chunk of its own
     big = hypercube(9)
@@ -248,12 +257,13 @@ def test_chunked_curvature_file_corpus(corpus, monkeypatch, tmp_path):
     path = tmp_path / "mixed.g6"
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     graphs = list(theorems.corpus(str(path)))
-    runs = _chunked_curvature_matches_per_graph(graphs, monkeypatch)
+    runs = _chunked_curvature_matches_per_graph(graphs, cpus, monkeypatch)
     assert max(runs) == big.n  # alone: a chunk holding more would be larger
     assert len(runs) < sum(1 for _, g in graphs if g.n > 0 and graph.is_connected(g))
 
 
-def test_scan_without_curvature_checkers_runs_no_kernel(monkeypatch):
+def test_scan_without_curvature_checkers_runs_no_kernel(cpus, monkeypatch):
+    cpus(1)
     calls = []
     monkeypatch.setattr(theorems, "graph_curvature", lambda *args: calls.append(args))
     _, verdicts = scanned("exhaustive:5", ("T1.2", "T1.4", "C1.6", "T2.4"))
@@ -262,10 +272,13 @@ def test_scan_without_curvature_checkers_runs_no_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("tid", ("T2.5", "T1.1"))
-def test_scan_with_one_curvature_checker_fills_whole_chunks(tid, corpus, monkeypatch, tmp_path):
+def test_scan_with_one_curvature_checker_fills_whole_chunks(
+    tid, corpus, cpus, monkeypatch, tmp_path
+):
     # the checker reads curvature on few graphs of a chunk; the first read
     # fills the chunk, so there are fewer kernel calls than applicable
     # verdicts, and the verdicts are those of the all-checker scan
+    cpus(1)
     graphs = [g for _, g in connected_graphs_upto(6)] + [g for _, g in sorted(corpus.items())]
     path = tmp_path / "corpus.g6"
     path.write_text("".join(write_graph6(g) + "\n" for g in graphs), encoding="ascii")
@@ -283,9 +296,10 @@ def test_scan_with_one_curvature_checker_fills_whole_chunks(tid, corpus, monkeyp
     assert render(verdicts) == render([v for v in everything if v.theorem == tid])
 
 
-def test_scan_frees_facts_without_the_cycle_collector():
+def test_scan_frees_facts_without_the_cycle_collector(cpus):
     # facts point to their chunk, which holds graphs and no facts, so no
     # reference cycle keeps a scanned chunk's facts alive until a collection
+    cpus(1)
     def alive():
         return sum(isinstance(o, theorems.GraphFacts) for o in gc.get_objects())
 
@@ -298,27 +312,34 @@ def test_scan_frees_facts_without_the_cycle_collector():
         gc.enable()
 
 
-def test_scan_yields_a_chunk_before_reading_past_it():
+def test_scan_yields_a_chunk_before_reading_past_it(cpus):
     # cycle:8 fills a chunk with _CHUNK_VERTICES // 8 graphs, and the graph
-    # after them closes it; the chunk's verdicts must come out before the
-    # scan reads any further
+    # after them closes it; with one worker the chunk's summary must be
+    # taken before the scan reads any further, and taking it ends the scan
+    cpus(1)
     per_chunk = theorems._CHUNK_VERTICES // 8
-    read = []
+    read, taken = [], []
+
+    class Taken(Exception):
+        pass
 
     def graphs():
         for i in itertools.count():
-            assert i <= per_chunk, "read a second graph past the first chunk"
             read.append(i)
             yield f"C8#{i}", cycle_graph(8)
 
-    pairs = scan(graphs(), ("T1.3", "T1.1"))
-    first = list(itertools.islice(pairs, per_chunk))
-    assert read == list(range(per_chunk + 1))
-    assert [verdicts[0].graph_id for _, verdicts in first] == [f"C8#{i}" for i in read[:-1]]
-    assert all(g == cycle_graph(8) for g, _ in first)
-    for _, verdicts in first:
-        assert [v.theorem for v in verdicts] == ["T1.3", "T1.1"]
-        assert all(v.applicable and v.holds for v in verdicts)
+    def take(first):
+        taken.append(list(read))
+        assert [verdicts[0].graph_id for _, verdicts in first] == [f"C8#{i}" for i in read[:-1]]
+        assert all(g == cycle_graph(8) for g, _ in first)
+        for _, verdicts in first:
+            assert [v.theorem for v in verdicts] == ["T1.3", "T1.1"]
+            assert all(v.applicable and v.holds for v in verdicts)
+        raise Taken
+
+    with pytest.raises(Taken):
+        scan(graphs(), ("T1.3", "T1.1"), list, take)
+    assert taken == [list(range(per_chunk + 1))]
 
 
 def test_scan_checks_ids_before_reading_a_graph():
@@ -328,7 +349,7 @@ def test_scan_checks_ids_before_reading_a_graph():
 
     for ids in (("T1.3", "T7.7"), ("T1.3", "T1.3")):
         with pytest.raises(GraphError, match="theorem id"):
-            list(scan(unread(), ids))
+            scan_pairs(unread(), ids)
 
 
 def test_scan_file_source(tmp_path):
@@ -359,7 +380,7 @@ def test_generator_corpus_ids_are_the_parsed_specs():
 
 def test_scan_rejects_unknown_theorem():
     with pytest.raises(GraphError):
-        scan(theorems.corpus("gen:petersen"), ("T7.7",))
+        scan_pairs(theorems.corpus("gen:petersen"), ("T7.7",))
 
 
 def test_sign_rule_boundary():

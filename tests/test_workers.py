@@ -2,7 +2,7 @@
 violations and failures of a run with two workers are those of a run with
 one, and no worker outlives the run on any way out.
 
-The worker count is forced by replacing `workers.usable_cpus`; a worker
+The worker count is forced by the `cpus` fixture of conftest; a worker
 forked during a test runs the test's own replacements, which the tests use
 to plant violations and failures in chunks that a forked worker owns."""
 
@@ -20,7 +20,7 @@ from curvlab.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, EXIT_WORKER, main
 from curvlab.enumeration import connected_graphs_upto
 from curvlab.formats import write_graph6
 from curvlab.graph import GraphError
-from curvlab.reports import FORMATS
+from curvlab.reports import FORMATS, THEOREM_IDS, render
 from curvlab.theorems import TheoremVerdict, conjecture_scan
 from conftest import mixed_corpus
 
@@ -30,12 +30,6 @@ GEN_MIX = (
     "cycle:100;complete:4;beta1_counterexample;product:cycle:4+hypercube:3;kbip:3,4;"
     "cycle:260;hamming2:3"
 )
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """force(k) makes k the usable CPUs, and so the workers of a run."""
-    return lambda k: monkeypatch.setattr(workers, "usable_cpus", lambda: k)
 
 
 @pytest.fixture
@@ -128,6 +122,38 @@ def test_conjecture_scan_with_two_workers(cpus, forks):
     assert conjecture_scan(6) == one and list(conjecture_scan(6)["table"]) == list(one["table"])
     assert one["nonnegative_curvature_graphs"] > 0
     assert len(forks) == 2 and no_child_left()
+
+
+@pytest.mark.parametrize("source", ["exhaustive:6", GEN_MIX])
+def test_verdicts_from_a_worker_render_as_in_one_process(cpus, forks, source):
+    # the summary is the verdicts themselves, evidence objects and all, so
+    # everything a report reads of them travels from the forked worker
+    def summarize(pairs):
+        return [v for _, verdicts in pairs for v in verdicts]
+
+    renders = []
+    for k in (1, 2):
+        cpus(k)
+        verdicts = []
+        theorems.scan(theorems.corpus(source), THEOREM_IDS, summarize, verdicts.extend)
+        renders.append([render(verdicts, fmt) for fmt in FORMATS])
+    assert renders[1] == renders[0]
+    assert len(forks) == 1 and no_child_left()
+
+
+def test_a_summary_that_does_not_pickle_fails_the_run_at_its_chunk(cpus, forks):
+    # a generator does not pickle: the first chunk's, made here, is taken;
+    # the forked worker's, the second chunk's, fails the run in its place
+    def summarize(pairs):
+        return (v.graph_id for _, [v] in pairs)
+
+    cpus(2)
+    chunks = chunk_ids(GEN_MIX)
+    taken = []
+    with pytest.raises(TypeError, match="pickle 'generator' object"):
+        theorems.scan(theorems.corpus(GEN_MIX), ("T1.3",), summarize, taken.append)
+    assert [list(ids) for ids in taken] == chunks[:1]
+    assert len(forks) == 1 and no_child_left()
 
 
 def test_violations_planted_in_workers_chunks_come_out_in_corpus_order(
