@@ -5,7 +5,8 @@ Graph specs are either a path to a graph6/sparse6 or edge-list file, or a
 generator string such as "hypercube:4", "paley:13", "zxk:3" (the integer
 line times K_3).  Exit codes: 0 clean, 1 a scan worker process ended
 without its results, 2 a proved statement failed on some graph (an
-implementation bug), 3 bad input or a usage error.
+implementation bug), 3 bad input, a usage error or an output that could
+not be written.
 
 A command imports the modules it runs when it runs.  At module level are
 only what the parser needs and `emit_report` and `print_json`, so `--help`,
@@ -19,6 +20,16 @@ it.  A scan already runs one forked worker per usable CPU
 vertex's form, at most about 30 x 30 on the corpora scanned, so OpenBLAS's
 thread pool gains nothing and would cost each process that loads numpy
 some 60-70 ms to start.
+
+A curvlab process ends without the interpreter's teardown: `run`, the
+program's entry point, calls `main` and then `os._exit`.  Freeing numpy's
+modules, the checkers and a scan's heap one object at a time took about
+30 ms of a 0.35 s `check` pass and bought nothing, since the operating
+system reclaims the memory at once.  `main` returns only once all a
+command owes is written: each write to stdout is flushed inside the
+command, so a write that fails is reported as `error: ...` with exit code
+3, the scan's workers are reaped, and every file is closed by its `with`
+block; curvlab registers no `atexit` handler.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ import math
 import os
 import sys
 from functools import partial
+from typing import NoReturn
 
 from .formats import FormatError, iter_graph6_file, parse_edge_list, parse_integer, parse_real
 from .graph import Graph, GraphError, NeighborOracle
@@ -280,12 +292,15 @@ def _attach_vertex_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command `argv` names (default: sys.argv[1:]) and return its
+    exit code once all it wrote to stdout is flushed."""
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_vertex_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
-        return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    try:
+        try:
+            args = parser.parse_args(_attach_vertex_values(sys.argv[1:] if argv is None else argv))
+        except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+            sys.stdout.flush()  # the --help text
+            return EXIT_OK if exc.code == 0 else EXIT_INPUT
         return args.fn(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -301,5 +316,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_WORKER
 
 
+def run() -> NoReturn:
+    """The `curvlab` program: run the command on the command line and end
+    the process with its exit code, without the interpreter's teardown (see
+    the module docstring).  An exception that escapes `main`, such as the
+    SystemExit a SIGTERM raises during a scan, ends it the usual way."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -88,8 +88,9 @@ def _encode(value, nl: str, pad: str) -> str:
 
 
 def print_json(payload) -> None:
-    """Write a command's payload to stdout as indented JSON with sorted keys."""
-    print(_dump(payload))
+    """Write a command's payload to stdout as indented JSON with sorted keys,
+    and flush it, so that a failed write raises here."""
+    print(_dump(payload), flush=True)
 
 
 # the report formats `curvlab check --format` offers
@@ -198,8 +199,8 @@ def render(verdicts: Sequence[TheoremVerdict], fmt: str = "json") -> str:
 def emit_report(report: Report, rows: Sequence[tuple[str, str]] | None = None) -> str:
     """Write the text of one graph's rows (see `encode`) to the report's
     spool, or, called without rows, the text that closes the report, and
-    then copy the spool to the report's destination.  Returns the text
-    written to the spool."""
+    then copy the spool to the report's destination and flush it.  Returns
+    the text written to the spool."""
     text = report.end() if rows is None else report.add(rows)
     report.spool.write(text)
     if rows is None:
@@ -207,4 +208,5 @@ def emit_report(report: Report, rows: Sequence[tuple[str, str]] | None = None) -
         out = report.out
         with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
             shutil.copyfileobj(report.spool, fh)
+            fh.flush()  # stdout's failed write raises here, as a file's would on close
     return text

@@ -452,6 +452,9 @@ def test_exploration_output_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the json report of exhaustive:6, which test_check_report_pinned and
+# test_a_launch_writes_the_pinned_report pin
+EXHAUSTIVE6_JSON_SHA256 = "601c40391dde7b8ff73f80dc2f44dac86a07716c014ed0592b69896307fda62d"
 # the csv and markdown reports of the sources of test_check_report_pinned
 REPORT_SHA256 = {
     "exhaustive:6": {
@@ -473,7 +476,7 @@ REPORT_SHA256 = {
 @pytest.mark.parametrize(
     "source, digest",
     [
-        ("exhaustive:6", "601c40391dde7b8ff73f80dc2f44dac86a07716c014ed0592b69896307fda62d"),
+        ("exhaustive:6", EXHAUSTIVE6_JSON_SHA256),
         (
             "gen:petersen;hypercube:4;paley:13;cycle:4;hamming2:3",
             "bd021ad429344720cd871439d18f4fa10a00900e6dbaff98c73cad17fd748044",
@@ -759,6 +762,83 @@ def test_usage_error_exits_3(capsys, argv):
 def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, "check", "--help")
     assert code == EXIT_OK and "--source" in out
+
+
+def launch(tmp_path: Path, *argv: str, stdout=subprocess.PIPE) -> tuple[int, bytes, str]:
+    """Exit code, stdout and stderr of `python -m curvlab.cli argv...`, the
+    launch the benchmark times, run with stdout buffered (PYTHONUNBUFFERED
+    removed) and an empty TMPDIR.  The process ends by `os._exit`, so a
+    byte left in a buffer would be lost.  Asserts that no temporary file
+    and no process of its session, such as a scan worker, outlive it."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir(parents=True)
+    root = Path(__file__).resolve().parent.parent
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, TMPDIR=str(tmp))
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(
+        [sys.executable, "-m", "curvlab.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        start_new_session=True,
+    ) as proc:
+        out, err = proc.communicate(timeout=120)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert list(tmp.iterdir()) == []
+    return proc.returncode, out, err.decode()
+
+
+def test_a_launch_writes_the_pinned_report(tmp_path):
+    # the benchmark's pass writes its report to --out; to stdout it is
+    # buffered until the closing copy's flush
+    argv = ("check", "--source", "exhaustive:6")
+    report = tmp_path / "report.json"
+    code, out, err = launch(tmp_path / "out", *argv, "--out", str(report))
+    assert (code, out) == (EXIT_OK, b""), err
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == EXHAUSTIVE6_JSON_SHA256
+    summary = "\nchecked 1001 verdicts on 143 graphs: 101 applicable, 101 held, 0 violations\n"
+    assert err == summary
+    assert launch(tmp_path / "stdout", *argv) == (EXIT_OK, report.read_bytes(), summary)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("check", "--help"), EXIT_OK),
+        (("check", "--source", "gen:cycle:5;nonsense:3"), EXIT_INPUT),
+        (("check",), EXIT_INPUT),
+        (("matching", "petersen"), EXIT_OK),
+        (("curvature", "cycle:5"), EXIT_OK),
+    ],
+    ids=["help", "bad-spec", "usage-error", "matching", "curvature"],
+)
+def test_a_launch_writes_what_main_writes(capsys, tmp_path, argv, exit_code):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == exit_code and (out or err)
+    assert launch(tmp_path, *argv) == (code, out.encode(), err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matching", "petersen"),
+        ("curvature", "cycle:5"),
+        ("check", "--source", "exhaustive:2"),
+        ("check", "--help"),
+    ],
+    ids=["matching", "curvature", "check", "help"],
+)
+def test_a_failed_stdout_write_exits_3(tmp_path, argv):
+    # with stdout buffered, each of these wrote less than the buffer holds,
+    # and the failed write surfaced only at interpreter shutdown: CPython's
+    # "Exception ignored" and exit code 120, after check's summary line
+    with open("/dev/full", "wb") as full:
+        code, _, err = launch(tmp_path, *argv, stdout=full)
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 # the child sets its own address-space limit, 2 GB as `ulimit -v 2000000`

@@ -5,7 +5,8 @@ of the package is named somewhere, every module-level name the package
 assigns is read somewhere, every defaulted parameter of the package is
 passed by some call and left out by another, the package calls json.dump
 or json.dumps nowhere, only its report writer imports json's encoder,
-it forks in one place and imports no thread or process pool, importing
+it forks in one place and imports no thread or process pool, it calls
+os._exit only where a forked worker or the program ends, importing
 its command line loads no process machinery and no numpy, each command
 loads only the modules it runs, and each runs numpy's BLAS on one thread."""
 
@@ -457,19 +458,34 @@ def test_one_json_dump_serves_the_package():
     assert encoding == ["src/curvlab/reports.py"]
 
 
+def _calls_os(node: ast.AST, name: str) -> bool:
+    """Whether `node` is a call of `os.<name>` or of a bare `<name>`."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == name and getattr(func.value, "id", None) == "os"
+    return getattr(func, "id", None) == name
+
+
 def fork_calls(source: str) -> list[int]:
     """Lines of every call of `os.fork` or of a bare `fork` in the source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if _calls_os(node, "fork")]
+
+
+def exit_calls(source: str) -> list[tuple[int, str | None]]:
+    """(line, innermost enclosing function, None at module level) of every
+    call of `os._exit` or of a bare `_exit` in the source."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            forks = func.attr == "fork" and getattr(func.value, "id", None) == "os"
-        else:
-            forks = getattr(func, "id", None) == "fork"
-        if forks:
-            found.append(node.lineno)
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if _calls_os(child, "_exit"):
+                found.append((child.lineno, function))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(source), None)
     return found
 
 
@@ -516,6 +532,26 @@ def test_one_fork_and_no_pool_in_the_package():
         for lineno, name in pool_imports(path.read_text(encoding="utf-8"))
     ]
     assert pools == []
+
+
+def test_exit_calls_are_found():
+    source = (
+        "import os\nfrom os import _exit\nos._exit(0)\n"
+        "def run():\n    def inner():\n        _exit(1)\n    os._exit(2)\nsys.exit(3)\n"
+    )
+    assert exit_calls(source) == [(3, None), (6, "inner"), (7, "run")]
+
+
+def test_os_exit_only_where_a_process_ends():
+    # os._exit skips the interpreter's teardown, and with it the flush of
+    # every buffer still open; it ends a forked scan worker, and `cli.run`
+    # ends the program once `main` has written and closed everything
+    exits = [
+        f"{path.relative_to(ROOT)}:{function}"
+        for path in PACKAGE
+        for _, function in exit_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert sorted(exits) == ["src/curvlab/cli.py:run", "src/curvlab/workers.py:_fork"]
 
 
 def _loaded(code: str, *argv: str, **env: str | None) -> subprocess.CompletedProcess:
