@@ -278,14 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_vertex_values(argv: list[str]) -> list[str]:
-    """Join `--vertex -4,2` into `--vertex=-4,2`: argparse reads a separate
-    value that starts with a minus sign and is not a plain number as an
-    option and rejects the pair."""
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join `--vertex -4,2` into `--vertex=-4,2` and `--dimension -inf`
+    into `--dimension=-inf`: argparse reads a separate value that starts
+    with a minus sign and is not a plain number, such as -4,2, -1e3 or
+    -inf, as an option and rejects the pair."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--vertex" and tok.startswith("-") and tok[1:2].isdigit():
-            out[-1] = f"--vertex={tok}"
+        negative = tok.startswith("-") and (tok[1:2].isdigit() or tok == "-inf")
+        if out and out[-1] in ("--vertex", "--dimension") and negative:
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -297,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         try:
-            args = parser.parse_args(_attach_vertex_values(sys.argv[1:] if argv is None else argv))
+            args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
             sys.stdout.flush()  # the --help text
             return EXIT_OK if exc.code == 0 else EXIT_INPUT

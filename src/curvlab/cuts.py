@@ -1,15 +1,14 @@
 """Edge-connectivity, minimum-cut certificates, and star-cut classification.
 
-The global minimum cut uses Stoer-Wagner with unit weights and lowest-index
-tie-breaking, so certificates are reproducible.  Its value lambda is found
-first by dominating-set flows (Matula, "Determining edge connectivity in
-O(nm)", FOCS 1987), and the phases stop at the first one whose cut is
-lambda, the cut a full run keeps.  Restricted edge connectivity (both cut
-sides of size at least two) scans non-adjacent vertex pairs, then runs
-unit-capacity max-flows between vertex sets on the graph itself, capped at
-the best cut so far, over one fixed order of (source, sink) pairs,
-`_restricted_pairs`: the anchor edge to every edge disjoint from it, then
-edges at the anchor's two ends.
+Dominating-set flows (Matula, "Determining edge connectivity in O(nm)",
+FOCS 1987) are the one route to lambda, and they give its certificate: the
+star of the lowest-index vertex of minimum degree delta when lambda = delta,
+else the residual side of the first flow of value lambda.  Restricted edge
+connectivity (both cut sides of size at least two) scans non-adjacent
+vertex pairs, then runs unit-capacity max-flows between vertex sets on the
+graph itself, capped at the best cut so far, over one fixed order of
+(source, sink) pairs, `_restricted_pairs`: the anchor edge to every edge
+disjoint from it, then edges at the anchor's two ends.
 
 Star-cut classification asks, when lambda equals the minimum degree delta,
 for a minimum cut with both sides of size at least two.  It walks the same
@@ -35,7 +34,8 @@ neighbourhood N[t] lies inside Y (case 2).
   vertex of D.  The first vertex of D on the side opposite D's first
   vertex has a flow to the vertices before it, all on the other side, of
   at most that cut.  Every flow is at least lambda, so lambda is the
-  minimum of delta and the flows.
+  minimum of delta and the flows.  Every edge that leaves a flow's
+  residual side carries one unit out, so that cut has the flow's value.
 - Anchor pair (Esfahanian and Hakimi, "On computing a conditional
   edge-connectivity of a graph", IPL 1988): a cut of value delta with both
   sides larger than delta that keeps a and b on one side has some N[t]
@@ -51,7 +51,6 @@ neighbourhood N[t] lies inside Y (case 2).
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -93,7 +92,7 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate | None]:
     Single-vertex graphs return 0 with no certificate (no bipartition
     exists); disconnected graphs return 0 with vertex 0's component as side_L.
 
-    lambda is found first by dominating-set flows (Matula): walking the
+    Otherwise dominating-set flows (Matula) decide lambda: walking the
     vertices in index order, each vertex v that no vertex of the set D built
     so far dominates runs one flow from {v} to D, capped at the least value
     so far, and joins D; lambda is the minimum of delta and those flows.
@@ -103,9 +102,9 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate | None]:
     first vertex of D on the side opposite D's first vertex then has a
     flow to the vertices of D before it no larger than that cut.
 
-    The Stoer-Wagner phases then stop at the first phase whose cut equals
-    lambda.  A full run replaces its best cut only by a strictly smaller
-    one, so it keeps that phase's cut too, and the certificate is the same.
+    The least value starts at delta with the star of the lowest-index
+    vertex of minimum degree, and a flow strictly below it replaces both
+    with its residual side, a cut of the flow's value (module docstring).
     """
     if g.n == 0:
         raise GraphError("edge connectivity of the empty graph is undefined")
@@ -114,51 +113,19 @@ def edge_connectivity(g: Graph) -> tuple[int, CutCertificate | None]:
     component = reachable(g, 0)
     if len(component) < g.n:
         return 0, _certificate(g, component)
-    lam = min(g.degree(v) for v in range(g.n))
+    star = min(range(g.n), key=g.degree)
+    lam, side = g.degree(star), {star}
     dominating: set[int] = set()
     dominated: set[int] = set()
     for v in range(g.n):
         if v not in dominated:
             if dominating:
-                lam = min(lam, _max_flow(g, {v}, dominating, lam)[0])
+                value, residual = _max_flow(g, {v}, dominating, lam)
+                if value < lam:
+                    lam, side = value, residual
             dominating.add(v)
             dominated.update(g.adjacency[v], (v,))
-    # Stoer-Wagner with unit weights; supernodes carry their merged members.
-    members = {v: [v] for v in range(g.n)}
-    weight = {v: dict.fromkeys(g.adjacency[v], 1) for v in range(g.n)}
-    best_value, best_side = None, None
-    while len(members) > 1:
-        # maximum adjacency ordering from the smallest active vertex: w holds
-        # the weights into A of the vertices outside it, and the heap of
-        # (-w, v) pops the largest weight, then the lowest index; an entry
-        # whose weight has grown since, or whose vertex joined A, is stale
-        t = min(members)
-        w = {v: 0 for v in members if v != t}
-        w.update(weight[t])
-        heap = [(-c, v) for v, c in w.items()]
-        heapq.heapify(heap)
-        while w:
-            negw, nxt = heapq.heappop(heap)
-            if w.get(nxt) != -negw:
-                continue
-            cut_of_phase = w.pop(nxt)
-            s, t = t, nxt
-            for u, c in weight[nxt].items():
-                if u in w:
-                    w[u] += c
-                    heapq.heappush(heap, (-w[u], u))
-        if best_value is None or cut_of_phase < best_value:
-            best_value, best_side = cut_of_phase, set(members[t])
-            if best_value == lam:
-                break
-        # merge t into s
-        members[s].extend(members.pop(t))
-        for u, c in weight.pop(t).items():
-            if u != s:
-                weight[u].pop(t)
-                weight[u][s] = weight[s][u] = weight[u].get(s, 0) + c
-        weight[s].pop(t, None)
-    return best_value, _certificate(g, best_side)
+    return lam, _certificate(g, side)
 
 
 def min_cut_bruteforce(g: Graph) -> tuple[int, list[CutCertificate]]:

@@ -36,10 +36,10 @@ def parse_integer(token: str) -> int:
 
 
 def parse_real(token: str) -> float:
-    """A real number read from input: `inf`, `nan` or an ASCII decimal such
-    as `2`, `-2.5` or `1e3`; float() alone would also read '+2', '1_0',
-    ' 2', 'Infinity' and non-ASCII digits."""
-    if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|inf|nan", token):
+    """A real number read from input: `inf`, `-inf`, `nan` or an ASCII
+    decimal such as `2`, `-2.5` or `1e3`; float() alone would also read
+    '+2', '1_0', ' 2', 'Infinity' and non-ASCII digits."""
+    if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|-?inf|nan", token):
         raise FormatError(f"not a real number: {token!r}")
     return float(token)
 

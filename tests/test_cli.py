@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -158,6 +160,15 @@ def test_curvature_finite_dimension(capsys, tmp_path):
             assert code == EXIT_INPUT and "dimension parameter must be positive" in err
         else:
             assert code == 0 and json.loads(out)["dimension"] == expected, dim
+    # argparse alone would read -inf and -1e3 as options, and -inf is a real
+    for argv, got in (
+        (("--dimension", "-inf"), "-inf"),
+        (("--dimension", "-1e3"), "-1000.0"),
+        (("--dimension=-inf",), "-inf"),
+    ):
+        code, out, err = run_cli(capsys, "curvature", "cycle:5", *argv)
+        assert code == EXIT_INPUT and out == "", argv
+        assert err == f"error: dimension parameter must be positive, got {got}\n", argv
 
 
 @pytest.mark.parametrize("dim", ["1e-320", "5e-324", "1e-308"])
@@ -183,17 +194,18 @@ def test_connectivity_with_classification(capsys):
 
 # sha256 of the whole stdout of `connectivity --classify-cuts`: every minimum
 # cut is a star on the first three, and the last two print the witness of
-# the full restricted search; recorded before the sink-family decision
+# the full restricted search, the ones recorded before the sink-family
+# decision
 @pytest.mark.parametrize(
     "spec, digest",
     [
-        ("hypercube:7", "9eb3fdb44fd8d79addda3538fab50a3a85405b3a7c137e86451c4640b7805281"),
+        ("hypercube:7", "17fd7e3f3f23f46a8fbf8fcf71d35b2363768f35bfe23e389f7f689d0a72d6cf"),
         (
             "product:hamming2:4+complete:4",
-            "f0e40462747190f2faadb41d9306806ca85de770f11e941d6981228bf1bcf50a",
+            "7c906686f49e46654e13fc3e98ed92b0ff691ea039169bb2fccffb9b74e90905",
         ),
-        ("triangular:9", "45e27a2331f4c48d5a45e4eea6bd97ad14c4f3b346895e58a1940733fcb37cd3"),
-        ("cycle:4", "ccc6bc3357b685640fb3f0e79f2cc01701f4953df731e7a8f922636503cb6a98"),
+        ("triangular:9", "fec1c8cdebaee1d8d1bae755276da11c94b74dd91aad12269146b4d401968ec6"),
+        ("cycle:4", "52823b812f929d834cd3be8ea1108a421e35ac595e97d5d45fbf36b242b12fd3"),
         ("beta1", "3ba065764989f3d6227e6d2eb8057a9e7af5b2c64542fabc2c24fd95f460d159"),
     ],
 )
@@ -203,7 +215,7 @@ def test_cut_classification_output_pinned(capsys, spec, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_connectivity_classification_runs_stoer_wagner_once(capsys, monkeypatch):
+def test_connectivity_classification_computes_lambda_once(capsys, monkeypatch):
     # classify_min_cuts gets the lambda the command already computed
     calls = []
     original = cuts.edge_connectivity
@@ -217,7 +229,7 @@ def test_connectivity_classification_runs_stoer_wagner_once(capsys, monkeypatch)
     code, out, _ = run_cli(capsys, "connectivity", "hypercube:4", "--classify-cuts")
     assert code == EXIT_OK and calls == [16]
     assert json.loads(out) == {
-        "cut": {"edges": [[7, 15], [11, 15], [13, 15], [14, 15]], "side_L": [15]},
+        "cut": {"edges": [[0, 1], [0, 2], [0, 4], [0, 8]], "side_L": [0]},
         "lambda": 4,
         "non_star_cut": None,
         "stars_only": True,
@@ -454,20 +466,20 @@ def test_exploration_output_pinned(capsys, argv, digest):
 
 # the json report of exhaustive:6, which test_check_report_pinned and
 # test_a_launch_writes_the_pinned_report pin
-EXHAUSTIVE6_JSON_SHA256 = "601c40391dde7b8ff73f80dc2f44dac86a07716c014ed0592b69896307fda62d"
+EXHAUSTIVE6_JSON_SHA256 = "cc121b73c1c54e412a575f895a529deb6e1a4fbc732d191baf090cea3f5816c8"
 # the csv and markdown reports of the sources of test_check_report_pinned
 REPORT_SHA256 = {
     "exhaustive:6": {
-        "csv": "0716741e2cd241021d44df8e4b2e3b3ad91f99a74d803bcaf0bd8e69d0674bff",
+        "csv": "ea8ec4abb8f443df9399a9f1e92cd928c4a8732a17baefcc2512e12025ab7f80",
         "markdown": "2cfaa9c64c0565fab26837f87e97a627cccd14374ffbc471c7c1e106d56a34f5",
     },
     "gen:petersen;hypercube:4;paley:13;cycle:4;hamming2:3": {
-        "csv": "3af140e27862c599d58bdcab81ad49d358a563721be2902740406912f985d26a",
+        "csv": "04f3f54b7b2113ad2da170c700eee0ee9d03204058201e248958e7e0107995f0",
         "markdown": "410eb9a389ecf1e0fe999b1627e43ac9cbf4ca121ddbd984988f041e36e0bd50",
     },
     # the one source whose T2.4 verdict is applicable (and holds)
     "gen:hamming2:5": {
-        "csv": "ce5dce48421204c9e4121c568c791de0b12ed0accf0e243dde6d73b63d23c002",
+        "csv": "e5bdd5ae829468a832b4b5f7cb9d6f2bb4b07c8d7186d0a1649f9c300a0e22bf",
         "markdown": "f960a7231e9092e5e1cfafbc42a947deb4cd883ca72cf058493085967bd1ed36",
     },
 }
@@ -479,9 +491,9 @@ REPORT_SHA256 = {
         ("exhaustive:6", EXHAUSTIVE6_JSON_SHA256),
         (
             "gen:petersen;hypercube:4;paley:13;cycle:4;hamming2:3",
-            "bd021ad429344720cd871439d18f4fa10a00900e6dbaff98c73cad17fd748044",
+            "3fd9064002b651953774589868c1aac598022312f2297b4c170d2faa9a2a71b9",
         ),
-        ("gen:hamming2:5", "e40269a346eac618e61abb638f7264faa0b6be38193939dea7870cb6c6b943b6"),
+        ("gen:hamming2:5", "f7002a1075b18d26b7e1da583c004e4c7977a48498828eeccb01ef19b52c6d23"),
     ],
 )
 def test_check_report_pinned(capsys, tmp_path, source, digest):
@@ -494,6 +506,50 @@ def test_check_report_pinned(capsys, tmp_path, source, digest):
         code, _, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, fmt
+
+
+def without_cuts(fmt, data):
+    """A json or csv report with every evidence "cut" value dropped: every
+    verdict, lambda, witness and matching stays."""
+    if fmt == "json":
+        verdicts = json.loads(data)
+        for verdict in verdicts:
+            verdict["evidence"].pop("cut", None)
+        return json.dumps(verdicts).encode()
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    for row in rows[1:]:
+        detail = json.loads(row[-1])
+        detail.pop("cut", None)
+        row[-1] = json.dumps(detail)
+    return json.dumps(rows).encode()
+
+
+# sha256 of `without_cuts` of the json and csv reports of the sources of
+# test_check_report_pinned, recorded while Stoer-Wagner still gave the cut
+# certificates: the flows that replaced it move no other byte
+REPORT_WITHOUT_CUTS_SHA256 = {
+    "exhaustive:6": {
+        "json": "f43b18e99f7e1e5f9e49bc07d37b6b012edca04a45e2f5de62b1cddbc3f13f7f",
+        "csv": "907173a4b55360b132157f4b4a90b298d69cc3df8b430b814bdaae18f3955212",
+    },
+    "gen:petersen;hypercube:4;paley:13;cycle:4;hamming2:3": {
+        "json": "7c3f17725ec353bc44f64b38d4a2c057733d7565d80b1a93c47daad95ba1b9eb",
+        "csv": "a9f6101123daf7a605227e0b7f7aea530176caf74faccccb682ec20fcffe8d92",
+    },
+    "gen:hamming2:5": {
+        "json": "17856be6f88361d8ad5bd09a3b0b012ff51901a3a470c3d7698379347c26bc5d",
+        "csv": "d06846ce589901db409746e19019cd314e482cc3719c8e67d6e3226ee805915a",
+    },
+}
+
+
+@pytest.mark.parametrize("source", REPORT_WITHOUT_CUTS_SHA256)
+def test_check_report_without_cuts_pinned(capsys, tmp_path, source):
+    for fmt, expected in REPORT_WITHOUT_CUTS_SHA256[source].items():
+        out = tmp_path / f"report.{fmt}"
+        argv = ("check", "--source", source, "--format", fmt, "--out", str(out))
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        assert hashlib.sha256(without_cuts(fmt, out.read_bytes())).hexdigest() == expected, fmt
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

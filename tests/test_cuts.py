@@ -148,25 +148,40 @@ def test_cut_searches_reject_a_single_vertex():
         classify_min_cuts(g, edge_connectivity(g))
 
 
-def test_stoer_wagner_vs_bruteforce_exhaustive():
+def assert_flow_certificate(g, lam, cert):
+    """The certificate is a minimum cut by edge_connectivity's rule: it
+    verifies with value lambda, the brute-force minimum; when lambda = delta
+    it is the star of the lowest-index vertex of minimum degree, and below
+    delta both sides have more than delta vertices (the side-size lemma)."""
+    assert cert.value == lam == min_cut_bruteforce(g)[0] and cert.verify(g)
+    degrees = [g.degree(v) for v in range(g.n)]
+    delta = min(degrees)
+    if lam == delta:
+        assert cert.side_L == {degrees.index(delta)}
+    else:
+        assert delta < len(cert.side_L) < g.n - delta
+
+
+def test_edge_connectivity_vs_bruteforce_exhaustive():
+    below_delta = 0
     for gid, g in connected_graphs_upto(7):
         if g.n < 2:
             continue
         lam, cert = edge_connectivity(g)
-        blam, _ = min_cut_bruteforce(g)
-        assert lam == blam, gid
-        assert cert.verify(g), gid
+        assert_flow_certificate(g, lam, cert)
+        below_delta += lam < min(g.degree(v) for v in range(g.n))
+    assert below_delta > 0
 
 
-def test_stoer_wagner_vs_bruteforce_random():
+def test_edge_connectivity_vs_bruteforce_random():
     rng = random.Random(101)
     for _ in range(400):
         g = random_graph(rng, rng.randint(2, 10), rng.choice([0.2, 0.4, 0.6, 0.9]))
         lam, cert = edge_connectivity(g)
-        blam, _ = min_cut_bruteforce(g)
-        assert lam == blam
-        if cert is not None:
-            assert cert.verify(g)
+        if is_connected(g):
+            assert_flow_certificate(g, lam, cert)
+        else:
+            assert lam == 0 == min_cut_bruteforce(g)[0] and cert.verify(g)
 
 
 def test_lambda_at_most_min_degree():
@@ -310,7 +325,7 @@ def two_blocks(rng, n):
 
 
 def test_lambda_matches_networkx_on_random_graphs():
-    # lambda is decided by dominating-set flows before Stoer-Wagner runs
+    # lambda and its certificate both come from the dominating-set flows
     rng = random.Random(505)
     checked = below_delta = 0
     while checked < 200:
@@ -344,8 +359,8 @@ def test_lambda_below_delta_with_two_large_sides(m):
 
 
 def test_lambda_flow_count_on_hypercube7(monkeypatch):
-    # one flow per vertex that joins the dominating set after the first;
-    # Stoer-Wagner runs no flow, and its first phase already cuts lambda
+    # one flow per vertex that joins the dominating set after the first,
+    # and no other flow: lambda = delta, so the certificate is the star of 0
     calls = counted_flows(monkeypatch)
     assert edge_connectivity(hypercube(7))[0] == 7
     assert len(calls) <= 63
@@ -358,8 +373,11 @@ def test_restricted_edge_connectivity_of_hypercubes(k):
     assert 2 <= len(cert.side_L) <= 2**k - 2
 
 
-# Certificates depend on Stoer-Wagner's tie-breaking and on the order of
-# the restricted search, and the reports print them, so they are pinned.
+# Certificates depend on edge_connectivity's rule (the star of the
+# lowest-index vertex of minimum degree when lambda = delta, else the
+# residual side of the first dominating-set flow of value lambda) and on the
+# order of the restricted search, and the reports print them, so they are
+# pinned.
 N7_SEVERAL_MIN_CUTS = {
     "n7#14": [(0, 3), (0, 5), (1, 4), (1, 6), (2, 5), (2, 6), (4, 6)],
     "n7#307": [(0, 3), (0, 6), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 6), (4, 5)],
@@ -373,12 +391,12 @@ N7_SEVERAL_MIN_CUTS = {
 @pytest.mark.parametrize(
     "g, side_L, cut_edges",
     [
-        (petersen(), [9], ((4, 9), (6, 9), (7, 9))),
-        (hypercube(4), [15], ((7, 15), (11, 15), (13, 15), (14, 15))),
+        (petersen(), [0], ((0, 1), (0, 4), (0, 5))),
+        (hypercube(4), [0], ((0, 1), (0, 2), (0, 4), (0, 8))),
         (beta1_counterexample(), list(range(10, 20)), ((0, 10), (1, 11))),
-        (from_edge_list(7, N7_SEVERAL_MIN_CUTS["n7#14"]), [1, 4, 6], ((2, 6),)),
-        (from_edge_list(7, N7_SEVERAL_MIN_CUTS["n7#307"]), [1, 2, 4, 5], ((1, 6), (2, 6))),
-        (from_edge_list(7, N7_SEVERAL_MIN_CUTS["n7#543"]), [5], ((1, 5), (3, 5), (5, 6))),
+        (from_edge_list(7, N7_SEVERAL_MIN_CUTS["n7#14"]), [3], ((0, 3),)),
+        (from_edge_list(7, N7_SEVERAL_MIN_CUTS["n7#307"]), [0], ((0, 3), (0, 6))),
+        (from_edge_list(7, N7_SEVERAL_MIN_CUTS["n7#543"]), [0], ((0, 2), (0, 4), (0, 6))),
     ],
 )
 def test_edge_connectivity_certificates_pinned(g, side_L, cut_edges):

@@ -395,7 +395,7 @@ def test_sign_rule_boundary():
 def test_conjecture_scan_small():
     report = conjecture_scan(4)
     assert report["max_n"] == 4 and report["boundary_cases"] == []
-    # recount from the kernel, Stoer-Wagner and the degrees, without a scan
+    # recount from the kernel, the dominating-set flows and the degrees, without a scan
     expected = Counter()
     for _, g in connected_graphs_upto(4):
         [(kmin, _)] = curvature.graph_curvature([g])
