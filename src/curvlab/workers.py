@@ -12,17 +12,17 @@ own; so the chunks must come out the same in each process, as a corpus
 does, and a chunk should cost little to walk past.  With one worker
 nothing is forked and the same loop runs here alone.
 
-A forked worker appends each of its results, pickled, to a spool file of
-its own and writes the record's length to its pipe; this process reads
-the pipes in chunk order and the records from the spools, so a worker
-does not wait for this one to catch up.  `take` always runs here.  An
+A forked worker writes each of its results, pickled whole, to its pipe,
+and this process loads them from the pipes in chunk order; so a worker
+runs at most one pipe buffer ahead of this one (64 KiB on Linux, about
+one exhaustive:7 chunk's record).  `take` always runs here.  An
 exception that `work`, the walk or the pickling of a result raises in a
 worker travels pickled too, and is raised here in place of the result of
 the chunk it stopped at: the run fails where, and as, a loop in one
-process would.  A worker that ends without its results raises
-`WorkerError`.  On every way
-out, SIGTERM included, this process kills the workers still running and
-reaps them all before it returns.
+process would.  A worker that ends without its results, or in the middle
+of one, raises `WorkerError`.  On every way out, SIGTERM included, this
+process kills the workers still running and reaps them all before it
+returns.
 """
 
 from __future__ import annotations
@@ -30,15 +30,12 @@ from __future__ import annotations
 import os
 import pickle
 import sys
-import tempfile
 from contextlib import contextmanager
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
 C = TypeVar("C")
 R = TypeVar("R")
-
-_LENGTH = 8  # bytes of a record's length on a worker's pipe
 
 
 class WorkerError(RuntimeError):
@@ -109,21 +106,19 @@ def _exit_on_signal(signum, frame) -> None:
 
 
 class _Worker:
-    """A forked worker as this process sees it: its pid (None once reaped),
-    the read end of its pipe (None once closed) and its spool file."""
+    """A forked worker as this process sees it: its pid (None once reaped)
+    and a buffered reader of its pipe.  The worker runs at most one pipe
+    buffer (64 KiB on Linux) ahead of `receive`: a write beyond it waits."""
 
-    def __init__(self, pid: int, pipe: int, spool):
-        self.pid, self.pipe, self.spool, self.offset = pid, pipe, spool, 0
+    def __init__(self, pid: int, pipe):
+        self.pid, self.pipe = pid, pipe
 
     def receive(self):
         """The worker's next result; what the worker raised is raised here."""
-        header = _read(self.pipe, _LENGTH)
-        if len(header) < _LENGTH:
+        try:
+            ok, value = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):  # the pipe ended at or inside a record
             raise WorkerError(f"scan worker {self.pid} ended without its results ({self.reap()})")
-        size = int.from_bytes(header, "little")
-        record = _read(self.spool.fileno(), size, self.offset)
-        self.offset += size
-        ok, value = pickle.loads(record)
         if ok:
             return value
         raise value
@@ -137,8 +132,8 @@ class _Worker:
 
     def close(self, kill: int | None) -> str | None:
         """Reap the worker unless it was reaped before, sending it the signal
-        `kill` first unless that is None, and release its pipe and spool;
-        say how it ended, or None if it was reaped before."""
+        `kill` first unless that is None, and close its pipe; say how it
+        ended, or None if it was reaped before."""
         try:
             if self.pid is None:
                 return None
@@ -146,23 +141,18 @@ class _Worker:
                 os.kill(self.pid, kill)
             return self.reap()
         finally:
-            if self.pipe is not None:
-                os.close(self.pipe)
-                self.spool.close()
-                self.pipe = None
+            self.pipe.close()
 
 
 def _fork(chunks: Iterator[C], work: Callable[[C], R], count: int, me: int, forked) -> _Worker:
     """Fork worker `me` of `count`, which works on the chunks i with
     i mod count == me; `forked` are the workers forked before it."""
-    spool = tempfile.TemporaryFile()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         for fd in (read_end, write_end):
             os.close(fd)
-        spool.close()
         raise
     if pid == 0:
         status = 1
@@ -171,53 +161,33 @@ def _fork(chunks: Iterator[C], work: Callable[[C], R], count: int, me: int, fork
 
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
             os.close(read_end)
+            # through the file object, so that no finaliser closes the
+            # descriptor number again once it is reused
             for worker in forked:
-                os.close(worker.pipe)
-            _serve(chunks, work, count, me, write_end, spool.fileno())
+                worker.pipe.close()
+            _serve(chunks, work, count, me, os.fdopen(write_end, "wb"))
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
-    return _Worker(pid, read_end, spool)
+    return _Worker(pid, os.fdopen(read_end, "rb"))
 
 
-def _serve(chunks: Iterator[C], work: Callable[[C], R], count: int, me: int, pipe: int, spool: int):
-    """A forked worker's loop: walk the chunks, and send the result of each
-    that it owns, or the exception that stops it."""
+def _serve(chunks: Iterator[C], work: Callable[[C], R], count: int, me: int, pipe) -> None:
+    """A forked worker's loop: walk the chunks, and send down `pipe` the
+    result of each that it owns, or the exception that stops it.  Each is
+    pickled whole before a byte of it is written, so one that does not
+    pickle is sent as the exception it raised."""
     try:
         for i, chunk in enumerate(chunks):
             if i % count == me:
-                _send(pipe, spool, pickle.dumps((True, work(chunk))))
+                record = pickle.dumps((True, work(chunk)))
+                pipe.write(record)
+                pipe.flush()
     except Exception as exc:
         try:
             record = pickle.dumps((False, exc))
         except Exception:  # an exception that does not pickle is named instead
             record = pickle.dumps((False, WorkerError(f"{type(exc).__name__}: {exc}")))
-        _send(pipe, spool, record)
-
-
-def _send(pipe: int, spool: int, record: bytes) -> None:
-    _write(spool, record)
-    _write(pipe, len(record).to_bytes(_LENGTH, "little"))
-
-
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _read(fd: int, size: int, offset: int | None = None) -> bytes:
-    """`size` bytes from `fd`, at `offset` without moving the file's position
-    when one is given; fewer only at the end of the file or pipe."""
-    parts, got = [], 0
-    while got < size:
-        if offset is None:
-            part = os.read(fd, size - got)
-        else:
-            part = os.pread(fd, size - got, offset + got)
-        if not part:
-            break
-        parts.append(part)
-        got += len(part)
-    return b"".join(parts)
+        pipe.write(record)
+        pipe.flush()

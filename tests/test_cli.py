@@ -61,34 +61,36 @@ def test_curvature_infinite_family(capsys):
         assert payload["K"] == pytest.approx(0.0, abs=1e-8)
 
 
+# sha256 of the whole stdout of a --vertex query, on infinite and finite
+# graphs, at N = inf and finite N
+VERTEX_QUERIES = [
+    (
+        ("zxk:3", "--vertex=-4,2"),
+        "599b0a3be3aff967e0cceb275fcab23b0dff00a481efd1b0fd9ba0c03003b80a",
+    ),
+    (
+        ("zxk:5", "--vertex", "7,4", "--dimension", "2.5"),
+        "0b09b497c844e2c041a25ffb657b9cfb3f85576ad85bde8537a0e0f807972850",
+    ),
+    (
+        ("line", "--vertex", "2", "--dimension", "3"),
+        "cef952402bd15cb1bb6e464578c1af9d74e9997cdfd7f4285f2ffd75d8f91575",
+    ),
+    (
+        ("petersen", "--vertex", "9"),
+        "23bbc1a8b11871bd353be164c2a7fe1f372ccfdb8137cbbc1c01e5d01953a1f1",
+    ),
+    (
+        ("hypercube:4", "--vertex", "3", "--dimension", "2.5"),
+        "1a3000b91ce59be2691b2b4d9dd9e931b3818e2ec3984dd973af891a7d34e180",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ("zxk:3", "--vertex=-4,2"),
-            "599b0a3be3aff967e0cceb275fcab23b0dff00a481efd1b0fd9ba0c03003b80a",
-        ),
-        (
-            ("zxk:5", "--vertex", "7,4", "--dimension", "2.5"),
-            "0b09b497c844e2c041a25ffb657b9cfb3f85576ad85bde8537a0e0f807972850",
-        ),
-        (
-            ("line", "--vertex", "2", "--dimension", "3"),
-            "cef952402bd15cb1bb6e464578c1af9d74e9997cdfd7f4285f2ffd75d8f91575",
-        ),
-        (
-            ("petersen", "--vertex", "9"),
-            "23bbc1a8b11871bd353be164c2a7fe1f372ccfdb8137cbbc1c01e5d01953a1f1",
-        ),
-        (
-            ("hypercube:4", "--vertex", "3", "--dimension", "2.5"),
-            "1a3000b91ce59be2691b2b4d9dd9e931b3818e2ec3984dd973af891a7d34e180",
-        ),
-    ],
+    "argv, digest", VERTEX_QUERIES, ids=[" ".join(argv) for argv, _ in VERTEX_QUERIES]
 )
 def test_curvature_vertex_output_pinned(capsys, argv, digest):
-    # sha256 of the whole stdout of a --vertex query, on infinite and finite
-    # graphs, at N = inf and finite N
     code, out, _ = run_cli(capsys, "curvature", *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -196,18 +198,20 @@ def test_connectivity_with_classification(capsys):
 # cut is a star on the first three, and the last two print the witness of
 # the full restricted search, the ones recorded before the sink-family
 # decision
+CLASSIFIED_CUTS = [
+    ("hypercube:7", "17fd7e3f3f23f46a8fbf8fcf71d35b2363768f35bfe23e389f7f689d0a72d6cf"),
+    (
+        "product:hamming2:4+complete:4",
+        "7c906686f49e46654e13fc3e98ed92b0ff691ea039169bb2fccffb9b74e90905",
+    ),
+    ("triangular:9", "fec1c8cdebaee1d8d1bae755276da11c94b74dd91aad12269146b4d401968ec6"),
+    ("cycle:4", "52823b812f929d834cd3be8ea1108a421e35ac595e97d5d45fbf36b242b12fd3"),
+    ("beta1", "3ba065764989f3d6227e6d2eb8057a9e7af5b2c64542fabc2c24fd95f460d159"),
+]
+
+
 @pytest.mark.parametrize(
-    "spec, digest",
-    [
-        ("hypercube:7", "17fd7e3f3f23f46a8fbf8fcf71d35b2363768f35bfe23e389f7f689d0a72d6cf"),
-        (
-            "product:hamming2:4+complete:4",
-            "7c906686f49e46654e13fc3e98ed92b0ff691ea039169bb2fccffb9b74e90905",
-        ),
-        ("triangular:9", "fec1c8cdebaee1d8d1bae755276da11c94b74dd91aad12269146b4d401968ec6"),
-        ("cycle:4", "52823b812f929d834cd3be8ea1108a421e35ac595e97d5d45fbf36b242b12fd3"),
-        ("beta1", "3ba065764989f3d6227e6d2eb8057a9e7af5b2c64542fabc2c24fd95f460d159"),
-    ],
+    "spec, digest", CLASSIFIED_CUTS, ids=[spec for spec, _ in CLASSIFIED_CUTS]
 )
 def test_cut_classification_output_pinned(capsys, spec, digest):
     code, out, _ = run_cli(capsys, "connectivity", spec, "--classify-cuts")
@@ -446,19 +450,21 @@ def test_conjecture_rejects_bad_max_n(capsys, max_n):
     assert f"max_n in 1..9, got {max_n}" in err
 
 
+# sha256 of the whole stdout: the n <= 7 (delta, lambda) table of the 419
+# nonnegatively curved graphs, and the one beta = 1 finding
+EXPLORATIONS = [
+    (
+        ("conjecture", "--max-n", "7"),
+        "418a267da531de16bb05bf4ab8dfdc5367a89a78dc63163b7395cd9df2a0fdce",
+    ),
+    (("beta1-search",), "cd1450f0b09bdea65719cd1935b9d9a8b2dd47d235e102bc9bd774e9cfb7c403"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ("conjecture", "--max-n", "7"),
-            "418a267da531de16bb05bf4ab8dfdc5367a89a78dc63163b7395cd9df2a0fdce",
-        ),
-        (("beta1-search",), "cd1450f0b09bdea65719cd1935b9d9a8b2dd47d235e102bc9bd774e9cfb7c403"),
-    ],
+    "argv, digest", EXPLORATIONS, ids=[" ".join(argv) for argv, _ in EXPLORATIONS]
 )
 def test_exploration_output_pinned(capsys, argv, digest):
-    # sha256 of the whole stdout: the n <= 7 (delta, lambda) table of the 419
-    # nonnegatively curved graphs, and the one beta = 1 finding
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -467,40 +473,33 @@ def test_exploration_output_pinned(capsys, argv, digest):
 # the json report of exhaustive:6, which test_check_report_pinned and
 # test_a_launch_writes_the_pinned_report pin
 EXHAUSTIVE6_JSON_SHA256 = "cc121b73c1c54e412a575f895a529deb6e1a4fbc732d191baf090cea3f5816c8"
-# the csv and markdown reports of the sources of test_check_report_pinned
+# the json, csv and markdown reports of the sources of test_check_report_pinned
 REPORT_SHA256 = {
     "exhaustive:6": {
+        "json": EXHAUSTIVE6_JSON_SHA256,
         "csv": "ea8ec4abb8f443df9399a9f1e92cd928c4a8732a17baefcc2512e12025ab7f80",
         "markdown": "2cfaa9c64c0565fab26837f87e97a627cccd14374ffbc471c7c1e106d56a34f5",
     },
     "gen:petersen;hypercube:4;paley:13;cycle:4;hamming2:3": {
+        "json": "3fd9064002b651953774589868c1aac598022312f2297b4c170d2faa9a2a71b9",
         "csv": "04f3f54b7b2113ad2da170c700eee0ee9d03204058201e248958e7e0107995f0",
         "markdown": "410eb9a389ecf1e0fe999b1627e43ac9cbf4ca121ddbd984988f041e36e0bd50",
     },
     # the one source whose T2.4 verdict is applicable (and holds)
     "gen:hamming2:5": {
+        "json": "f7002a1075b18d26b7e1da583c004e4c7977a48498828eeccb01ef19b52c6d23",
         "csv": "e5bdd5ae829468a832b4b5f7cb9d6f2bb4b07c8d7186d0a1649f9c300a0e22bf",
         "markdown": "f960a7231e9092e5e1cfafbc42a947deb4cd883ca72cf058493085967bd1ed36",
     },
 }
 
 
-@pytest.mark.parametrize(
-    "source, digest",
-    [
-        ("exhaustive:6", EXHAUSTIVE6_JSON_SHA256),
-        (
-            "gen:petersen;hypercube:4;paley:13;cycle:4;hamming2:3",
-            "3fd9064002b651953774589868c1aac598022312f2297b4c170d2faa9a2a71b9",
-        ),
-        ("gen:hamming2:5", "f7002a1075b18d26b7e1da583c004e4c7977a48498828eeccb01ef19b52c6d23"),
-    ],
-)
-def test_check_report_pinned(capsys, tmp_path, source, digest):
+@pytest.mark.parametrize("source", REPORT_SHA256)
+def test_check_report_pinned(capsys, tmp_path, source):
     # sha256 of the whole json, csv and markdown reports of all seven
     # checkers, so a change to how the facts are computed or converted cannot
-    # move a byte of them; `digest` is the json report's
-    for fmt, expected in (("json", digest), *REPORT_SHA256[source].items()):
+    # move a byte of them
+    for fmt, expected in REPORT_SHA256[source].items():
         out = tmp_path / f"report.{fmt}"
         argv = ("check", "--source", source, "--format", fmt, "--out", str(out))
         code, _, _ = run_cli(capsys, *argv)

@@ -5,8 +5,9 @@ of the package is named somewhere, every module-level name the package
 assigns is read somewhere, every defaulted parameter of the package is
 passed by some call and left out by another, the package calls json.dump
 or json.dumps nowhere, only its report writer imports json's encoder,
-it forks in one place and imports no thread or process pool, it calls
-os._exit only where a forked worker or the program ends, importing
+it forks in one place and imports no thread or process pool, only its
+command line imports tempfile, it calls os._exit only where a forked
+worker or the program ends, importing
 its command line loads no process machinery and no numpy, each command
 loads only the modules it runs, and each runs numpy's BLAS on one thread."""
 
@@ -489,10 +490,13 @@ def exit_calls(source: str) -> list[tuple[int, str | None]]:
     return found
 
 
-def pool_imports(source: str) -> list[tuple[int, str]]:
-    """(line, module) of every import of a module that runs work on a pool
-    of threads or processes."""
-    pools = {"multiprocessing", "concurrent", "threading", "_thread", "subprocess"}
+# the modules that run work on a pool of threads or processes
+POOLS = {"multiprocessing", "concurrent", "threading", "_thread", "subprocess"}
+
+
+def module_imports(source: str, modules: set[str]) -> list[tuple[int, str]]:
+    """(line, module) of every absolute import of a module whose top-level
+    name is in `modules`."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -501,7 +505,7 @@ def pool_imports(source: str) -> list[tuple[int, str]]:
             names = [node.module]
         else:
             continue
-        found += [(node.lineno, name) for name in names if name.split(".")[0] in pools]
+        found += [(node.lineno, name) for name in names if name.split(".")[0] in modules]
     return found
 
 
@@ -512,7 +516,9 @@ def test_fork_calls_and_pool_imports_are_found():
         "pid = os.fork()\nfork()\nos.forkpty()\n"
     )
     assert fork_calls(source) == [6, 7]
-    assert pool_imports(source) == [(3, "threading"), (4, "concurrent.futures")]
+    assert module_imports(source, POOLS) == [(3, "threading"), (4, "concurrent.futures")]
+    source = "import tempfile\nfrom tempfile import mkstemp\nimport tempfiles\n"
+    assert module_imports(source, {"tempfile"}) == [(1, "tempfile"), (2, "tempfile")]
 
 
 def test_one_fork_and_no_pool_in_the_package():
@@ -529,9 +535,20 @@ def test_one_fork_and_no_pool_in_the_package():
     pools = [
         f"{path.relative_to(ROOT)}:{lineno}: {name}"
         for path in PACKAGE
-        for lineno, name in pool_imports(path.read_text(encoding="utf-8"))
+        for lineno, name in module_imports(path.read_text(encoding="utf-8"), POOLS)
     ]
     assert pools == []
+
+
+def test_only_the_command_line_makes_temporary_files():
+    # check's report spool is the package's one temporary file; a scan
+    # worker's results travel on its pipe alone
+    found = [
+        str(path.relative_to(ROOT))
+        for path in PACKAGE
+        if module_imports(path.read_text(encoding="utf-8"), {"tempfile"})
+    ]
+    assert found == ["src/curvlab/cli.py"]
 
 
 def test_exit_calls_are_found():

@@ -9,6 +9,7 @@ to plant violations and failures in chunks that a forked worker owns."""
 from __future__ import annotations
 
 import os
+import random
 import signal
 import time
 from contextlib import contextmanager
@@ -300,3 +301,80 @@ def test_for_each_raises_a_workers_exception_as_it_was(cpus):
     with pytest.raises(GraphError, match="^chunk 3 failed in a worker$"):
         workers.for_each(range(6), work, taken.append)
     assert taken == [0, 1, 2] and no_child_left()
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_records_larger_than_a_pipe_buffer_arrive_whole(cpus, forks, k):
+    # each result is many pipe buffers long, so a worker's write of it waits
+    # for this process to load the records before it
+    def big(i):
+        return random.Random(i).randbytes(2**20 + i)
+
+    cpus(k)
+    taken = []
+    with deadline(60):
+        workers.for_each(range(3 * k), lambda i: (i, big(i)), taken.append)
+    assert [i for i, _ in taken] == list(range(3 * k))
+    assert all(data == big(i) for i, data in taken)
+    assert len(forks) == k - 1 and no_child_left()
+
+
+def sleeping(pid):
+    """Whether the process sleeps, as a worker does whose pipe is full."""
+    with open(f"/proc/{pid}/stat") as fh:
+        return fh.read().rsplit(")", 1)[1].split()[0] == "S"
+
+
+def test_a_worker_killed_inside_a_record_fails_the_run(cpus, forks, tmp_path):
+    # chunk 1's result is 16 pipe buffers long: its worker writes the first
+    # and waits while this process is still in take of chunk 0, and is
+    # killed there, half way through the record
+    ready = tmp_path / "pid"
+
+    def work(i):
+        if i == 1:
+            (tmp_path / "pid.tmp").write_text(str(os.getpid()))
+            os.replace(tmp_path / "pid.tmp", ready)
+            return bytes(2**20)
+        return i
+
+    def take(result):
+        if result == 0:
+            while not ready.exists():
+                time.sleep(0.01)
+            pid = int(ready.read_text())
+            while os.path.exists(f"/proc/{pid}") and not sleeping(pid):
+                time.sleep(0.01)
+            os.kill(pid, signal.SIGKILL)
+
+    cpus(2)
+    with deadline(60), pytest.raises(workers.WorkerError) as failure:
+        workers.for_each(range(2), work, take)
+    assert str(failure.value) == (
+        f"scan worker {forks[0]} ended without its results (killed by signal 9)"
+    )
+    assert no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("ending", ["normal", "work raises", "take raises"])
+def test_for_each_leaves_the_open_descriptors_as_it_found_them(cpus, forks, ending):
+    # chunk 3 belongs to the forked worker, chunk 2 to this process
+    def work(i):
+        if ending == "work raises" and i == 3:
+            raise GraphError(f"chunk {i}")
+        return i
+
+    def take(i):
+        if ending == "take raises" and i == 2:
+            raise GraphError(f"chunk {i}")
+
+    cpus(2)
+    before = sorted(os.listdir("/proc/self/fd"))
+    if ending == "normal":
+        workers.for_each(range(6), work, take)
+    else:
+        with pytest.raises(GraphError, match="^chunk [23]$"):
+            workers.for_each(range(6), work, take)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == 1 and no_child_left()
